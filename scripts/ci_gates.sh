@@ -51,6 +51,9 @@ python -m pytest -q \
     benchmarks/test_serve_throughput.py \
     benchmarks/test_shard_throughput.py
 
+echo "==> guard benchmark self-tests (metric arithmetic, traffic, verdict checks)"
+python -m pytest -q guardbench
+
 echo "==> perf trend regression gate"
 python benchmarks/check_trend.py
 

@@ -14,7 +14,7 @@ failure modes are reproduced here:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,7 +63,16 @@ class TrajectoryPlan:
 
 
 class ArmKinematics:
-    """Kinematic state and planning for one mounted six-axis arm."""
+    """Kinematic state and planning for one mounted six-axis arm.
+
+    Kinematics is computed once per posture.  The end-effector position
+    is cached with the posture (:meth:`set_posture` and :meth:`execute`
+    drop it), and :meth:`plan_move` remembers its last plan, keyed on the
+    exact bytes of (posture, target, speed).  The Extended Simulator
+    plans each move from the posture it polls, and the device then plans
+    the same move from the same posture: the second call returns the
+    plan the simulator swept instead of re-running IK.
+    """
 
     #: Cartesian tolerance for declaring a target reachable (2 mm).
     REACH_TOLERANCE = 0.002
@@ -76,12 +85,16 @@ class ArmKinematics:
     ) -> None:
         self.profile = profile
         self._chain: DHChain = profile.chain().with_base(base or Transform())
-        self._q: np.ndarray = np.asarray(
+        # A copy, as in set_posture: a caller mutating its seed array later
+        # must not move the arm behind the posture-keyed caches.
+        self._q: np.ndarray = np.array(
             ik_seed if ik_seed is not None else profile.home_q, dtype=np.float64
         )
         if self._q.shape != (profile.dof,):
             raise ValueError("ik_seed must match the arm's degrees of freedom")
         self._limits_lo, self._limits_hi = profile.limit_arrays()
+        self._position: Optional[Vec3] = None  # end effector at _q, once computed
+        self._last_plan: Optional[Tuple[bytes, TrajectoryPlan]] = None
 
     # -- state ---------------------------------------------------------------
 
@@ -101,10 +114,13 @@ class ArmKinematics:
         if arr.shape != (self.profile.dof,):
             raise ValueError("posture must match the arm's degrees of freedom")
         self._q = arr.copy()
+        self._position = None
 
     def current_position(self) -> Vec3:
-        """Current end-effector position in world coordinates."""
-        return self._chain.end_effector_position(self._q)
+        """Current end-effector position in world coordinates (a copy)."""
+        if self._position is None:
+            self._position = self._chain.end_effector_position(self._q)
+        return self._position.copy()
 
     def base_position(self) -> Vec3:
         """World position of the arm's mounting point."""
@@ -112,28 +128,27 @@ class ArmKinematics:
 
     # -- planning --------------------------------------------------------------
 
-    def _ik_seeds(self) -> List[np.ndarray]:
+    def _ik_seeds(self) -> Iterator[np.ndarray]:
         """Deterministic IK restart seeds: current posture first, then
         canonical postures that cover distinct elbow/waist branches.
 
         Damped least squares is a local method; restarting from a few
         well-spread postures makes every point inside the physical workspace
         solvable, so the SILENT_SKIP/RAISE paths only trigger for genuinely
-        unreachable targets (as on the real controllers).
+        unreachable targets (as on the real controllers).  The seeds are
+        built lazily: the cascade stops at the first converged seed,
+        usually the current posture.
         """
+        yield self._q.copy()
+        yield np.asarray(self.profile.home_q, dtype=np.float64)
         half_pi = float(np.pi / 2)
-        seeds = [
-            self._q.copy(),
-            np.asarray(self.profile.home_q, dtype=np.float64),
-        ]
         for waist in (0.0, half_pi, -half_pi, float(np.pi) - 0.2):
             for shoulder, elbow in ((-0.8, 1.2), (-1.2, 0.6), (-0.4, 1.6)):
                 q = np.zeros(self.profile.dof)
                 q[0], q[1], q[2] = waist, shoulder, elbow
                 if self.profile.dof >= 4:
                     q[3] = -half_pi
-                seeds.append(self._clamp(q))
-        return seeds
+                yield self._clamp(q)
 
     def _clamp(self, q: np.ndarray) -> np.ndarray:
         """Clamp a posture to the profile's joint limits."""
@@ -144,9 +159,18 @@ class ArmKinematics:
 
         Applies the profile's unreachable-target behaviour; see the module
         docstring.  A reachable target yields a joint-space trajectory from
-        the current posture to the IK solution.
+        the current posture to the IK solution.  Planning the move the last
+        call planned, from the same posture, returns that same plan.
         """
         tgt = as_vec3(target)
+        key = self._q.tobytes() + tgt.tobytes() + np.float64(speed).tobytes()
+        if self._last_plan is not None and self._last_plan[0] == key:
+            return self._last_plan[1]
+        plan = self._plan_move(tgt, speed)
+        self._last_plan = (key, plan)
+        return plan
+
+    def _plan_move(self, tgt: Vec3, speed: float) -> TrajectoryPlan:
         result = None
         for seed in self._ik_seeds():
             candidate = solve_position_ik(
@@ -224,6 +248,7 @@ class ArmKinematics:
         posture is unchanged — the silent-skip semantics.
         """
         self._q = np.asarray(plan.trajectory.q_end, dtype=np.float64)
+        self._position = None
         return self.current_position()
 
     # -- geometry ----------------------------------------------------------------

@@ -13,8 +13,10 @@ The Jacobian comes in two flavours:
 - :func:`analytic_position_jacobian` (the default) reads joint axes and
   origins off one :meth:`~repro.kinematics.dh.DHChain.frames` pass and
   builds the standard geometric columns — ``z_{i-1} x (p_e - p_{i-1})``
-  for a revolute joint, ``z_{i-1}`` for a prismatic one.  One FK pass per
-  iteration instead of the ``2 x dof`` passes central differences need.
+  for a revolute joint, ``z_{i-1}`` for a prismatic one.  The solvers
+  read the Cartesian error off that same frame stack, so each
+  damped-least-squares iteration costs one FK pass instead of the
+  ``1 + 2 x dof`` passes central differences need.
 - :func:`numeric_position_jacobian` is the central-difference reference
   the differential suite checks the analytic columns against (they agree
   to ~1e-10; the suite gates at 1e-6).
@@ -45,6 +47,10 @@ _OBS_JACOBIANS = OBS.registry.counter(
 
 #: Largest joint-space step per iteration (keeps the linearization valid).
 _MAX_STEP = 0.5
+
+#: Component orders of the spelled-out cross product.
+_YZX = np.array([1, 2, 0])
+_ZXY = np.array([2, 0, 1])
 
 
 @dataclass(frozen=True)
@@ -90,31 +96,23 @@ def analytic_position_jacobian(chain: DHChain, q: np.ndarray) -> np.ndarray:
     """
     if OBS.enabled:
         _OBS_JACOBIANS.inc(1, mode="analytic")
-    frames = chain.frames(q)  # (dof + 1, 4, 4)
-    z = frames[:-1, :3, 2]  # (dof, 3) joint axes
-    p = frames[:-1, :3, 3]  # (dof, 3) joint origins
-    p_e = frames[-1, :3, 3]
-    columns = np.where(
-        chain.prismatic_mask[:, None], z, np.cross(z, p_e - p)
-    )  # (dof, 3)
-    return columns.T
+    return _jacobian_from_frames(chain.frames(q), chain.prismatic_mask)
 
 
-# Backwards-compatible alias for the pre-vectorization private name.
-_position_jacobian = numeric_position_jacobian
+def _jacobian_from_frames(frames: np.ndarray, prismatic: np.ndarray) -> np.ndarray:
+    """Geometric position Jacobians read off frame stacks.
 
-
-def _analytic_jacobian_from_frames(
-    frames: np.ndarray, prismatic: np.ndarray
-) -> np.ndarray:
-    """Batched geometric Jacobians: ``(S, dof + 1, 4, 4)`` frames in,
-    ``(S, 3, dof)`` Jacobians out — the same columns as
-    :func:`analytic_position_jacobian`, for every sample at once."""
-    z = frames[:, :-1, :3, 2]  # (S, dof, 3)
-    p = frames[:, :-1, :3, 3]
-    p_e = frames[:, -1:, :3, 3]  # (S, 1, 3)
-    columns = np.where(prismatic[None, :, None], z, np.cross(z, p_e - p))
-    return np.swapaxes(columns, 1, 2)
+    ``(..., dof + 1, 4, 4)`` frames in, ``(..., 3, dof)`` Jacobians out —
+    the one construction behind :func:`analytic_position_jacobian` and
+    both solvers.  The cross product is spelled out: each component is
+    the same float64 product-minus-product ``np.cross`` evaluates, without
+    its per-call setup, which costs more than the arithmetic at 3 x dof.
+    """
+    z = frames[..., :-1, :3, 2]  # (..., dof, 3) joint axes
+    r = frames[..., -1:, :3, 3] - frames[..., :-1, :3, 3]  # joint origin -> tool
+    cross = z[..., _YZX] * r[..., _ZXY] - z[..., _ZXY] * r[..., _YZX]
+    columns = np.where(prismatic[:, None], z, cross)  # (..., dof, 3)
+    return np.swapaxes(columns, -1, -2)
 
 
 def _limit_bounds(joint_limits) -> Tuple[np.ndarray, np.ndarray]:
@@ -151,21 +149,22 @@ def solve_position_ik(
         raise ValueError(f"target must be a 3D point, got shape {tgt.shape}")
     if jacobian not in ("analytic", "numeric"):
         raise ValueError(f"unknown jacobian mode {jacobian!r}")
-    jac_fn = (
-        analytic_position_jacobian if jacobian == "analytic"
-        else numeric_position_jacobian
-    )
+    analytic = jacobian == "analytic"
+    prismatic = chain.prismatic_mask
     limits_lo = limits_hi = None
     if joint_limits is not None:
         limits_lo, limits_hi = _limit_bounds(joint_limits)
         np.clip(q, limits_lo, limits_hi, out=q)
 
     lam_sq = damping * damping
+    eye3 = lam_sq * np.eye(3)
     best_q = q.copy()
     best_err = float("inf")
 
     for iteration in range(1, max_iterations + 1):
-        error_vec = tgt - chain.end_effector_position(q)
+        # One FK pass: the error and the analytic Jacobian both read it.
+        frames = chain.frames(q)
+        error_vec = tgt - frames[-1, :3, 3]
         err = float(np.linalg.norm(error_vec))
         if err < best_err:
             best_err = err
@@ -175,8 +174,13 @@ def solve_position_ik(
                 tuple(float(x) for x in q), err, iteration, converged=True
             )
 
-        jac = jac_fn(chain, q)
-        jjt = jac @ jac.T + lam_sq * np.eye(3)
+        if analytic:
+            if OBS.enabled:
+                _OBS_JACOBIANS.inc(1, mode="analytic")
+            jac = _jacobian_from_frames(frames, prismatic)
+        else:
+            jac = numeric_position_jacobian(chain, q)
+        jjt = jac @ jac.T + eye3
         dq = jac.T @ np.linalg.solve(jjt, error_vec)
 
         # Limit the per-step joint motion so the linearization stays valid.
@@ -240,6 +244,7 @@ def solve_position_ik_batch(
 
     lam_sq = damping * damping
     eye3 = lam_sq * np.eye(3)
+    prismatic = chain.prismatic_mask
     q = seeds
     best_q = q.copy()
     best_err = np.full(t_count, np.inf)
@@ -271,7 +276,7 @@ def solve_position_ik_batch(
             frames = frames[~done]
             error_vec = error_vec[~done]
 
-        jac = _analytic_jacobian_from_frames(frames, chain.prismatic_mask)
+        jac = _jacobian_from_frames(frames, prismatic)
         if OBS.enabled:
             _OBS_JACOBIANS.inc(float(len(active)), mode="analytic")
         jjt = jac @ np.swapaxes(jac, 1, 2) + eye3  # (A, 3, 3)

@@ -209,6 +209,64 @@ class TestArmFacade:
             arm.set_posture([0.0, 0.0])
 
 
+class TestPostureCaches:
+    """Kinematics once per posture: the cached end-effector position and
+    the one-entry plan memo stay tied to the arm's current posture."""
+
+    TARGET = (0.3, -0.05, 0.28)
+
+    def test_seed_array_is_copied(self):
+        seed = np.array(UR3E.sleep_q, dtype=np.float64)
+        arm = ArmKinematics(UR3E, ik_seed=seed)
+        seed += 0.3  # the caller reuses its array
+        assert np.array_equal(arm.q, UR3E.sleep_q)
+        assert np.array_equal(
+            arm.current_position(), UR3E.chain().end_effector_position(UR3E.sleep_q)
+        )
+
+    def test_current_position_is_a_copy(self):
+        arm = ArmKinematics(UR3E)
+        arm.current_position()[:] = 9.0
+        assert np.array_equal(
+            arm.current_position(), UR3E.chain().end_effector_position(UR3E.home_q)
+        )
+
+    def test_position_follows_set_posture_and_execute(self):
+        arm = ArmKinematics(UR5E)
+        chain = UR5E.chain()
+        arm.current_position()
+        arm.set_posture(UR5E.sleep_q)
+        assert np.array_equal(
+            arm.current_position(), chain.end_effector_position(UR5E.sleep_q)
+        )
+        home = chain.end_effector_position(UR5E.home_q)
+        assert np.array_equal(arm.execute(arm.plan_home()), home)
+        assert np.array_equal(arm.current_position(), home)
+
+    def test_same_move_from_same_posture_reuses_the_plan(self):
+        arm = ArmKinematics(UR3E)
+        plan = arm.plan_move(self.TARGET)
+        assert arm.plan_move(np.array(self.TARGET)) is plan
+        assert arm.plan_move(self.TARGET, speed=0.5) is not plan
+        # One entry: after another move is planned, the first is planned
+        # afresh, to an equal plan.
+        arm.plan_move([0.38, -0.05, 0.26])
+        again = arm.plan_move(self.TARGET)
+        assert again is not plan and again == plan
+
+    def test_execute_and_set_posture_replan_from_the_new_posture(self):
+        arm = ArmKinematics(UR3E)
+        first = arm.plan_move(self.TARGET)
+        arm.execute(first)
+        after_execute = arm.plan_move(self.TARGET)
+        assert after_execute is not first
+        assert after_execute.trajectory.q_start == first.trajectory.q_end
+        arm.set_posture(UR3E.sleep_q)
+        after_teleport = arm.plan_move(self.TARGET)
+        assert after_teleport is not after_execute
+        assert np.array_equal(after_teleport.trajectory.q_start, UR3E.sleep_q)
+
+
 class TestPrismaticJointsAndN9:
     """The SCARA-style N9 (the Berlinguette precursor-station arm) adds a
     prismatic z-lift to the kinematics substrate."""

@@ -10,7 +10,10 @@ scalar slab test.  This suite is the gate that makes the speedup safe:
   on every profile arm, prismatic joints included;
 - IK convergence verdicts are identical between the analytic and
   numeric Jacobian modes, and between the batched multi-target solver
-  and the sequential scalar loop, on every profile arm.
+  and the sequential scalar loop, on every profile arm;
+- the one-FK-per-iteration solver returns exactly the ``IKResult`` of
+  the earlier two-FK iteration (kept below as a reference loop), and the
+  spelled-out cross product equals ``np.cross`` bit for bit.
 """
 
 import numpy as np
@@ -19,6 +22,8 @@ import pytest
 from repro.geometry.transforms import rotation_z, translation
 from repro.kinematics.dh import DHChain, DHLink
 from repro.kinematics.ik import (
+    IKResult,
+    _jacobian_from_frames,
     analytic_position_jacobian,
     numeric_position_jacobian,
     solve_position_ik,
@@ -26,6 +31,7 @@ from repro.kinematics.ik import (
 )
 from repro.kinematics.profiles import N9, NED2, UR3E, UR5E, VIPERX_300
 from repro.kinematics.trajectory import plan_joint_trajectory
+from repro.obs import OBS
 
 ALL_PROFILES = (UR3E, UR5E, VIPERX_300, NED2, N9)
 
@@ -181,6 +187,102 @@ class TestIKVerdictParity:
             solve_position_ik_batch(chain, np.zeros((3, 2)), q0=UR3E.home_q)
         with pytest.raises(ValueError, match="q0 must be"):
             solve_position_ik_batch(chain, np.zeros((3, 3)), q0=np.zeros((2, 6)))
+
+
+def _np_cross_jacobian(frames, prismatic):
+    """The geometric Jacobian in its ``np.cross`` form, for one frame
+    stack or a batch of them."""
+    z = frames[..., :-1, :3, 2]
+    p = frames[..., :-1, :3, 3]
+    p_e = frames[..., -1:, :3, 3]
+    columns = np.where(prismatic[:, None], z, np.cross(z, p_e - p))
+    return np.swapaxes(columns, -1, -2)
+
+
+def _two_fk_reference_ik(chain, target, q0, joint_limits, tolerance=1e-4):
+    """The damped-least-squares loop as it ran before the FK pass was
+    shared: one FK for the error, a second (``frames`` + ``np.cross``)
+    for the Jacobian at the same posture."""
+    q = np.asarray(q0, dtype=np.float64).copy()
+    tgt = np.asarray(target, dtype=np.float64)
+    limits = np.asarray(joint_limits, dtype=np.float64)
+    lo, hi = limits[..., 0], limits[..., 1]
+    np.clip(q, lo, hi, out=q)
+    lam_sq = 0.05 * 0.05
+    best_q, best_err = q.copy(), float("inf")
+    for iteration in range(1, 201):
+        error_vec = tgt - chain.end_effector_position(q)
+        err = float(np.linalg.norm(error_vec))
+        if err < best_err:
+            best_err, best_q = err, q.copy()
+        if err < tolerance:
+            return IKResult(tuple(float(x) for x in q), err, iteration, converged=True)
+        jac = _np_cross_jacobian(chain.frames(q), chain.prismatic_mask)
+        dq = jac.T @ np.linalg.solve(jac @ jac.T + lam_sq * np.eye(3), error_vec)
+        step_norm = float(np.linalg.norm(dq))
+        if step_norm > 0.5:
+            dq *= 0.5 / step_norm
+        q = q + dq
+        np.clip(q, lo, hi, out=q)
+    return IKResult(tuple(float(x) for x in best_q), best_err, 200, converged=False)
+
+
+def _ik_grid(profile):
+    """Seeded (target, seed) grid: reachable and unreachable targets,
+    from home, sleep and random postures (one outside the limits)."""
+    postures = _postures(profile, 2, seed=47)
+    postures[1, 0] = profile.limit_arrays()[1][0] + 0.3  # the solver clamps it
+    seeds = [np.asarray(profile.home_q), np.asarray(profile.sleep_q), *postures]
+    return [(t, s) for t in _targets(profile, 8, seed=43) for s in seeds]
+
+
+class TestSharedFKPass:
+    """One FK pass per IK iteration changes no result, bit for bit."""
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
+    def test_ik_results_equal_two_fk_reference(self, profile):
+        chain = profile.chain()
+        for target, seed in _ik_grid(profile):
+            got = solve_position_ik(chain, target, seed, joint_limits=profile.joint_limits)
+            want = _two_fk_reference_ik(chain, target, seed, profile.joint_limits)
+            assert (got.q, got.error, got.iterations, got.converged) == (
+                want.q, want.error, want.iterations, want.converged
+            ), f"{profile.name}: {target} from {seed}"
+
+    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
+    def test_explicit_cross_equals_np_cross(self, profile):
+        chain = profile.chain().with_base(translation([0.1, -0.3, 0.05]) @ rotation_z(0.4))
+        mask = chain.prismatic_mask
+        postures = _postures(profile, 16, seed=53)
+        for q in postures:
+            assert np.array_equal(
+                analytic_position_jacobian(chain, q),
+                _np_cross_jacobian(chain.frames(q), mask),
+            )
+        frames = chain.frames_batch(postures)
+        assert np.array_equal(
+            _jacobian_from_frames(frames, mask), _np_cross_jacobian(frames, mask)
+        )
+
+    def test_one_analytic_jacobian_per_iteration(self):
+        counter = OBS.registry.counter(
+            "kinematics_ik_jacobians_total", labels=("mode",)
+        )
+        chain = UR3E.chain()
+        was_enabled = OBS.enabled
+        OBS.enable()
+        try:
+            for target in _targets(UR3E, 4, seed=59):
+                before = counter.value(mode="analytic")
+                result = solve_position_ik(
+                    chain, target, UR3E.home_q, joint_limits=UR3E.joint_limits
+                )
+                # Every iteration but a converging last one takes a step.
+                steps = result.iterations - (1 if result.converged else 0)
+                assert counter.value(mode="analytic") - before == steps
+        finally:
+            if not was_enabled:
+                OBS.disable()
 
 
 class TestTrajectoryArrays:

@@ -3,10 +3,13 @@
 import numpy as np
 import pytest
 
+import repro.kinematics.arm as arm_module
 from repro.core.actions import ActionCall, ActionLabel
 from repro.core.errors import AlertKind, SafetyViolation
+from repro.core.monitor import RabitOptions
 from repro.core.state import LabState
 from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.kinematics.arm import ArmKinematics
 from repro.kinematics.profiles import UR3E, VIPERX_300
 from repro.simulator.extended import ExtendedSimulator
 from repro.simulator.gui import GuiLatencyModel
@@ -197,6 +200,98 @@ class TestArmLinkSweep:
                 call, rabit.state, rabit.model, account_held_objects=True
             )
         assert len(checker._link_engine_cache) == 1
+
+
+class TestPlanSharing:
+    """The arm executes the plan the Extended Simulator swept.
+
+    The simulator plans each move from the arm's polled posture; a
+    noise-free arm then plans the same move from the same posture, and
+    gets the same plan back instead of a second IK cascade."""
+
+    LOCATION = "grid_a1_safe"
+
+    @staticmethod
+    def _guarded_hein():
+        deck = build_hein_deck()
+        options = RabitOptions.modified(use_extended_simulator=True, bypass_gui=True)
+        rabit, proxies, _ = make_hein_rabit(deck, options=options)
+        return deck, rabit, proxies
+
+    @staticmethod
+    def _count_ik(monkeypatch):
+        calls = []
+        solve = arm_module.solve_position_ik
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(arm_module, "solve_position_ik", counting)
+        return calls
+
+    @staticmethod
+    def _record(monkeypatch, kin):
+        planned, executed = [], []
+        plan_move, execute = kin.plan_move, kin.execute
+
+        def recording_plan(*args, **kwargs):
+            planned.append(plan_move(*args, **kwargs))
+            return planned[-1]
+
+        def recording_execute(plan):
+            executed.append(plan)
+            return execute(plan)
+
+        monkeypatch.setattr(kin, "plan_move", recording_plan)
+        monkeypatch.setattr(kin, "execute", recording_execute)
+        return planned, executed
+
+    def test_guarded_move_runs_one_ik_cascade(self, monkeypatch):
+        calls = self._count_ik(monkeypatch)
+        deck, rabit, proxies = self._guarded_hein()
+        target, _ = deck.ur3e.resolve_location(self.LOCATION)
+        # One cascade from this posture, planned on an unguarded twin arm.
+        ArmKinematics(UR3E, ik_seed=deck.ur3e.kinematics.q).plan_move(target)
+        cascade = len(calls)
+        assert cascade >= 1
+        calls.clear()
+
+        proxies["ur3e"].move_to_location(self.LOCATION)
+        assert rabit.alert_count == 0
+        assert len(calls) == cascade
+        assert np.linalg.norm(deck.ur3e.kinematics.current_position() - target) < 0.005
+
+    def test_device_executes_the_swept_plan(self, monkeypatch):
+        deck, rabit, proxies = self._guarded_hein()
+        planned, executed = self._record(monkeypatch, deck.ur3e.kinematics)
+        proxies["ur3e"].move_to_location(self.LOCATION)
+        assert len(planned) == 2  # the simulator's sweep, then the device
+        assert planned[1] is planned[0]
+        assert len(executed) == 1 and executed[0] is planned[0]
+
+    def test_protective_stop_replans_from_the_stalled_posture(self):
+        deck = build_hein_deck()
+        kin = deck.ur3e.kinematics
+        kin.execute(kin.plan_move([0.35, 0.12, 0.08]))
+        target = (0.12, 0.38, 0.08)  # straight through the thermoshaker
+        swept = kin.plan_move(target)
+        deck.ur3e.move_to_location(target)
+        assert deck.ur3e.stalled
+        assert kin.q != swept.trajectory.q_start
+        replanned = kin.plan_move(target)
+        assert replanned is not swept
+        assert replanned.trajectory.q_start == kin.q
+
+    def test_noisy_arm_plans_its_own_noisy_target(self, monkeypatch):
+        deck = build_testbed_deck(noise_sigma=0.002)
+        rabit, proxies, _ = make_testbed_rabit(deck, use_extended_simulator=True)
+        planned, executed = self._record(monkeypatch, deck.viperx.kinematics)
+        proxies["viperx"].move_to_location("grid_nw_viperx_safe")
+        assert len(planned) == 2
+        swept, own = planned
+        assert own is not swept and own.target != swept.target
+        assert len(executed) == 1 and executed[0] is own
 
 
 class TestSilentSkipScenario:
