@@ -42,6 +42,7 @@ examples:
 	python examples/multi_robot.py
 	python examples/three_stage_validation.py
 	python examples/failsafe_and_sensors.py
+	python examples/adapt_new_lab.py
 
 campaign:
 	python -m repro campaign

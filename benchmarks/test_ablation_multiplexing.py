@@ -12,22 +12,19 @@ trade-off.  Safety is identical (both policies stop Bug B; see
 
 from repro.analysis.concurrency import compare_makespans
 from repro.analysis.report import format_table
-from repro.lab.workflows import build_testbed_workflow, run_workflow
-from repro.testbed.deck import (
-    attach_space_multiplexing,
-    build_testbed_deck,
-    make_testbed_rabit,
-)
+from repro.testbed.deck import attach_space_multiplexing
+from repro.workflow import build_context, build_preset, execute_dag
 
 
 def test_multiplexing_throughput(emit, benchmark):
     # Record the dual-arm workload once (under space multiplexing so the
     # trace itself is legal for the concurrent policy too).
-    deck = build_testbed_deck(noise_sigma=0.003)
-    rabit, proxies, trace = make_testbed_rabit(deck)
-    attach_space_multiplexing(rabit, deck)
-    result = run_workflow(build_testbed_workflow(proxies))
-    assert result.completed and rabit.alert_count == 0
+    dag = build_preset("testbed_fig5")
+    ctx = build_context(dag.deck, dag.deck_params, dag.prepare)
+    attach_space_multiplexing(ctx.rabit, ctx.deck)
+    result = execute_dag(dag, ctx)
+    assert result.completed and ctx.rabit.alert_count == 0
+    trace = ctx.trace
 
     comparison = compare_makespans(trace, ("viperx", "ned2"), handoffs=1)
 

@@ -12,7 +12,7 @@ import re
 
 from repro.analysis.report import format_table
 from repro.faults.campaign import CAMPAIGN_BUGS, run_bug
-from repro.parallel import run_bug_matrix
+from repro.parallel.runners import run_bug_matrix
 
 #: bug id -> rule its modified-RABIT alert names (from the campaign).
 EXPECTED_CARRIER = {

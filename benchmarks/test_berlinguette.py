@@ -10,12 +10,8 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.core.errors import SafetyViolation
-from repro.lab.berlinguette import (
-    build_berlinguette_deck,
-    build_spray_coating_workflow,
-    make_berlinguette_rabit,
-)
-from repro.lab.workflows import run_workflow
+from repro.lab.berlinguette import build_berlinguette_deck, make_berlinguette_rabit
+from repro.workflow import run_preset
 
 PAPER_MAPPING = {
     "ur5e": "robot_arm",
@@ -43,10 +39,9 @@ def test_berlinguette_generalization(emit, benchmark):
     )
 
     # Safe workflow under general rules only.
-    rabit, proxies, _ = make_berlinguette_rabit(deck)
     assert deck.model.custom_rule_ids == []
-    result = run_workflow(build_spray_coating_workflow(proxies))
-    assert result.completed and rabit.alert_count == 0
+    _dag, ctx, result = run_preset("spray_coating")
+    assert result.completed and ctx.rabit.alert_count == 0
 
     # And the general rules transfer: the door rule fires unchanged.
     deck2 = build_berlinguette_deck()
@@ -68,9 +63,7 @@ def test_berlinguette_generalization(emit, benchmark):
 
     # Timed kernel: one full spray-coating run (deck + monitor + workflow).
     def one_run():
-        d = build_berlinguette_deck()
-        r, px, _ = make_berlinguette_rabit(d)
-        return run_workflow(build_spray_coating_workflow(px))
+        return run_preset("spray_coating")[2]
 
     result = benchmark.pedantic(one_run, rounds=2, iterations=1)
     assert result.completed

@@ -25,19 +25,17 @@ from repro.analysis.report import format_table
 from repro.core.actions import ActionCall, ActionLabel
 from repro.core.monitor import RabitOptions
 from repro.lab.hein import build_hein_deck, make_hein_rabit
-from repro.lab.workflows import build_solubility_workflow, run_workflow
+from repro.workflow import run_preset
 
 
 def _workflow_visit_stats(compiled: bool):
     """Run the solubility workflow cache-disabled; return per-command
     (rules considered, checks invoked, commands)."""
-    deck = build_hein_deck()
     options = RabitOptions.modified(rule_cache_size=0, compiled_dispatch=compiled)
-    rabit, proxies, trace = make_hein_rabit(deck, options=options)
-    result = run_workflow(build_solubility_workflow(proxies))
+    _dag, ctx, result = run_preset("solubility", options=options)
     assert result.completed, f"benchmark workflow did not complete: {result.alert}"
-    engine = rabit.rulebase.compiled() if compiled else rabit.rulebase
-    commands = len(trace)
+    engine = ctx.rabit.rulebase.compiled() if compiled else ctx.rabit.rulebase
+    commands = len(ctx.trace)
     return engine.rules_considered, engine.checks_invoked, commands
 
 

@@ -11,12 +11,8 @@ never produced any false positives."
 
 from repro.analysis.metrics import campaign_stats
 from repro.analysis.report import format_table
-from repro.lab.workflows import (
-    build_centrifuge_workflow,
-    build_testbed_workflow,
-    run_workflow,
-)
-from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
+from repro.faults.campaign import RABIT_CONFIGS
+from repro.workflow import run_preset
 
 PAPER_PROGRESSION = {"initial": (8, 50), "modified": (12, 75), "modified_es": (13, 81)}
 
@@ -40,31 +36,10 @@ def test_progression_and_false_positives(emit, campaign_result, benchmark):
     # False-positive sweep: every safe workflow under every configuration
     # must complete with zero alerts (the alarm-fatigue property).
     fp_rows = []
-    from repro.core.monitor import RabitOptions
-
-    configs = {
-        "initial": (RabitOptions.initial, False),
-        "modified": (RabitOptions.modified, False),
-        "modified_es": (RabitOptions.modified, True),
-    }
-    for config, (factory, use_es) in configs.items():
-        for workflow_name in ("fig5", "centrifuge"):
-            deck = build_testbed_deck(noise_sigma=0.003)
-            if workflow_name == "centrifuge":
-                vial = deck.vials["vial_t1"]
-                vial.decap_vial()
-                vial.contents.solid_mg = 5.0
-                vial.contents.liquid_ml = 5.0
-            rabit, proxies, _ = make_testbed_rabit(
-                deck, options=factory(), use_extended_simulator=use_es
-            )
-            builder = (
-                build_centrifuge_workflow
-                if workflow_name == "centrifuge"
-                else build_testbed_workflow
-            )
-            result = run_workflow(builder(proxies))
-            assert result.completed and rabit.alert_count == 0, (config, workflow_name)
+    for config, options_factory in RABIT_CONFIGS.items():
+        for workflow_name in ("testbed_fig5", "centrifuge"):
+            _, ctx, result = run_preset(workflow_name, options=options_factory())
+            assert result.completed and ctx.rabit.alert_count == 0, (config, workflow_name)
             fp_rows.append([config, workflow_name, "0 alerts, completed"])
     fp_table = format_table(
         ["configuration", "safe workflow", "outcome"],
@@ -75,9 +50,7 @@ def test_progression_and_false_positives(emit, campaign_result, benchmark):
 
     # Timed kernel: the safe Fig. 5 workflow under modified RABIT.
     def one_safe_run():
-        deck = build_testbed_deck(noise_sigma=0.003)
-        rabit, proxies, _ = make_testbed_rabit(deck)
-        return run_workflow(build_testbed_workflow(proxies))
+        return run_preset("testbed_fig5")[2]
 
     result = benchmark.pedantic(one_safe_run, rounds=2, iterations=1)
     assert result.completed

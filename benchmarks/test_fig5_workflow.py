@@ -10,40 +10,29 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.core.monitor import RabitOptions
-from repro.lab.hein import build_hein_deck, make_hein_rabit
-from repro.lab.workflows import (
-    build_solubility_workflow,
-    build_testbed_workflow,
-    run_workflow,
-)
-from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
+from repro.workflow import run_preset
 
 
 def test_safe_workflows_clean_everywhere(emit, benchmark):
     rows = []
 
     # Production solubility (Fig. 1(b)) under three configurations.
-    for config, factory, use_es in (
-        ("initial", RabitOptions.initial, False),
-        ("modified", RabitOptions.modified, False),
-        ("modified+ES", RabitOptions.modified, True),
+    for config, options in (
+        ("initial", RabitOptions.initial()),
+        ("modified", RabitOptions.modified()),
+        ("modified+ES", RabitOptions.modified(use_extended_simulator=True)),
     ):
-        deck = build_hein_deck()
-        rabit, proxies, trace = make_hein_rabit(
-            deck, options=factory(), use_extended_simulator=use_es
-        )
-        result = run_workflow(build_solubility_workflow(proxies))
-        assert result.completed and rabit.alert_count == 0
-        assert deck.world.damage_log == ()
+        _, ctx, result = run_preset("solubility", options=options)
+        assert result.completed and ctx.rabit.alert_count == 0
+        assert ctx.world.damage_log == ()
         rows.append(
-            ["solubility (Fig. 1b)", config, len(trace), "completed, 0 alerts, 0 damage"]
+            ["solubility (Fig. 1b)", config, len(ctx.trace),
+             "completed, 0 alerts, 0 damage"]
         )
 
     # Chemistry sanity on one run.
-    deck = build_hein_deck()
-    _, proxies, _ = make_hein_rabit(deck)
-    run_workflow(build_solubility_workflow(proxies, amount_mg=5, initial_solvent_ml=4))
-    vial = deck.vials["vial_1"]
+    _, ctx, _ = run_preset("solubility", {"amount_mg": 5, "initial_solvent_ml": 4})
+    vial = ctx.deck.vials["vial_1"]
     assert vial.contents.solid_mg == pytest.approx(5.0)
     assert vial.contents.liquid_ml == pytest.approx(8.0)
     rows.append(
@@ -53,13 +42,12 @@ def test_safe_workflows_clean_everywhere(emit, benchmark):
 
     # Testbed workflow (Fig. 5) with and without ES.
     for use_es in (False, True):
-        deck = build_testbed_deck(noise_sigma=0.003)
-        rabit, proxies, trace = make_testbed_rabit(deck, use_extended_simulator=use_es)
-        result = run_workflow(build_testbed_workflow(proxies))
-        assert result.completed and rabit.alert_count == 0
-        assert deck.world.damage_log == ()
+        options = RabitOptions.modified(use_extended_simulator=use_es)
+        _, ctx, result = run_preset("testbed_fig5", options=options)
+        assert result.completed and ctx.rabit.alert_count == 0
+        assert ctx.world.damage_log == ()
         rows.append(
-            ["testbed (Fig. 5)", "with ES" if use_es else "plain", len(trace),
+            ["testbed (Fig. 5)", "with ES" if use_es else "plain", len(ctx.trace),
              "completed, 0 alerts, 0 damage"]
         )
 
@@ -72,9 +60,7 @@ def test_safe_workflows_clean_everywhere(emit, benchmark):
 
     # Timed kernel: the production workflow end to end under RABIT.
     def one_production_run():
-        d = build_hein_deck()
-        r, px, _ = make_hein_rabit(d)
-        return run_workflow(build_solubility_workflow(px))
+        return run_preset("solubility")[2]
 
     result = benchmark.pedantic(one_production_run, rounds=2, iterations=1)
     assert result.completed

@@ -10,29 +10,22 @@ Reproduces the two findings:
 
 
 from repro.analysis.report import format_table
-from repro.faults.campaign import CAMPAIGN_BUGS, _prepare_deck
+from repro.faults.campaign import CAMPAIGN_BUGS
 from repro.faults.mutation import apply_mutations
-from repro.lab.workflows import build_testbed_workflow, run_workflow
 from repro.testbed.calibration import run_calibration_experiment
-from repro.testbed.deck import (
-    attach_space_multiplexing,
-    attach_time_multiplexing,
-    make_testbed_rabit,
-)
+from repro.testbed.deck import attach_space_multiplexing, attach_time_multiplexing
+from repro.workflow import build_context, build_preset, execute_dag
 
 BUG_B = next(bug for bug in CAMPAIGN_BUGS if bug.bug_id == "MH4")
 
 
 def _run_bug_b(attach=None):
-    deck = _prepare_deck("fig5")
-    rabit, proxies, _ = make_testbed_rabit(deck)
+    dag = build_preset(BUG_B.workflow)
+    ctx = build_context(dag.deck, dag.deck_params, dag.prepare)
     if attach is not None:
-        attach(rabit, deck)
-    lines = apply_mutations(
-        build_testbed_workflow(proxies), deck.world, BUG_B.mutations(proxies)
-    )
-    result = run_workflow(lines)
-    collisions = [d for d in deck.world.damage_log if d.kind == "arm_collision"]
+        attach(ctx.rabit, ctx.deck)
+    result = execute_dag(apply_mutations(dag, ctx.world, BUG_B.mutations), ctx)
+    collisions = [d for d in ctx.world.damage_log if d.kind == "arm_collision"]
     return result, collisions
 
 

@@ -9,10 +9,11 @@ production damage cost.
 
 
 from repro.analysis.report import format_table
-from repro.lab.hein import build_hein_deck
 from repro.lab.pipeline import ThreeStageValidator
 from repro.lab.stage import STAGE_PROFILES, Stage
-from repro.lab.workflows import build_solubility_workflow, run_workflow
+from repro.workflow import build_context, build_preset, execute_dag
+
+SOLUBILITY = build_preset("solubility")
 
 
 def _bad_edit(deck):
@@ -22,22 +23,19 @@ def _bad_edit(deck):
 def test_three_stage_pipeline(emit, benchmark):
     validator = ThreeStageValidator()
 
-    safe = validator.validate(build_solubility_workflow)
+    safe = validator.validate(SOLUBILITY)
     assert safe.promoted_to_production and safe.total_risk_exposure == 0.0
 
-    defective = validator.validate(build_solubility_workflow, mutate_deck=_bad_edit)
+    defective = validator.validate(SOLUBILITY, mutate_deck=_bad_edit)
     assert defective.rejected_at is Stage.SIMULATOR
     assert defective.total_risk_exposure == 0.0
 
     # Counterfactual: the same defect pushed straight to production with
     # no monitor at all (the pre-RABIT world the paper motivates).
-    deck = build_hein_deck()
-    _bad_edit(deck)
-    from repro.core.interceptor import instrument
-
-    proxies, _ = instrument(deck.devices, rabit=None)
-    run_workflow(build_solubility_workflow(proxies))
-    unmonitored_damage = len(deck.world.damage_log)
+    ctx = build_context(SOLUBILITY.deck, monitored=False)
+    _bad_edit(ctx.deck)
+    execute_dag(SOLUBILITY, ctx)
+    unmonitored_damage = len(ctx.world.damage_log)
     production_cost = STAGE_PROFILES[Stage.PRODUCTION].damage_cost
     counterfactual_risk = unmonitored_damage * production_cost
     assert unmonitored_damage > 0
@@ -65,7 +63,7 @@ def test_three_stage_pipeline(emit, benchmark):
     # Timed kernel: one simulator-stage gate check of the safe workflow.
     sim_only = ThreeStageValidator(stages=(Stage.SIMULATOR,))
     result = benchmark.pedantic(
-        lambda: sim_only.validate(build_solubility_workflow), rounds=2, iterations=1
+        lambda: sim_only.validate(SOLUBILITY), rounds=2, iterations=1
     )
     assert result.promoted_to_production
     benchmark.extra_info["risk_avoided"] = counterfactual_risk

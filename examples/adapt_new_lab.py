@@ -14,14 +14,10 @@ import json
 
 from repro.analysis.report import format_table
 from repro.core.config import parse_config_text, validate_config
-from repro.lab.berlinguette import (
-    build_berlinguette_deck,
-    build_spray_coating_workflow,
-    make_berlinguette_rabit,
-)
-from repro.lab.workflows import run_workflow
+from repro.lab.berlinguette import build_berlinguette_deck
 from repro.rad.generator import generate_combined
 from repro.rad.mining import mine_and_classify, mine_door_rules
+from repro.workflow import run_preset
 
 
 def main() -> None:
@@ -43,11 +39,10 @@ def main() -> None:
     print(f"\nconfig validation: {len(errors)} errors, {len(issues)} issues total")
 
     # 3. A spray-coating run under the unchanged *general* rulebase.
-    rabit, proxies, _ = make_berlinguette_rabit(deck)
-    result = run_workflow(build_spray_coating_workflow(proxies))
+    _dag, ctx, result = run_preset("spray_coating")
     print(
         f"spray-coating workflow: completed={result.completed}, "
-        f"alerts={rabit.alert_count} (general rules only, no Hein customs)"
+        f"alerts={ctx.rabit.alert_count} (general rules only, no Hein customs)"
     )
 
     # 4. Mine both labs' traces; the Hein-only invariant shows up custom.

@@ -11,33 +11,26 @@ calibration experiment explaining *why* a common frame was abandoned
 Run:  python examples/multi_robot.py
 """
 
-from repro.faults.campaign import CAMPAIGN_BUGS, _prepare_deck
+from repro.faults.campaign import CAMPAIGN_BUGS
 from repro.faults.mutation import apply_mutations
-from repro.lab.workflows import build_testbed_workflow, run_workflow
 from repro.testbed.calibration import run_calibration_experiment
-from repro.testbed.deck import (
-    attach_space_multiplexing,
-    attach_time_multiplexing,
-    make_testbed_rabit,
-)
+from repro.testbed.deck import attach_space_multiplexing, attach_time_multiplexing
+from repro.workflow import build_context, build_preset, execute_dag
 
 BUG_B = next(bug for bug in CAMPAIGN_BUGS if bug.bug_id == "MH4")
 
 
 def run_bug_b(attach=None) -> None:
-    deck = _prepare_deck("fig5")
-    rabit, proxies, _ = make_testbed_rabit(deck)
+    dag = build_preset(BUG_B.workflow)
+    ctx = build_context(dag.deck, dag.deck_params, dag.prepare)
     if attach is not None:
-        attach(rabit, deck)
-    lines = apply_mutations(
-        build_testbed_workflow(proxies), deck.world, BUG_B.mutations(proxies)
-    )
-    result = run_workflow(lines)
+        attach(ctx.rabit, ctx.deck)
+    result = execute_dag(apply_mutations(dag, ctx.world, BUG_B.mutations), ctx)
     label = attach.__name__ if attach else "plain RABIT"
     if result.stopped_by_rabit:
         print(f"  {label}: PREVENTED — {result.alert}")
     else:
-        collisions = [d for d in deck.world.damage_log if d.kind == "arm_collision"]
+        collisions = [d for d in ctx.world.damage_log if d.kind == "arm_collision"]
         print(
             f"  {label}: NOT DETECTED — ground truth recorded "
             f"{len(collisions)} arm collision(s)"

@@ -9,30 +9,29 @@ prints the resulting chemistry and the (empty) alert and damage logs.
 Run:  python examples/solubility_experiment.py
 """
 
-from repro.lab.hein import build_hein_deck, make_hein_rabit
-from repro.lab.workflows import build_solubility_workflow, run_workflow
+from repro.workflow import build_context, build_preset, execute_dag
 
 
 def main() -> None:
-    deck = build_hein_deck()
-    rabit, proxies, trace = make_hein_rabit(deck)
-
-    workflow = build_solubility_workflow(
-        proxies,
-        amount_mg=5.0,
-        initial_solvent_ml=4.0,
-        temperature=60.0,
-        dissolution_rounds=2,
-        centrifuge_rpm=3000.0,
+    workflow = build_preset(
+        "solubility",
+        {
+            "amount_mg": 5.0,
+            "initial_solvent_ml": 4.0,
+            "temperature": 60.0,
+            "dissolution_rounds": 2,
+            "centrifuge_rpm": 3000.0,
+        },
     )
-    print(f"Executing {len(workflow)} script lines...")
-    result = run_workflow(workflow)
+    ctx = build_context(workflow.deck, workflow.deck_params, workflow.prepare)
+    print(f"Executing {len(workflow.nodes)} script lines...")
+    result = execute_dag(workflow, ctx)
 
     print(f"completed: {result.completed}")
-    print(f"RABIT alerts: {rabit.alert_count}  (the paper: zero false positives)")
-    print(f"damage events: {len(deck.world.damage_log)}")
+    print(f"RABIT alerts: {ctx.rabit.alert_count}  (the paper: zero false positives)")
+    print(f"damage events: {len(ctx.world.damage_log)}")
 
-    vial = deck.vials["vial_1"]
+    vial = ctx.deck.vials["vial_1"]
     print(
         f"vial_1: {vial.contents.solid_mg:g} mg solid, "
         f"{vial.contents.liquid_ml:g} mL solvent, resting at {vial.resting_at}, "
@@ -40,7 +39,7 @@ def main() -> None:
     )
 
     print("\nLast few traced commands:")
-    for record in trace[-6:]:
+    for record in ctx.trace[-6:]:
         print(f"  {record}")
 
 

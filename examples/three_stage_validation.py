@@ -12,7 +12,7 @@ Run:  python examples/three_stage_validation.py
 """
 
 from repro.lab.pipeline import ThreeStageValidator
-from repro.lab.workflows import build_solubility_workflow
+from repro.workflow import build_preset
 
 
 def bad_edit(deck) -> None:
@@ -22,15 +22,16 @@ def bad_edit(deck) -> None:
 
 def main() -> None:
     validator = ThreeStageValidator()
+    solubility = build_preset("solubility")
 
     print("Climbing the SAFE workflow through the stages:")
-    safe = validator.validate(build_solubility_workflow)
+    safe = validator.validate(solubility)
     for outcome in safe.outcomes:
         print(f"  {outcome.describe()}")
     print(f"  promoted to production: {safe.promoted_to_production}\n")
 
     print("Climbing the DEFECTIVE edit (grid pickup z -> 0.02):")
-    defective = validator.validate(build_solubility_workflow, mutate_deck=bad_edit)
+    defective = validator.validate(solubility, mutate_deck=bad_edit)
     for outcome in defective.outcomes:
         print(f"  {outcome.describe()}")
     print(

@@ -19,10 +19,8 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.core.clock import VirtualClock
-from repro.core.interceptor import instrument
 from repro.core.monitor import RabitOptions
-from repro.lab.hein import build_hein_deck, make_hein_rabit
-from repro.lab.workflows import build_solubility_workflow, run_workflow
+from repro.workflow import build_context, build_preset, execute_dag
 
 
 @dataclass(frozen=True)
@@ -74,19 +72,17 @@ class LatencyReport:
 def _run_once(
     monitored: bool, use_es: bool, bypass_gui: bool = False, compiled: bool = True
 ) -> LatencyReport:
-    deck = build_hein_deck()
     clock = VirtualClock()
-    if monitored:
-        options = RabitOptions.modified(
-            use_extended_simulator=use_es, bypass_gui=bypass_gui,
-            compiled_dispatch=compiled,
-        )
-        rabit, proxies, trace = make_hein_rabit(
-            deck, options=options, use_extended_simulator=use_es, clock=clock
-        )
-    else:
-        proxies, trace = instrument(deck.devices, rabit=None, clock=clock)
-    result = run_workflow(build_solubility_workflow(proxies))
+    options = RabitOptions.modified(
+        use_extended_simulator=use_es, bypass_gui=bypass_gui,
+        compiled_dispatch=compiled,
+    )
+    dag = build_preset("solubility")
+    ctx = build_context(
+        dag.deck, dag.deck_params, dag.prepare,
+        options=options, clock=clock, monitored=monitored,
+    )
+    result = execute_dag(dag, ctx)
     if not result.completed:  # pragma: no cover - safe workflow invariant
         raise RuntimeError(f"latency workflow did not complete: {result.alert}")
 
@@ -99,7 +95,7 @@ def _run_once(
             name = "rabit+es-headless"
     return LatencyReport(
         configuration=name,
-        commands=len(trace),
+        commands=len(ctx.trace),
         experiment_seconds=breakdown.get("experiment", 0.0),
         rabit_seconds=rabit_seconds,
     )

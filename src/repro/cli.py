@@ -265,24 +265,14 @@ def _cmd_mine(args: argparse.Namespace) -> int:
 
 
 def _run_observed_solubility() -> int:
-    """The full solubility scenario under RABIT + headless ES; returns
+    """The ``solubility`` trace workload (RABIT + headless ES); returns
     the intercepted-command count."""
-    from repro.core.clock import VirtualClock
-    from repro.core.monitor import RabitOptions
-    from repro.lab.hein import build_hein_deck, make_hein_rabit
-    from repro.lab.workflows import build_solubility_workflow, run_workflow
-    from repro.obs import OBS
+    from repro.trace.workloads import run_preset_workload
 
-    deck = build_hein_deck()
-    options = RabitOptions.modified(use_extended_simulator=True, bypass_gui=True)
-    rabit, proxies, trace = make_hein_rabit(
-        deck, options=options, use_extended_simulator=True, clock=VirtualClock()
-    )
-    OBS.bind_clock(rabit.clock)
-    result = run_workflow(build_solubility_workflow(proxies))
-    if not result.completed:  # pragma: no cover - safe workflow invariant
-        raise RuntimeError(f"observed workflow did not complete: {result.alert}")
-    return len(trace)
+    outcome = run_preset_workload("solubility", {})
+    if not outcome["completed"]:  # pragma: no cover - safe workflow invariant
+        raise RuntimeError(f"observed workflow did not complete: {outcome['alert']}")
+    return outcome["commands"]
 
 
 def _run_observed_scenarios() -> int:

@@ -24,10 +24,10 @@ capacity enforcement, workspace bounds) — see DESIGN.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.interceptor import DeviceProxy
 from repro.core.monitor import RabitOptions
 from repro.devices.world import DamageEvent, DamageSeverity
 from repro.faults.mutation import (
@@ -39,26 +39,14 @@ from repro.faults.mutation import (
     SwapLines,
     apply_mutations,
 )
-from repro.lab.workflows import (
-    ScriptLine,
-    WorkflowResult,
-    build_centrifuge_workflow,
-    build_testbed_workflow,
-    pick_up_object_reordered,
-    place_into_dosing_no_exit,
-    place_object,
-    run_workflow,
-)
-from repro.testbed.deck import TestbedDeck, build_testbed_deck, make_testbed_rabit
+from repro.workflow import WorkflowNode, build_context, build_preset, execute_dag
 
 #: The three RABIT configurations the paper evaluates, in order.
-RABIT_CONFIGS: Dict[str, Tuple[Callable[[], RabitOptions], bool]] = {
-    "initial": (RabitOptions.initial, False),
-    "modified": (RabitOptions.modified, False),
-    "modified_es": (RabitOptions.modified, True),
+RABIT_CONFIGS: Dict[str, Callable[[], RabitOptions]] = {
+    "initial": RabitOptions.initial,
+    "modified": RabitOptions.modified,
+    "modified_es": partial(RabitOptions.modified, use_extended_simulator=True),
 }
-
-MutationBuilder = Callable[[Dict[str, DeviceProxy]], Sequence[Mutation]]
 
 
 @dataclass(frozen=True)
@@ -70,10 +58,10 @@ class InjectedBug:
     severity: DamageSeverity
     #: The §IV unsafe-behaviour category (1-4).
     category: int
-    #: Which safe workflow the edit applies to.
-    workflow: str  # "fig5" | "centrifuge"
-    #: Builds the mutations (may close over proxies for inserted lines).
-    mutations: MutationBuilder
+    #: The safe workflow preset the edit applies to.
+    workflow: str  # "testbed_fig5" | "centrifuge"
+    #: The edits, applied to the preset's DAG and the deck.
+    mutations: Tuple[Mutation, ...]
     #: Expected detection per configuration (the paper's outcomes).
     expected: Dict[str, bool]
     notes: str = ""
@@ -157,193 +145,9 @@ class CampaignResult:
 # ---------------------------------------------------------------------------
 
 
-def _script(line_id: str, text: str, fn: Callable[[], object]) -> ScriptLine:
-    return ScriptLine(line_id, text, fn)
-
-
-def _bug_l1(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    dosing = px["dosing_device"]
-    return [
-        ReplaceLine(
-            "run_dosing",
-            _script(
-                "run_dosing_overfill",
-                "dosing_device.run_action(delay=3, quantity=15)",
-                lambda: dosing.run_action(delay=3, quantity=15),
-            ),
-        )
-    ]
-
-
-def _bug_l2(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    return [DeleteLine("pick_grid")]
-
-
-def _bug_l3(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    viperx = px["viperx"]
-    return [
-        ReplaceLine(
-            "pick_grid",
-            _script(
-                "pick_grid_reordered",
-                "viperx_pick_up_object(viperx, viperx_grid, vial)  # gripper cmds reordered",
-                lambda: pick_up_object_reordered(
-                    viperx, "grid_nw_viperx_safe", "grid_nw_viperx"
-                ),
-            ),
-        )
-    ]
-
-
-def _bug_ml1(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    return [MutateLocation("dosing_pickup_viperx", "viperx", (0.15, 0.45, 0.08))]
-
-
-def _bug_mh1(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    viperx = px["viperx"]
-    return [
-        InsertAfter(
-            "home_1",
-            (
-                _script(
-                    "move_into_platform",
-                    "viperx.move_to_location([0.44, 0.0, 0.01])",
-                    lambda: viperx.move_to_location([0.44, 0.0, 0.01]),
-                ),
-            ),
-        )
-    ]
-
-
-def _bug_mh2(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    viperx = px["viperx"]
-    return [
-        InsertAfter(
-            "pick_grid",
-            (
-                _script(
-                    "carry_over_shaker",
-                    "viperx.move_to_location([0.37, -0.35, 0.16])",
-                    lambda: viperx.move_to_location([0.37, -0.35, 0.16]),
-                ),
-            ),
-        )
-    ]
-
-
-def _bug_mh3(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    viperx = px["viperx"]
-    return [
-        InsertAfter(
-            "place_grid",
-            (
-                _script(
-                    "waypoint_b_prime",
-                    "viperx.move_to_location([0.62, -0.38, 0.35])  # unreachable: silently skipped",
-                    lambda: viperx.move_to_location([0.62, -0.38, 0.35]),
-                ),
-                _script(
-                    "move_c_direct",
-                    "viperx.move_to_location([0.37, -0.46, 0.10])",
-                    lambda: viperx.move_to_location([0.37, -0.46, 0.10]),
-                ),
-            ),
-        )
-    ]
-
-
-def _bug_mh4(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    ned2 = px["ned2"]
-    return [
-        InsertAfter(
-            "place_grid",
-            (
-                _script(
-                    "ned2_random_move",
-                    "ned2.move_pose(random_location)",
-                    lambda: ned2.move_pose([0.365, -0.010, 0.192]),
-                ),
-            ),
-        )
-    ]
-
-
-def _bug_mh5(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    viperx = px["viperx"]
-    return [
-        InsertAfter(
-            "home_1",
-            (
-                _script(
-                    "move_into_wall",
-                    "viperx.move_to_location([0.0, 0.60, 0.20])",
-                    lambda: viperx.move_to_location([0.0, 0.60, 0.20]),
-                ),
-            ),
-        )
-    ]
-
-
-def _bug_mh6(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    viperx = px["viperx"]
-    return [
-        ReplaceLine(
-            "place_grid",
-            _script(
-                "place_grid_wrong_slot",
-                "viperx_place_object(viperx, ned2_grid, vial)  # slot already occupied",
-                lambda: place_object(viperx, "grid_ne_ned2_safe", "grid_ne_ned2"),
-            ),
-        )
-    ]
-
-
-def _bug_h1(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    return [DeleteLine("open_door_after_dose")]
-
-
-def _bug_h2(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    # A two-line edit (the paper's bugs span "one or two lines"): the
-    # place helper forgets to retreat AND the go-home call is dropped, so
-    # the arm is still inside the device when the door-close command runs.
-    viperx = px["viperx"]
-    return [
-        ReplaceLine(
-            "place_dosing",
-            _script(
-                "place_dosing_no_exit",
-                "viperx_place_object(viperx, viperx_dosing_device, vial)  # forgets to retreat",
-                lambda: place_into_dosing_no_exit(viperx),
-            ),
-        ),
-        DeleteLine("home_2"),
-    ]
-
-
-def _bug_h3(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    return [DeleteLine("close_door_before_dose")]
-
-
-def _bug_h4(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    return [SwapLines("stop_dosing", "open_door_after_dose")]
-
-
-def _bug_h5(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    centrifuge = px["centrifuge"]
-    return [
-        ReplaceLine(
-            "spin",
-            _script(
-                "spin_overspeed",
-                "centrifuge.start_action(9000)",
-                lambda: centrifuge.start_action(9000.0),
-            ),
-        )
-    ]
-
-
-def _bug_h6(px: Dict[str, DeviceProxy]) -> Sequence[Mutation]:
-    return [DeleteLine("cap_vial")]
+def _viperx(node_id: str, step: str, **params: object) -> WorkflowNode:
+    """One raw ViperX statement (an inserted or replacement line)."""
+    return WorkflowNode(node_id, step, {"robot": "viperx", **params})
 
 
 CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
@@ -352,8 +156,19 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Dose more solid than the vial can hold",
         DamageSeverity.LOW,
         4,
-        "fig5",
-        _bug_l1,
+        "testbed_fig5",
+        (
+            ReplaceLine(
+                "run_dosing",
+                (
+                    WorkflowNode(
+                        "run_dosing_overfill",
+                        "run_action",
+                        {"device": "dosing_device", "delay": 3.0, "quantity": 15.0},
+                    ),
+                ),
+            ),
+        ),
         {"initial": False, "modified": True, "modified_es": True},
         "Capacity (Rule 8) enforcement was added in the modified revision.",
     ),
@@ -362,8 +177,8 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Bug C: pick-up call omitted; experiment continues without a vial",
         DamageSeverity.LOW,
         3,
-        "fig5",
-        _bug_l2,
+        "testbed_fig5",
+        (DeleteLine("pick_grid"),),
         {"initial": False, "modified": False, "modified_es": False},
         "No gripper pressure sensor: never detectable.",
     ),
@@ -372,8 +187,21 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "open_gripper()/close_gripper() reordered inside the pick helper",
         DamageSeverity.LOW,
         3,
-        "fig5",
-        _bug_l3,
+        "testbed_fig5",
+        (
+            # The pick helper with open_gripper()/close_gripper() reordered:
+            # the jaws close at the staging height and open at the vial.
+            ReplaceLine(
+                "pick_grid",
+                (
+                    _viperx("stage_grid", "move", location="grid_nw_viperx_safe"),
+                    _viperx("close_jaws_early", "close_gripper"),
+                    _viperx("descend_grid", "move", location="grid_nw_viperx"),
+                    _viperx("open_jaws_at_vial", "open_gripper"),
+                    _viperx("retreat_grid", "move", location="grid_nw_viperx_safe"),
+                ),
+            ),
+        ),
         {"initial": False, "modified": False, "modified_es": False},
         "Same sensing gap as Bug C.",
     ),
@@ -382,8 +210,8 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Bug D: dosing pickup z lowered 0.10 -> 0.08 while holding a vial",
         DamageSeverity.MEDIUM_LOW,
         4,
-        "fig5",
-        _bug_ml1,
+        "testbed_fig5",
+        (MutateLocation("dosing_pickup_viperx", "viperx", (0.15, 0.45, 0.08)),),
         {"initial": False, "modified": True, "modified_es": True},
         "The held-object-dimensions fix.",
     ),
@@ -392,8 +220,13 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Bare arm commanded into the mounting platform",
         DamageSeverity.MEDIUM_HIGH,
         4,
-        "fig5",
-        _bug_mh1,
+        "testbed_fig5",
+        (
+            InsertAfter(
+                "home_1",
+                (_viperx("move_into_platform", "move", location=[0.44, 0.0, 0.01]),),
+            ),
+        ),
         {"initial": True, "modified": True, "modified_es": True},
     ),
     InjectedBug(
@@ -401,8 +234,13 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Held vial carried low across the thermoshaker (vial, not arm, collides)",
         DamageSeverity.MEDIUM_HIGH,
         4,
-        "fig5",
-        _bug_mh2,
+        "testbed_fig5",
+        (
+            InsertAfter(
+                "pick_grid",
+                (_viperx("carry_over_shaker", "move", location=[0.37, -0.35, 0.16]),),
+            ),
+        ),
         {"initial": False, "modified": True, "modified_es": True},
         "The testbed scenario the simulator cannot cover (§III).",
     ),
@@ -411,8 +249,17 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Unreachable waypoint silently skipped; the direct move then collides",
         DamageSeverity.MEDIUM_HIGH,
         4,
-        "fig5",
-        _bug_mh3,
+        "testbed_fig5",
+        (
+            InsertAfter(
+                "place_grid",
+                (
+                    # Unreachable: the arm silently skips this waypoint.
+                    _viperx("waypoint_b_prime", "move", location=[0.62, -0.38, 0.35]),
+                    _viperx("move_c_direct", "move", location=[0.37, -0.46, 0.10]),
+                ),
+            ),
+        ),
         {"initial": False, "modified": False, "modified_es": True},
         "Footnote 2: only the Extended Simulator sweeps the actual trajectory.",
     ),
@@ -421,8 +268,19 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Bug B: Ned2 moved next to the grid while ViperX is stationed there",
         DamageSeverity.MEDIUM_HIGH,
         2,
-        "fig5",
-        _bug_mh4,
+        "testbed_fig5",
+        (
+            InsertAfter(
+                "place_grid",
+                (
+                    WorkflowNode(
+                        "ned2_random_move",
+                        "move_pose",
+                        {"robot": "ned2", "target": [0.365, -0.010, 0.192]},
+                    ),
+                ),
+            ),
+        ),
         {"initial": False, "modified": False, "modified_es": False},
         "No common frame of reference; prevented only by multiplexing.",
     ),
@@ -431,8 +289,13 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Arm commanded through the wall beside the deck",
         DamageSeverity.MEDIUM_HIGH,
         4,
-        "fig5",
-        _bug_mh5,
+        "testbed_fig5",
+        (
+            InsertAfter(
+                "home_1",
+                (_viperx("move_into_wall", "move", location=[0.0, 0.60, 0.20]),),
+            ),
+        ),
         {"initial": False, "modified": True, "modified_es": True},
         "Workspace bounds were added in the modified revision.",
     ),
@@ -441,8 +304,21 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Vial placed onto a grid slot that already holds another vial",
         DamageSeverity.MEDIUM_HIGH,
         1,
-        "fig5",
-        _bug_mh6,
+        "testbed_fig5",
+        (
+            # The place helper aimed at the ned2 grid slot, already occupied.
+            ReplaceLine(
+                "place_grid",
+                (
+                    _viperx(
+                        "place_grid_wrong_slot",
+                        "place_object",
+                        safe_location="grid_ne_ned2_safe",
+                        place_location="grid_ne_ned2",
+                    ),
+                ),
+            ),
+        ),
         {"initial": True, "modified": True, "modified_es": True},
         "The §I footnote scenario (uncollected vial).",
     ),
@@ -451,8 +327,8 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Bug A: door not re-opened; arm drives into the closed dosing device",
         DamageSeverity.HIGH,
         1,
-        "fig5",
-        _bug_h1,
+        "testbed_fig5",
+        (DeleteLine("open_door_after_dose"),),
         {"initial": True, "modified": True, "modified_es": True},
     ),
     InjectedBug(
@@ -460,8 +336,23 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Door closed while the arm is still inside the dosing device",
         DamageSeverity.HIGH,
         1,
-        "fig5",
-        _bug_h2,
+        "testbed_fig5",
+        (
+            # A two-line edit (the paper's bugs span "one or two lines"):
+            # the place helper forgets to retreat AND the go-home call is
+            # dropped, so the arm is still inside the device when the
+            # door-close command runs.
+            ReplaceLine(
+                "place_dosing",
+                (
+                    _viperx("approach_dosing", "move", location="dosing_approach_viperx"),
+                    _viperx("enter_dosing", "move", location="dosing_safe_viperx"),
+                    _viperx("descend_dosing", "move", location="dosing_pickup_viperx"),
+                    _viperx("release_vial", "open_gripper"),
+                ),
+            ),
+            DeleteLine("home_2"),
+        ),
         {"initial": True, "modified": True, "modified_es": True},
     ),
     InjectedBug(
@@ -469,8 +360,8 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Dosing started with the device door open",
         DamageSeverity.HIGH,
         1,
-        "fig5",
-        _bug_h3,
+        "testbed_fig5",
+        (DeleteLine("close_door_before_dose"),),
         {"initial": True, "modified": True, "modified_es": True},
     ),
     InjectedBug(
@@ -478,8 +369,8 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         "Door opened while the dosing device is still running",
         DamageSeverity.HIGH,
         1,
-        "fig5",
-        _bug_h4,
+        "testbed_fig5",
+        (SwapLines("stop_dosing", "open_door_after_dose"),),
         {"initial": True, "modified": True, "modified_es": True},
     ),
     InjectedBug(
@@ -488,7 +379,18 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         DamageSeverity.HIGH,
         4,
         "centrifuge",
-        _bug_h5,
+        (
+            ReplaceLine(
+                "spin",
+                (
+                    WorkflowNode(
+                        "spin_overspeed",
+                        "start_action",
+                        {"device": "centrifuge", "value": 9000.0},
+                    ),
+                ),
+            ),
+        ),
         {"initial": True, "modified": True, "modified_es": True},
     ),
     InjectedBug(
@@ -497,7 +399,7 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
         DamageSeverity.HIGH,
         1,
         "centrifuge",
-        _bug_h6,
+        (DeleteLine("cap_vial"),),
         {"initial": True, "modified": True, "modified_es": True},
     ),
 )
@@ -506,16 +408,6 @@ CAMPAIGN_BUGS: Tuple[InjectedBug, ...] = (
 # ---------------------------------------------------------------------------
 # Runner
 # ---------------------------------------------------------------------------
-
-
-def _prepare_deck(workflow: str) -> TestbedDeck:
-    deck = build_testbed_deck(noise_sigma=0.003)
-    if workflow == "centrifuge":
-        vial = deck.vials["vial_t1"]
-        vial.decap_vial()
-        vial.contents.solid_mg = 5.0
-        vial.contents.liquid_ml = 5.0
-    return deck
 
 
 def run_bug(
@@ -532,35 +424,27 @@ def run_bug(
     instead of the compiled decision lists (the differential suite pins
     both to identical outcomes)."""
     try:
-        options_factory, use_es = RABIT_CONFIGS[config]
+        options_factory = RABIT_CONFIGS[config]
     except KeyError:
         raise KeyError(f"unknown config {config!r}; known: {sorted(RABIT_CONFIGS)}") from None
 
-    deck = _prepare_deck(bug.workflow)
-    options = options_factory()
-    if options.compiled_dispatch != compiled_dispatch:
-        from dataclasses import replace
-
-        options = replace(options, compiled_dispatch=compiled_dispatch)
-    rabit, proxies, _trace = make_testbed_rabit(
-        deck,
-        options=options,
-        use_extended_simulator=use_es,
+    dag = build_preset(bug.workflow)
+    ctx = build_context(
+        dag.deck,
+        dag.deck_params,
+        dag.prepare,
+        options=replace(options_factory(), compiled_dispatch=compiled_dispatch),
         exclude_rules=exclude_rules,
     )
-    builder = (
-        build_centrifuge_workflow if bug.workflow == "centrifuge" else build_testbed_workflow
-    )
-    lines = builder(proxies)
-    lines = apply_mutations(lines, deck.world, bug.mutations(proxies))
-    result: WorkflowResult = run_workflow(lines)
+    apply_mutations(dag, ctx.world, bug.mutations)
+    result = execute_dag(dag, ctx)
     return BugOutcome(
         bug=bug,
         config=config,
         detected=result.stopped_by_rabit,
         alert=str(result.alert) if result.alert else None,
         device_error=result.device_error,
-        damage=deck.world.damage_log,
+        damage=ctx.world.damage_log,
         completed=result.completed,
     )
 

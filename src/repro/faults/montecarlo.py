@@ -5,7 +5,7 @@ datasets — a challenging task in itself), we do not know if these numbers
 are representative of what we might see in practice."
 
 On a simulated deck the large bug dataset is cheap: this module samples
-random single-edit mutations of the safe Fig. 5 workflow — the same three
+random single-edit mutations of the safe Fig. 5 preset — the same three
 edit kinds the naive programmer used (delete a command, reorder commands,
 perturb an argument/coordinate) — runs each mutant end to end, and scores
 RABIT against *ground truth*:
@@ -34,13 +34,26 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.interceptor import instrument
 from repro.core.monitor import RabitOptions
-from repro.faults.mutation import DeleteLine, Mutation, MutateLocation, SwapLines
-from repro.lab.workflows import build_testbed_workflow, run_workflow
-from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
+from repro.faults.mutation import (
+    DeleteLine,
+    Mutation,
+    MutateLocation,
+    SwapLines,
+    apply_mutations,
+)
+from repro.testbed.deck import LOCATIONS
+from repro.workflow import (
+    WorkflowRunResult,
+    build_context,
+    build_preset,
+    execute_dag,
+)
 
-#: Script lines that must not be sampled for deletion/reordering because
+#: The safe workflow every mutant edits.
+_PRESET = "testbed_fig5"
+
+#: Nodes that must not be sampled for deletion/reordering because
 #: removing them only truncates the tail (no safety semantics) — keeps the
 #: mutant population focused on meaningful edits.
 _STRUCTURAL_TAIL = {"ned2_sleep"}
@@ -143,69 +156,48 @@ def _rng_for_sample(base_seed: int, index: int) -> np.random.Generator:
 
 
 def reference_line_ids() -> List[str]:
-    """Line ids of the safe Fig. 5 workflow that mutations may target.
-
-    Built from a throwaway deck; pure and deterministic, so every worker
-    process derives the identical list."""
-    deck = build_testbed_deck()
-    proxies, _ = instrument(deck.devices, rabit=None)
-    return [
-        line.line_id
-        for line in build_testbed_workflow(proxies)
-        if line.line_id not in _STRUCTURAL_TAIL
-    ]
+    """Node ids of the safe Fig. 5 preset that mutations may target,
+    in script order (pure, so every worker derives the identical list)."""
+    return [n for n in build_preset(_PRESET).nodes if n not in _STRUCTURAL_TAIL]
 
 
-def _sample_mutation(rng: np.random.Generator, line_ids: Sequence[str]):
-    """Sample one naive-programmer edit; returns (description, factory).
-
-    The factory builds the Mutation fresh per run (mutations are
-    stateless, but descriptions capture the sampled parameters)."""
+def _sample_mutation(
+    rng: np.random.Generator, line_ids: Sequence[str]
+) -> Tuple[str, Tuple[Mutation, ...]]:
+    """Sample one naive-programmer edit; returns (description, mutations)."""
     kind = rng.choice(["delete", "swap", "perturb"])
     if kind == "delete":
         target = str(rng.choice(line_ids))
-        return f"delete {target}", lambda proxies: [DeleteLine(target)]
+        return f"delete {target}", (DeleteLine(target),)
     if kind == "swap":
         index = int(rng.integers(0, len(line_ids) - 1))
         first, second = line_ids[index], line_ids[index + 1]
-        return f"swap {first} <-> {second}", lambda proxies: [
-            SwapLines(first, second)
-        ]
+        return f"swap {first} <-> {second}", (SwapLines(first, second),)
     location, frame = _PERTURBABLE_LOCATIONS[
         int(rng.integers(0, len(_PERTURBABLE_LOCATIONS)))
     ]
     axis = int(rng.integers(0, 3))
     delta = float(rng.choice([-0.08, -0.04, 0.04, 0.08]))
-
-    def factory(proxies, location=location, frame=frame, axis=axis, delta=delta):
-        from repro.testbed.deck import LOCATIONS
-
-        base = list(LOCATIONS[location][2][frame])
-        base[axis] += delta
-        return [MutateLocation(location, frame, tuple(base))]
-
-    return f"perturb {location}.{'xyz'[axis]} by {delta:+.2f}", factory
+    coords = list(LOCATIONS[location][2][frame])
+    coords[axis] += delta
+    return (
+        f"perturb {location}.{'xyz'[axis]} by {delta:+.2f}",
+        (MutateLocation(location, frame, tuple(coords)),),
+    )
 
 
-def _run_mutant(mutation_factory, monitored: bool) -> Tuple[bool, Tuple[str, ...]]:
-    """Run one mutant; returns (stopped_by_rabit, damage kinds)."""
-    deck = build_testbed_deck(noise_sigma=0.003)
-    if monitored:
-        rabit, proxies, _ = make_testbed_rabit(deck, options=RabitOptions.modified())
-    else:
-        proxies, _ = instrument(deck.devices, rabit=None)
-    lines = build_testbed_workflow(proxies)
-    from repro.faults.mutation import apply_mutations
-
-    lines = apply_mutations(lines, deck.world, mutation_factory(proxies))
-    result = run_workflow(lines)
-    damage = tuple(sorted({d.kind for d in deck.world.damage_log}))
-    stopped = result.stopped_by_rabit if monitored else False
-    # An unmonitored run halted by a device fault (Ned2 raising) is
-    # counted as harmful: the experiment broke mid-flight.
-    if not monitored and result.stopped_by_device:
-        damage = damage + ("device_fault_halt",)
-    return stopped, damage
+def _run_mutant(
+    mutations: Sequence[Mutation],
+    monitored: bool,
+    options: Optional[RabitOptions] = None,
+) -> Tuple[WorkflowRunResult, Tuple[str, ...]]:
+    """Run one mutant of the Fig. 5 preset; returns (result, damage kinds)."""
+    dag = build_preset(_PRESET)
+    ctx = build_context(
+        dag.deck, dag.deck_params, dag.prepare, options=options, monitored=monitored
+    )
+    result = execute_dag(apply_mutations(dag, ctx.world, mutations), ctx)
+    return result, tuple(sorted({d.kind for d in ctx.world.damage_log}))
 
 
 def run_mutant_monitored(seed: int, index: int, options=None):
@@ -218,19 +210,12 @@ def run_mutant_monitored(seed: int, index: int, options=None):
     monitor configuration (default: modified RABIT); verdicts are pinned
     dispatch-invariant, so passing an interpreted-dispatch variant keeps
     the recorded trace replayable.  Returns
-    ``(description, WorkflowResult)``."""
-    from repro.faults.mutation import apply_mutations
-    from repro.lab.workflows import run_workflow as _run
-
-    line_ids = reference_line_ids()
-    description, factory = _sample_mutation(_rng_for_sample(seed, index), line_ids)
-    deck = build_testbed_deck(noise_sigma=0.003)
-    if options is None:
-        options = RabitOptions.modified()
-    rabit, proxies, _ = make_testbed_rabit(deck, options=options)
-    lines = build_testbed_workflow(proxies)
-    lines = apply_mutations(lines, deck.world, factory(proxies))
-    return description, _run(lines)
+    ``(description, WorkflowRunResult)``."""
+    description, mutations = _sample_mutation(
+        _rng_for_sample(seed, index), reference_line_ids()
+    )
+    result, _ = _run_mutant(mutations, monitored=True, options=options)
+    return description, result
 
 
 def score_mutant(index: int, base_seed: int, line_ids: Sequence[str]) -> MutantOutcome:
@@ -240,10 +225,12 @@ def score_mutant(index: int, base_seed: int, line_ids: Sequence[str]) -> MutantO
     shards execute — a pure function of ``(base_seed, index)`` (plus the
     deterministic *line_ids*), which is what makes the sharded sweep
     mergeable in any order."""
-    description, factory = _sample_mutation(_rng_for_sample(base_seed, index), line_ids)
+    description, mutations = _sample_mutation(
+        _rng_for_sample(base_seed, index), line_ids
+    )
     try:
-        _, truth_damage = _run_mutant(factory, monitored=False)
-        detected, _ = _run_mutant(factory, monitored=True)
+        truth, truth_damage = _run_mutant(mutations, monitored=False)
+        verdict, _ = _run_mutant(mutations, monitored=True)
     except Exception as exc:  # noqa: BLE001 - classify, don't crash the sweep
         return MutantOutcome(
             seed=index,
@@ -252,11 +239,15 @@ def score_mutant(index: int, base_seed: int, line_ids: Sequence[str]) -> MutantO
             detected=False,
             damage_kinds=("harness_error",),
         )
+    # An unmonitored run halted by a device fault (Ned2 raising) is
+    # counted as harmful: the experiment broke mid-flight.
+    if truth.stopped_by_device:
+        truth_damage = truth_damage + ("device_fault_halt",)
     return MutantOutcome(
         seed=index,
         description=description,
         harmful=bool(truth_damage),
-        detected=detected,
+        detected=verdict.stopped_by_rabit,
         damage_kinds=truth_damage,
     )
 
@@ -271,7 +262,7 @@ def run_monte_carlo(
     """Sample *samples* cases; score each against ground truth.
 
     *generator* picks the case source: ``"mutant"`` (the default)
-    samples random single-edit mutations of the hardcoded Fig. 5 script;
+    samples random single-edit mutations of the Fig. 5 preset;
     ``"dag"`` composes whole random workflows from the step registry
     (:func:`repro.workflow.fuzz.score_dag`) — same seeds, same confusion
     matrix, same sharding.

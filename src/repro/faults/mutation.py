@@ -1,96 +1,85 @@
-"""Mutation operators over experiment scripts and location tables.
+"""Mutation operators over workflow DAGs and location tables.
 
 The paper's naive programmer "could easily change the arguments of
 commands (e.g., enter incorrect coordinates for robot arms), delete
 commands (e.g., remove a command to close the door of a device), or
 change the order of commands" — plus edit the hard-coded location
 dictionary (Fig. 6).  Each operator below is one of those edit kinds,
-applied to a workflow's :class:`~repro.lab.workflows.ScriptLine` list or
-to the deck's location table.
+held as plain data and applied to a workflow preset's
+:class:`~repro.workflow.dag.WorkflowDAG` through its node surgery
+(``drop``/``insert_after``/``swap``) or to the deck's location table.
+One DAG node is one script statement, so the edits land at the
+granularity the programmer typed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.devices.world import LabWorld
-from repro.lab.workflows import ScriptLine
+from repro.workflow.dag import WorkflowDAG, WorkflowNode
 
 
 class Mutation:
-    """Base class; a mutation edits a script and/or the deck."""
+    """Base class; a mutation edits a workflow DAG and/or the deck."""
 
-    def apply_to_script(self, lines: List[ScriptLine]) -> List[ScriptLine]:
-        """Return the mutated script (default: unchanged)."""
-        return lines
+    def apply_to_dag(self, dag: WorkflowDAG) -> None:
+        """Edit *dag* in place (default: unchanged)."""
 
     def apply_to_deck(self, world: LabWorld) -> None:
         """Mutate deck-side data (default: nothing)."""
 
 
-def _index_of(lines: Sequence[ScriptLine], line_id: str) -> int:
-    for i, line in enumerate(lines):
-        if line.line_id == line_id:
-            return i
-    raise KeyError(
-        f"no script line {line_id!r}; available: {[l.line_id for l in lines]}"
-    )
-
-
-@dataclass
+@dataclass(frozen=True)
 class DeleteLine(Mutation):
     """Delete one command (e.g. Bug A: omit re-opening the door)."""
 
     line_id: str
 
-    def apply_to_script(self, lines: List[ScriptLine]) -> List[ScriptLine]:
-        index = _index_of(lines, self.line_id)
-        return lines[:index] + lines[index + 1 :]
+    def apply_to_dag(self, dag: WorkflowDAG) -> None:
+        dag.drop(self.line_id)
 
 
-@dataclass
-class ReplaceLine(Mutation):
-    """Replace one command with another (changed arguments, or a buggy
-    helper-function definition)."""
-
-    line_id: str
-    replacement: ScriptLine
-
-    def apply_to_script(self, lines: List[ScriptLine]) -> List[ScriptLine]:
-        index = _index_of(lines, self.line_id)
-        return lines[:index] + [self.replacement] + lines[index + 1 :]
-
-
-@dataclass
+@dataclass(frozen=True)
 class InsertAfter(Mutation):
-    """Insert new command(s) after an existing line (e.g. Bug B's extra
+    """Insert new command(s) after an existing node (e.g. Bug B's extra
     Ned2 move)."""
 
     line_id: str
-    new_lines: Tuple[ScriptLine, ...]
+    new_lines: Tuple[WorkflowNode, ...]
 
-    def apply_to_script(self, lines: List[ScriptLine]) -> List[ScriptLine]:
-        index = _index_of(lines, self.line_id) + 1
-        return lines[:index] + list(self.new_lines) + lines[index:]
+    def apply_to_dag(self, dag: WorkflowDAG) -> None:
+        after = self.line_id
+        for node in self.new_lines:
+            after = dag.insert_after(after, node.id, node.step, **node.params)
 
 
-@dataclass
+@dataclass(frozen=True)
+class ReplaceLine(Mutation):
+    """Replace one command with one or more others (changed arguments,
+    or a buggy helper-function definition spelled out as raw commands)."""
+
+    line_id: str
+    replacement: Tuple[WorkflowNode, ...]
+
+    def apply_to_dag(self, dag: WorkflowDAG) -> None:
+        InsertAfter(self.line_id, self.replacement).apply_to_dag(dag)
+        dag.drop(self.line_id)
+
+
+@dataclass(frozen=True)
 class SwapLines(Mutation):
     """Swap the order of two commands (the reorder edit kind)."""
 
     first_id: str
     second_id: str
 
-    def apply_to_script(self, lines: List[ScriptLine]) -> List[ScriptLine]:
-        i = _index_of(lines, self.first_id)
-        j = _index_of(lines, self.second_id)
-        mutated = list(lines)
-        mutated[i], mutated[j] = mutated[j], mutated[i]
-        return mutated
+    def apply_to_dag(self, dag: WorkflowDAG) -> None:
+        dag.swap(self.first_id, self.second_id)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MutateLocation(Mutation):
     """Edit a hard-coded coordinate in the utilities file (Fig. 6, Bug D:
     ``"pickup": [0.15, 0.45, 0.10]`` -> ``[0.15, 0.45, 0.08]``)."""
@@ -104,10 +93,10 @@ class MutateLocation(Mutation):
 
 
 def apply_mutations(
-    lines: List[ScriptLine], world: LabWorld, mutations: Sequence[Mutation]
-) -> List[ScriptLine]:
-    """Apply every mutation; returns the mutated script."""
+    dag: WorkflowDAG, world: LabWorld, mutations: Sequence[Mutation]
+) -> WorkflowDAG:
+    """Apply every mutation to *dag* (in place) and *world*; returns *dag*."""
     for mutation in mutations:
         mutation.apply_to_deck(world)
-        lines = mutation.apply_to_script(lines)
-    return lines
+        mutation.apply_to_dag(dag)
+    return dag

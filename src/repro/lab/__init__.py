@@ -1,28 +1,28 @@
-"""Concrete labs, decks, and experiment workflows.
+"""Concrete labs and decks.
 
 - :mod:`repro.lab.stage` -- the three-stage deployment framework
   (Simulator / Testbed / Production, Table I).
+- :mod:`repro.lab.pipeline` -- the three stages as a validation process
+  a workflow climbs.
 - :mod:`repro.lab.hein` -- the Hein Lab production deck of Fig. 1(a):
   UR3e + solid dosing device, syringe pump, centrifuge, thermoshaker,
   hotplate.
-- :mod:`repro.lab.workflows` -- the automated solubility experiment of
-  Fig. 1(b) and the Fig. 5 testbed workflow with its script helpers.
 - :mod:`repro.lab.berlinguette` -- the Berlinguette Lab deck used for the
   §V-B generalization study.
+- :mod:`repro.lab.two_door` -- the §V-C two-door deck.
 - :mod:`repro.lab.scenarios` -- one controlled violation scenario per
   rule in Tables III and IV (the §IV controlled experiments).
 
 The testbed deck itself lives in :mod:`repro.testbed.deck` next to its
-noise and calibration models.
+noise and calibration models.  The experiment workflows that run on
+these decks (Fig. 1(b) solubility, the Fig. 5 testbed script, ...) are
+declarative presets in :mod:`repro.workflow.presets`.  This package
+imports no workflow or fault-injection code, so the guard service can
+load a deck without them.
 """
 
 from repro.lab.stage import Stage, StageProfile, STAGE_PROFILES
 from repro.lab.hein import HeinDeck, build_hein_deck, make_hein_rabit
-from repro.lab.pipeline import (
-    PipelineResult,
-    StageOutcome,
-    ThreeStageValidator,
-)
 
 __all__ = [
     "Stage",
@@ -31,7 +31,4 @@ __all__ = [
     "HeinDeck",
     "build_hein_deck",
     "make_hein_rabit",
-    "PipelineResult",
-    "StageOutcome",
-    "ThreeStageValidator",
 ]

@@ -266,15 +266,10 @@ def _berlinguette_config(vial_names: Tuple[str, ...]) -> Dict[str, Any]:
 def make_berlinguette_rabit(
     deck: BerlinguetteDeck,
     options: Optional[RabitOptions] = None,
-    use_extended_simulator: bool = False,
     clock: Optional[VirtualClock] = None,
 ) -> Tuple[Rabit, Dict[str, DeviceProxy], List[CommandRecord]]:
     """Wire RABIT onto the Berlinguette deck."""
     opts = options or RabitOptions.modified()
-    if use_extended_simulator and not opts.use_extended_simulator:
-        from dataclasses import replace
-
-        opts = replace(opts, use_extended_simulator=True)
     checker = (
         ExtendedSimulator({"ur5e": deck.ur5e}) if opts.use_extended_simulator else None
     )
@@ -294,72 +289,3 @@ def make_berlinguette_rabit(
     proxies, trace = instrument(deck.devices, rabit, clock=rabit.clock)
     return rabit, proxies, trace
 
-
-def build_spray_coating_workflow(proxies: Dict[str, DeviceProxy], solvent_only: bool = False):
-    """A §V-B workflow: decap a precursor vial, (optionally) dose solid,
-    dose solvent at the coater, spin, spray, and return the vial.
-
-    ``solvent_only=True`` reproduces the solvent-only coating runs whose
-    traces *break* the Hein Lab's solids-before-liquids invariant — the
-    reason that invariant classifies as a custom rule, not a general one.
-    """
-    from repro.lab.workflows import ScriptLine
-
-    ur5e = proxies["ur5e"]
-    dosing = proxies["dosing_device"]
-    decapper = proxies["decapper"]
-    coater = proxies["spin_coater"]
-    pump = proxies["syringe_pump"]
-    nozzle = proxies["nozzle"]
-
-    lines: List[ScriptLine] = []
-
-    def add(line_id: str, text: str, fn) -> None:
-        lines.append(ScriptLine(line_id, text, fn))
-
-    # Decap at the decapper station.
-    add("stage_grid", "ur5e.move_to_location(bgrid_1_safe)", lambda: ur5e.move_to_location("bgrid_1_safe"))
-    add("pick_grid", "ur5e.pick_up_vial(bgrid_1)", lambda: ur5e.pick_up_vial("bgrid_1"))
-    add("lift_grid", "ur5e.move_to_location(bgrid_1_safe)", lambda: ur5e.move_to_location("bgrid_1_safe"))
-    add("stage_decapper", "ur5e.move_to_location(decapper_safe)", lambda: ur5e.move_to_location("decapper_safe"))
-    add("place_decapper", "ur5e.place_vial(decapper_slot)", lambda: ur5e.place_vial("decapper_slot"))
-    add("clear_decapper", "ur5e.move_to_location(decapper_safe)", lambda: ur5e.move_to_location("decapper_safe"))
-    add("decap", "decapper.decap()", lambda: decapper.decap())
-
-    if not solvent_only:
-        # Ferry into the dosing device for the solid precursor.
-        add("pick_decapper", "ur5e.pick_up_vial(decapper_slot)", lambda: ur5e.pick_up_vial("decapper_slot"))
-        add("lift_decapper", "ur5e.move_to_location(decapper_safe)", lambda: ur5e.move_to_location("decapper_safe"))
-        add("open_door", "dosing_device.open_door()", lambda: dosing.open_door())
-        add("approach_dosing", "ur5e.move_to_location(bdosing_approach)", lambda: ur5e.move_to_location("bdosing_approach"))
-        add("place_dosing", "ur5e.place_vial(bdosing_interior)", lambda: ur5e.place_vial("bdosing_interior"))
-        add("exit_dosing", "ur5e.move_to_location(bdosing_approach)", lambda: ur5e.move_to_location("bdosing_approach"))
-        add("close_door", "dosing_device.close_door()", lambda: dosing.close_door())
-        add("dose_solid", "dosing_device.dose_solid(4)", lambda: dosing.dose_solid(4.0))
-        add("stop_dose", "dosing_device.stop_action()", lambda: dosing.stop_action())
-        add("reopen_door", "dosing_device.open_door()", lambda: dosing.open_door())
-        add("approach_dosing_2", "ur5e.move_to_location(bdosing_approach)", lambda: ur5e.move_to_location("bdosing_approach"))
-        add("pick_dosing", "ur5e.pick_up_vial(bdosing_interior)", lambda: ur5e.pick_up_vial("bdosing_interior"))
-        add("exit_dosing_2", "ur5e.move_to_location(bdosing_approach)", lambda: ur5e.move_to_location("bdosing_approach"))
-        add("close_door_2", "dosing_device.close_door()", lambda: dosing.close_door())
-    else:
-        add("pick_decapper", "ur5e.pick_up_vial(decapper_slot)", lambda: ur5e.pick_up_vial("decapper_slot"))
-        add("lift_decapper", "ur5e.move_to_location(decapper_safe)", lambda: ur5e.move_to_location("decapper_safe"))
-
-    # To the spin coater: dose solvent, spin, spray.
-    add("stage_coater", "ur5e.move_to_location(coater_safe)", lambda: ur5e.move_to_location("coater_safe"))
-    add("place_coater", "ur5e.place_vial(coater_top)", lambda: ur5e.place_vial("coater_top"))
-    add("clear_coater", "ur5e.move_to_location(coater_safe)", lambda: ur5e.move_to_location("coater_safe"))
-    add("dose_solvent", "syringe_pump.dose_solvent(3)", lambda: pump.dose_solvent(3.0))
-    add("spin", "spin_coater.start_action(2000)", lambda: coater.start_action(2000.0))
-    add("stop_spin", "spin_coater.stop_action()", lambda: coater.stop_action())
-    add("spray", "nozzle.start_action(30)", lambda: nozzle.start_action(30.0))
-    add("stop_spray", "nozzle.stop_action()", lambda: nozzle.stop_action())
-
-    # Return the vial to the rack.
-    add("pick_coater", "ur5e.pick_up_vial(coater_top)", lambda: ur5e.pick_up_vial("coater_top"))
-    add("lift_coater", "ur5e.move_to_location(coater_safe)", lambda: ur5e.move_to_location("coater_safe"))
-    add("restage_grid", "ur5e.move_to_location(bgrid_1_safe)", lambda: ur5e.move_to_location("bgrid_1_safe"))
-    add("return_vial", "ur5e.place_vial(bgrid_1)", lambda: ur5e.place_vial("bgrid_1"))
-    add("home", "ur5e.go_to_home_pose()", lambda: ur5e.go_to_home_pose())
-    return lines

@@ -280,7 +280,6 @@ def _hein_config(vial_names: Tuple[str, ...]) -> Dict[str, Any]:
 def make_hein_rabit(
     deck: HeinDeck,
     options: Optional[RabitOptions] = None,
-    use_extended_simulator: bool = False,
     clock: Optional[VirtualClock] = None,
     rulebase: Optional[RuleBase] = None,
 ) -> Tuple[Rabit, Dict[str, DeviceProxy], List[CommandRecord]]:
@@ -293,8 +292,6 @@ def make_hein_rabit(
     compiled snapshot.
     """
     opts = options or RabitOptions.modified()
-    if use_extended_simulator:
-        opts = RabitOptions(**{**opts.__dict__, "use_extended_simulator": True})
     checker = (
         ExtendedSimulator({"ur3e": deck.ur3e}) if opts.use_extended_simulator else None
     )

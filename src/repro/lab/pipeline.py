@@ -8,8 +8,9 @@ environment."  A new or edited workflow climbs the stages; a defect
 caught early costs nothing, a defect that survives to production risks
 real equipment.
 
-:class:`ThreeStageValidator` runs one workflow through all three stages
-on progressively riskier decks (same layout, stage-specific noise and
+:class:`ThreeStageValidator` runs one workflow DAG (a Hein-deck preset
+such as ``solubility``) through all three stages on progressively
+riskier decks (same layout, stage-specific noise and
 damage economics from :data:`~repro.lab.stage.STAGE_PROFILES`) and stops
 climbing at the first stage that rejects it.  The result quantifies what
 the staging bought: the *risk exposure* (damage events weighted by the
@@ -18,14 +19,13 @@ stage's damage cost) that early detection avoided.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.core.interceptor import DeviceProxy
 from repro.core.monitor import RabitOptions
-from repro.lab.hein import HeinDeck, build_hein_deck, make_hein_rabit
+from repro.lab.hein import HeinDeck
 from repro.lab.stage import STAGE_PROFILES, Stage
-from repro.lab.workflows import ScriptLine, WorkflowResult, run_workflow
+from repro.workflow import WorkflowDAG, WorkflowRunResult, build_context, execute_dag
 
 #: How each stage is realized on the Hein layout: actuation noise from the
 #: stage profile, and whether the Extended Simulator assists (it is the
@@ -37,7 +37,6 @@ _STAGE_SETUP: Dict[Stage, Dict[str, object]] = {
     Stage.PRODUCTION: {"use_es": False},
 }
 
-WorkflowBuilder = Callable[[Dict[str, DeviceProxy]], List[ScriptLine]]
 DeckMutator = Callable[[HeinDeck], None]
 
 
@@ -47,7 +46,7 @@ class StageOutcome:
 
     stage: Stage
     passed: bool
-    result: WorkflowResult
+    result: WorkflowRunResult
     damage_events: int
     #: Damage events weighted by the stage's damage cost (Table I's "risk
     #: of damage" axis, made quantitative).
@@ -101,19 +100,21 @@ class ThreeStageValidator:
 
     def validate(
         self,
-        build_workflow: WorkflowBuilder,
+        dag: WorkflowDAG,
         mutate_deck: Optional[DeckMutator] = None,
     ) -> PipelineResult:
-        """Run *build_workflow* at each stage until one rejects it.
+        """Run Hein-deck workflow *dag* at each stage until one rejects it.
 
         ``mutate_deck`` applies the candidate change under test (e.g. an
         edited location table) to each stage's fresh deck — the same edit
         is what climbs the stages, exactly like a workflow change in the
         lab.
         """
+        if dag.deck != "hein":
+            raise ValueError(f"the stages run on the Hein deck, not {dag.deck!r}")
         pipeline = PipelineResult()
         for stage in self._stages:
-            outcome = self._run_stage(stage, build_workflow, mutate_deck)
+            outcome = self._run_stage(stage, dag, mutate_deck)
             pipeline.outcomes.append(outcome)
             if not outcome.passed:
                 break
@@ -122,22 +123,22 @@ class ThreeStageValidator:
     def _run_stage(
         self,
         stage: Stage,
-        build_workflow: WorkflowBuilder,
+        dag: WorkflowDAG,
         mutate_deck: Optional[DeckMutator],
     ) -> StageOutcome:
         profile = STAGE_PROFILES[stage]
-        deck = build_hein_deck()
-        deck.ur3e._noise_sigma = profile.position_noise_sigma  # noqa: SLF001
-        if mutate_deck is not None:
-            mutate_deck(deck)
-        rabit, proxies, _ = make_hein_rabit(
-            deck,
-            options=self._options,
-            use_extended_simulator=bool(_STAGE_SETUP[stage]["use_es"]),
+        options = self._options
+        if _STAGE_SETUP[stage]["use_es"]:
+            options = replace(options, use_extended_simulator=True)
+        ctx = build_context(
+            dag.deck, dag.deck_params, dag.prepare, options=options
         )
-        result = run_workflow(build_workflow(proxies))
-        damage = len(deck.world.damage_log)
-        passed = result.completed and rabit.alert_count == 0 and damage == 0
+        ctx.deck.ur3e._noise_sigma = profile.position_noise_sigma  # noqa: SLF001
+        if mutate_deck is not None:
+            mutate_deck(ctx.deck)
+        result = execute_dag(dag, ctx)
+        damage = len(ctx.world.damage_log)
+        passed = result.completed and ctx.rabit.alert_count == 0 and damage == 0
         return StageOutcome(
             stage=stage,
             passed=passed,

@@ -1,4 +1,4 @@
-"""The §V-C two-door deck as a first-class lab, plus its safe workflow.
+"""The §V-C two-door deck as a first-class lab.
 
 The multi-door extension ("devices might have multiple doors, for
 instance, for two robot arms to approach the device simultaneously")
@@ -6,14 +6,15 @@ previously existed only as a test-local fixture.  Promoting it to a
 real deck gives the trace corpus a scenario that exercises every
 multi-door mechanism at once — compound ``device:door`` state keys,
 per-door G1 entry checks, entry-door-only G2 protection, and
-all-doors-closed G9 — in one recordable, replayable run.
+all-doors-closed G9 — in one recordable, replayable run (the
+``two_door`` workflow preset).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.clock import VirtualClock
 from repro.core.config import build_model
@@ -30,7 +31,6 @@ from repro.geometry.shapes import Cuboid
 from repro.geometry.transforms import identity, rotation_z, translation
 from repro.geometry.walls import Workspace
 from repro.kinematics.profiles import NED2, VIPERX_300
-from repro.lab.workflows import ScriptLine
 
 #: Ned2's mounting, identical to the testbed: 0.82 m along world x,
 #: rotated 180° about z so the arms face each other.
@@ -156,45 +156,3 @@ def make_two_door_rabit(
     proxies, trace = instrument(deck.devices, rabit, clock=rabit.clock)
     return rabit, proxies, trace
 
-
-def build_two_door_workflow(
-    proxies: Dict[str, DeviceProxy], amount_mg: float = 3.0
-) -> List[ScriptLine]:
-    """The safe simultaneous-access workflow.
-
-    Both arms enter the shared device through their own doors at the
-    same time, retreat, and the device doses once every door is closed
-    again — touching per-door G1, entry-door G2, and all-doors G9."""
-    viperx = proxies["viperx"]
-    ned2 = proxies["ned2"]
-    mdoser = proxies["mdoser"]
-
-    lines: List[ScriptLine] = []
-
-    def add(line_id: str, text: str, fn: Callable[[], Any]) -> None:
-        lines.append(ScriptLine(line_id, text, fn))
-
-    add("open_front", 'mdoser.open_door("front")', lambda: mdoser.open_door("front"))
-    add("open_back", 'mdoser.open_door("back")', lambda: mdoser.open_door("back"))
-    add("viperx_approach", "viperx.move_to_location(front_approach)",
-        lambda: viperx.move_to_location("front_approach"))
-    add("viperx_enter", "viperx.move_to_location(mdoser_front)",
-        lambda: viperx.move_to_location("mdoser_front"))
-    add("ned2_approach", "ned2.move_to_location(back_approach)",
-        lambda: ned2.move_to_location("back_approach"))
-    add("ned2_enter", "ned2.move_to_location(mdoser_back)",
-        lambda: ned2.move_to_location("mdoser_back"))
-    add("viperx_exit", "viperx.move_to_location(front_approach)",
-        lambda: viperx.move_to_location("front_approach"))
-    add("ned2_exit", "ned2.move_to_location(back_approach)",
-        lambda: ned2.move_to_location("back_approach"))
-    add("close_front", 'mdoser.close_door("front")',
-        lambda: mdoser.close_door("front"))
-    add("close_back", 'mdoser.close_door("back")', lambda: mdoser.close_door("back"))
-    add("dose", f"mdoser.dose_solid({amount_mg:g})",
-        lambda: mdoser.dose_solid(amount_mg))
-    add("stop_dosing", "mdoser.stop_action()", lambda: mdoser.stop_action())
-    add("viperx_sleep", "viperx.go_to_sleep_pose()",
-        lambda: viperx.go_to_sleep_pose())
-    add("ned2_sleep", "ned2.go_to_sleep_pose()", lambda: ned2.go_to_sleep_pose())
-    return lines

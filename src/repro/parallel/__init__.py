@@ -10,23 +10,9 @@ are identical to the sequential path for every worker count.
 Callers normally reach this through ``workers=`` on
 :func:`repro.faults.montecarlo.run_monte_carlo` and
 :func:`repro.faults.campaign.run_campaign` (or the CLI's ``--workers``),
-not by importing it directly.  This package imports :mod:`repro.faults`
-and :mod:`repro.obs`; the faults runners import it lazily, keeping the
-dependency cycle out of module import time.
+not by importing it directly.  The package itself stays empty: the
+engine is generic, and :mod:`repro.parallel.runners` (which imports
+:mod:`repro.faults` and so the workflow stack) is imported only by the
+code that shards fault-injection studies, so importing the engine — as
+the guard service does — never loads the campaign.
 """
-
-from repro.parallel.engine import fork_pool_available, resolve_workers, run_sharded
-from repro.parallel.runners import (
-    run_bug_matrix,
-    run_campaign_sharded,
-    run_monte_carlo_sharded,
-)
-
-__all__ = [
-    "fork_pool_available",
-    "resolve_workers",
-    "run_sharded",
-    "run_bug_matrix",
-    "run_campaign_sharded",
-    "run_monte_carlo_sharded",
-]

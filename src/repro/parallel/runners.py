@@ -5,13 +5,13 @@ module-level task function (it must cross the ``fork`` boundary) and a
 per-process warm-up that amortizes setup a sequential run pays once:
 
 - :func:`run_monte_carlo_sharded` — tasks are ``(base_seed, index)``
-  pairs; workers warm the reference workflow's line-id list once per
+  pairs; workers warm the reference preset's node-id list once per
   process, then score mutants with the same pure
   :func:`~repro.faults.montecarlo.score_mutant` the sequential loop uses;
 - :func:`run_campaign_sharded` — tasks are ``(config, bug)`` pairs in
-  canonical configuration-major order (bug builders are module-level
-  functions, so :class:`~repro.faults.campaign.InjectedBug` pickles by
-  reference);
+  canonical configuration-major order (an
+  :class:`~repro.faults.campaign.InjectedBug` is plain data — its
+  mutations are DAG edits — so it pickles as is);
 - :func:`run_bug_matrix` — the ablation shape: arbitrary
   ``(bug, config, exclude_rules)`` triples, e.g. the rule-knockout sweep.
 
@@ -45,7 +45,7 @@ _WARM: Dict[str, object] = {}
 
 
 def _warm_montecarlo_worker() -> None:
-    """Build the reference line-id list once per worker process."""
+    """Build the reference node-id list once per worker process."""
     if "line_ids" not in _WARM:
         _WARM["line_ids"] = reference_line_ids()
 

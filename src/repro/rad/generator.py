@@ -14,52 +14,48 @@ experiments.
 
 from __future__ import annotations
 
+from typing import Any, Dict
 
 import numpy as np
 
-from repro.lab.berlinguette import (
-    build_berlinguette_deck,
-    build_spray_coating_workflow,
-    make_berlinguette_rabit,
-)
-from repro.lab.hein import build_hein_deck, make_hein_rabit
-from repro.lab.workflows import build_solubility_workflow, run_workflow
 from repro.rad.trace import Trace, TraceDataset, events_from_records
+from repro.workflow import run_preset
+
+
+def _session(preset: str, params: Dict[str, Any], session_id: str, lab: str) -> Trace:
+    """Run one preset session under modified RABIT; returns its trace.
+
+    Every session must complete alert-free — the dataset holds only
+    *normal* operation, which is what makes its invariants meaningful."""
+    _dag, ctx, result = run_preset(preset, params)
+    if not result.completed:  # pragma: no cover - generator invariant
+        raise RuntimeError(
+            f"RAD generator session {session_id} did not complete: {result.alert}"
+        )
+    return Trace(
+        session_id=session_id,
+        lab=lab,
+        events=events_from_records(
+            ctx.trace, ctx.deck.devices, interior_owner=ctx.deck.model.interior_owner
+        ),
+    )
 
 
 def generate_hein_traces(sessions: int = 20, seed: int = 42) -> TraceDataset:
-    """Replay *sessions* varied solubility experiments on the Hein deck.
-
-    Every session runs under RABIT (as the real lab does) and must
-    complete alert-free — the dataset contains only *normal* operation,
-    which is what makes its invariants meaningful.
-    """
+    """Replay *sessions* varied solubility experiments on the Hein deck
+    (every session under RABIT, as the real lab runs)."""
     rng = np.random.default_rng(seed)
     dataset = TraceDataset(name="rad-hein")
     for session in range(sessions):
-        deck = build_hein_deck()
-        rabit, proxies, trace_records = make_hein_rabit(deck)
-        workflow = build_solubility_workflow(
-            proxies,
-            amount_mg=float(rng.integers(3, 8)),
-            initial_solvent_ml=float(rng.integers(2, 6)),
-            temperature=float(rng.integers(40, 100)),
-            dissolution_rounds=int(rng.integers(1, 4)),
-            centrifuge_rpm=float(rng.integers(2000, 5000)),
-        )
-        result = run_workflow(workflow)
-        if not result.completed:  # pragma: no cover - generator invariant
-            raise RuntimeError(
-                f"RAD generator session {session} did not complete: {result.alert}"
-            )
+        params = {
+            "amount_mg": float(rng.integers(3, 8)),
+            "initial_solvent_ml": float(rng.integers(2, 6)),
+            "temperature": float(rng.integers(40, 100)),
+            "dissolution_rounds": int(rng.integers(1, 4)),
+            "centrifuge_rpm": float(rng.integers(2000, 5000)),
+        }
         dataset.traces.append(
-            Trace(
-                session_id=f"hein-{session:04d}",
-                lab="hein",
-                events=events_from_records(
-                    trace_records, deck.devices, interior_owner=deck.model.interior_owner
-                ),
-            )
+            _session("solubility", params, f"hein-{session:04d}", "hein")
         )
     return dataset
 
@@ -74,23 +70,10 @@ def generate_berlinguette_traces(sessions: int = 12, seed: int = 7) -> TraceData
     rng = np.random.default_rng(seed)
     dataset = TraceDataset(name="rad-berlinguette")
     for session in range(sessions):
-        deck = build_berlinguette_deck()
-        rabit, proxies, trace_records = make_berlinguette_rabit(deck)
-        solvent_only = bool(rng.random() < 0.34)
-        result = run_workflow(
-            build_spray_coating_workflow(proxies, solvent_only=solvent_only)
-        )
-        if not result.completed:  # pragma: no cover - generator invariant
-            raise RuntimeError(
-                f"RAD generator session {session} did not complete: {result.alert}"
-            )
+        params = {"solvent_only": bool(rng.random() < 0.34)}
         dataset.traces.append(
-            Trace(
-                session_id=f"berlinguette-{session:04d}",
-                lab="berlinguette",
-                events=events_from_records(
-                    trace_records, deck.devices, interior_owner=deck.model.interior_owner
-                ),
+            _session(
+                "spray_coating", params, f"berlinguette-{session:04d}", "berlinguette"
             )
         )
     return dataset

@@ -300,7 +300,6 @@ def _testbed_config(vial_names: Tuple[str, ...]) -> Dict[str, Any]:
 def make_testbed_rabit(
     deck: TestbedDeck,
     options: Optional[RabitOptions] = None,
-    use_extended_simulator: bool = False,
     clock: Optional[VirtualClock] = None,
     exclude_rules: Tuple[str, ...] = (),
 ) -> Tuple[Rabit, Dict[str, DeviceProxy], List[CommandRecord]]:
@@ -310,10 +309,6 @@ def make_testbed_rabit(
     from repro.core.rulebase import build_default_rulebase
 
     opts = options or RabitOptions.modified()
-    if use_extended_simulator and not opts.use_extended_simulator:
-        from dataclasses import replace
-
-        opts = replace(opts, use_extended_simulator=True)
     checker = (
         ExtendedSimulator({"viperx": deck.viperx, "ned2": deck.ned2})
         if opts.use_extended_simulator

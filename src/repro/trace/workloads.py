@@ -23,12 +23,16 @@ Registered workloads:
   ``spec`` = path to an exported spec file);
 - ``fuzz`` — the monitored leg of random-DAG fuzz case
   ``(params: seed, index)``, a pure function of the pair.
+
+The first four are rows of :data:`PRESET_WORKLOADS`: a workflow preset
+plus monitor options, all run by :func:`run_preset_workload`.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.trace.recorder import TRACE, RunTrace
 
@@ -81,78 +85,36 @@ def _result_outcome(result: Any, commands: int) -> Dict[str, Any]:
     }
 
 
-@_workload("solubility")
-def _run_solubility(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.core.clock import VirtualClock
+#: The preset-backed workloads: name -> (preset, ``RabitOptions.modified``
+#: overrides).  Each runs its preset with default parameters; workload
+#: names and parameters are recorded in trace headers, so they are fixed.
+PRESET_WORKLOADS: Dict[str, Tuple[str, Dict[str, Any]]] = {
+    "solubility": ("solubility", {"use_extended_simulator": True, "bypass_gui": True}),
+    "testbed": ("testbed_fig5", {}),
+    "centrifuge": ("centrifuge", {}),
+    "multi_door": ("two_door", {}),
+}
+
+
+def run_preset_workload(name: str, params: Dict[str, Any]) -> Dict[str, Any]:
+    """Run preset-backed workload *name*; returns its footer outcome."""
     from repro.core.monitor import RabitOptions
-    from repro.lab.hein import build_hein_deck, make_hein_rabit
-    from repro.lab.workflows import build_solubility_workflow, run_workflow
+    from repro.workflow import build_context, build_preset, execute_dag
 
-    deck = build_hein_deck()
-    options = RabitOptions.modified(
-        use_extended_simulator=True, bypass_gui=True,
-        compiled_dispatch=_compiled(params),
+    preset, overrides = PRESET_WORKLOADS[name]
+    dag = build_preset(preset)
+    ctx = build_context(
+        dag.deck,
+        dag.deck_params,
+        dag.prepare,
+        options=RabitOptions.modified(compiled_dispatch=_compiled(params), **overrides),
     )
-    rabit, proxies, trace = make_hein_rabit(
-        deck, options=options, use_extended_simulator=True, clock=VirtualClock()
-    )
-    _bind_obs(rabit)
-    result = run_workflow(build_solubility_workflow(proxies))
-    return _result_outcome(result, len(trace))
+    _bind_obs(ctx.rabit)
+    return _result_outcome(execute_dag(dag, ctx), len(ctx.trace))
 
 
-@_workload("testbed")
-def _run_testbed(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.core.monitor import RabitOptions
-    from repro.lab.workflows import build_testbed_workflow, run_workflow
-    from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
-
-    deck = build_testbed_deck(noise_sigma=0.003)
-    rabit, proxies, trace = make_testbed_rabit(
-        deck, options=RabitOptions.modified(compiled_dispatch=_compiled(params))
-    )
-    _bind_obs(rabit)
-    result = run_workflow(build_testbed_workflow(proxies))
-    return _result_outcome(result, len(trace))
-
-
-@_workload("centrifuge")
-def _run_centrifuge(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.core.monitor import RabitOptions
-    from repro.lab.workflows import build_centrifuge_workflow, run_workflow
-    from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
-
-    deck = build_testbed_deck(noise_sigma=0.003)
-    vial = deck.vials["vial_t1"]
-    vial.decap_vial()
-    vial.contents.solid_mg = 5.0
-    vial.contents.liquid_ml = 5.0
-    rabit, proxies, trace = make_testbed_rabit(
-        deck, options=RabitOptions.modified(compiled_dispatch=_compiled(params))
-    )
-    _bind_obs(rabit)
-    result = run_workflow(build_centrifuge_workflow(proxies))
-    return _result_outcome(result, len(trace))
-
-
-@_workload("multi_door")
-def _run_multi_door(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.lab.two_door import (
-        build_two_door_deck,
-        build_two_door_workflow,
-        make_two_door_rabit,
-    )
-    from repro.lab.workflows import run_workflow
-
-    from repro.core.monitor import RabitOptions
-
-    deck = build_two_door_deck()
-    rabit, proxies, trace = make_two_door_rabit(
-        deck, options=RabitOptions.modified(compiled_dispatch=_compiled(params))
-    )
-    _bind_obs(rabit)
-    result = run_workflow(build_two_door_workflow(proxies))
-    return _result_outcome(result, len(trace))
+for _name in PRESET_WORKLOADS:
+    WORKLOADS[_name] = partial(run_preset_workload, _name)
 
 
 @_workload("mutant")
@@ -165,7 +127,7 @@ def _run_mutant(params: Dict[str, Any]) -> Dict[str, Any]:
         seed, index,
         options=RabitOptions.modified(compiled_dispatch=_compiled(params)),
     )
-    outcome = _result_outcome(result, len(result.executed_lines))
+    outcome = _result_outcome(result, len(result.executed_nodes))
     outcome["description"] = description
     outcome["detected"] = result.stopped_by_rabit
     return outcome
@@ -196,7 +158,7 @@ def _run_bug(params: Dict[str, Any]) -> Dict[str, Any]:
 
 
 @_workload("workflow")
-def _run_workflow(params: Dict[str, Any]) -> Dict[str, Any]:
+def _workflow_workload(params: Dict[str, Any]) -> Dict[str, Any]:
     """A declarative workflow run: a named preset (plus preset
     parameters), or ``spec`` = path to an exported spec file.  The
     footer carries the canonical journal digest, so replay equality

@@ -1,11 +1,12 @@
 """Declarative workflows: step registry, DAG engine, presets, fuzzing.
 
-The package replaces the hardcoded Python call sequences of
-:mod:`repro.lab.workflows` with a composable surface:
+The one definition of every experiment workflow in the repository — the
+campaign, Monte Carlo, latency, RAD, pipeline and trace workloads all
+run presets from here:
 
 - :mod:`repro.workflow.registry` — typed ``@step`` registration;
 - :mod:`repro.workflow.steps` — the built-in step library (every lab
-  primitive, call-convention-identical to the legacy scripts);
+  primitive, with the call conventions of the paper's scripts);
 - :mod:`repro.workflow.dag` — the success/failure-edge graph model and
   its canonical ``repro.workflow/v1`` spec serialization;
 - :mod:`repro.workflow.context` — declarative deck wiring;
@@ -13,8 +14,9 @@ The package replaces the hardcoded Python call sequences of
   the interceptor/monitor pipeline;
 - :mod:`repro.workflow.journal` — the canonical run journal (the
   byte-equality witness of the differential tests);
-- :mod:`repro.workflow.presets` — named, parameterized ports of every
-  legacy workflow plus the Bug A/B/C variants and the scenario matrix;
+- :mod:`repro.workflow.presets` — the named, parameterized workflows
+  (Fig. 1(b) solubility, Fig. 5 testbed, ...) plus the Bug A/B/C
+  variants and the scenario matrix;
 - :mod:`repro.workflow.fuzz` — seeded random-DAG generation feeding
   ``faults.montecarlo``.
 

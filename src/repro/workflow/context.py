@@ -1,16 +1,15 @@
 """Deck wiring for workflow runs: one context, every registered lab.
 
 A workflow spec names its deck declaratively (``"deck": "testbed"``);
-:func:`build_context` turns that name into the same fully wired stack
-the hardcoded workflows used — deck, monitor, tracing proxies — so a
-DAG run drives the interceptor/monitor pipeline exactly like the legacy
-``build_*_workflow`` call sites.  ``monitored=False`` wires the proxies
-without a monitor (the fuzzer's ground-truth leg, same as the Monte
-Carlo sweep's unmonitored runs).
+:func:`build_context` turns that name into the fully wired stack —
+deck, monitor, tracing proxies — through each lab's ``make_*_rabit``
+entry point, so a DAG run drives the interceptor/monitor pipeline
+exactly like a hand-wired deck.  ``monitored=False`` wires the proxies
+without a monitor (the ground-truth leg of the Monte Carlo and fuzz
+sweeps, and the §II-C latency baseline).
 
 Vial preparation is declarative too (``"prepare"`` entries), and runs
-*before* the monitor attaches so seeded tracked state matches — the
-exact ordering the legacy scenario/workload preparers relied on.
+*before* the monitor attaches so seeded tracked state matches.
 """
 
 from __future__ import annotations
@@ -62,12 +61,7 @@ def _build_hein(params: Mapping[str, Any]) -> Any:
 def _make_hein(deck: Any, options: RabitOptions, clock: Optional[VirtualClock]):
     from repro.lab.hein import make_hein_rabit
 
-    return make_hein_rabit(
-        deck,
-        options=options,
-        use_extended_simulator=options.use_extended_simulator,
-        clock=clock,
-    )
+    return make_hein_rabit(deck, options=options, clock=clock)
 
 
 def _build_testbed(params: Mapping[str, Any]) -> Any:
@@ -78,14 +72,16 @@ def _build_testbed(params: Mapping[str, Any]) -> Any:
     return build_testbed_deck(**merged)
 
 
-def _make_testbed(deck: Any, options: RabitOptions, clock: Optional[VirtualClock]):
+def _make_testbed(
+    deck: Any,
+    options: RabitOptions,
+    clock: Optional[VirtualClock],
+    exclude_rules: Tuple[str, ...] = (),
+):
     from repro.testbed.deck import make_testbed_rabit
 
     return make_testbed_rabit(
-        deck,
-        options=options,
-        use_extended_simulator=options.use_extended_simulator,
-        clock=clock,
+        deck, options=options, clock=clock, exclude_rules=exclude_rules
     )
 
 
@@ -112,25 +108,14 @@ def _build_berlinguette(params: Mapping[str, Any]) -> Any:
 def _make_berlinguette(deck: Any, options: RabitOptions, clock: Optional[VirtualClock]):
     from repro.lab.berlinguette import make_berlinguette_rabit
 
-    return make_berlinguette_rabit(
-        deck,
-        options=options,
-        use_extended_simulator=options.use_extended_simulator,
-        clock=clock,
-    )
+    return make_berlinguette_rabit(deck, options=options, clock=clock)
 
 
 #: name -> (deck builder, monitor wiring).  The builder receives the
-#: spec's ``deck_params``; the wiring mirrors the legacy ``make_*_rabit``
-#: call sites exactly (testbed defaults to the 0.003 actuation noise the
-#: hardcoded workloads always used).
-DECKS: Dict[
-    str,
-    Tuple[
-        Callable[[Mapping[str, Any]], Any],
-        Callable[[Any, RabitOptions, Optional[VirtualClock]], Any],
-    ],
-] = {
+#: spec's ``deck_params``; the wiring is the lab's ``make_*_rabit``
+#: (testbed defaults to the 0.003 actuation noise every testbed run
+#: uses; only the testbed wiring takes rule exclusions).
+DECKS: Dict[str, Tuple[Callable[[Mapping[str, Any]], Any], Callable[..., Any]]] = {
     "hein": (_build_hein, _make_hein),
     "testbed": (_build_testbed, _make_testbed),
     "two_door": (_build_two_door, _make_two_door),
@@ -147,8 +132,8 @@ def _apply_prepare(deck: Any, prepare: Sequence[Mapping[str, Any]]) -> None:
     """Apply declarative vial preparation entries to *deck*.
 
     Each entry: ``{"vial": name, "solid_mg"?: float, "liquid_ml"?: float,
-    "stoppered"?: bool}`` — the same knobs the legacy preparers poked by
-    hand (e.g. the centrifuge workload's pre-filled, decapped vial).
+    "stoppered"?: bool}`` — e.g. the centrifuge leg's pre-filled,
+    decapped vial.
     """
     for entry in prepare:
         entry = dict(entry)
@@ -181,23 +166,28 @@ def build_context(
     options: Optional[RabitOptions] = None,
     clock: Optional[VirtualClock] = None,
     monitored: bool = True,
+    exclude_rules: Sequence[str] = (),
 ) -> WorkflowContext:
     """Build and wire deck *deck*; returns the run-ready context.
 
     With ``monitored=False`` the proxies trace but never consult a
     monitor — the ground-truth configuration of the fuzz campaign and
-    the §II-C latency baseline.
+    the §II-C latency baseline.  ``exclude_rules`` drops rules by id
+    (the rule-knockout ablation; testbed deck only).
     """
     try:
         build, make = DECKS[deck]
     except KeyError:
         raise ValueError(f"unknown deck {deck!r}; known: {deck_names()}") from None
+    if exclude_rules and deck != "testbed":
+        raise ValueError(f"deck {deck!r} does not take rule exclusions")
     params = dict(deck_params or {})
     the_deck = build(params)
     _apply_prepare(the_deck, prepare)
     if monitored:
+        wiring = {"exclude_rules": tuple(exclude_rules)} if exclude_rules else {}
         rabit, proxies, trace = make(
-            the_deck, options or RabitOptions.modified(), clock
+            the_deck, options or RabitOptions.modified(), clock, **wiring
         )
         return WorkflowContext(
             deck_name=deck,

@@ -4,8 +4,8 @@ The graph model follows eNMS's workflow graphs: every edge is labelled
 with the *outcome* it follows — ``success`` (the step ran clean) or
 ``failure`` (RABIT stopped it, or the device faulted) — and the executor
 walks exactly one edge per node, so a workflow with no failure edges
-behaves exactly like the legacy linear scripts (first fault ends the
-run), while a failure edge turns a fault into a declared recovery path.
+behaves like a linear script (first fault ends the run), while a
+failure edge turns a fault into a declared recovery path.
 
 A DAG serializes to a self-contained canonical spec
 (``repro.workflow/v1``): deck name + deck parameters + declarative vial
@@ -14,9 +14,10 @@ identity, and the canonical bytes (shared :mod:`repro.trace.canon`
 serialization) are the diff/export witness.
 
 Surgery helpers (:meth:`WorkflowDAG.drop`, :meth:`WorkflowDAG.
-insert_after`) mirror the fault injector's ``DeleteLine``/``InsertAfter``
-mutations at node granularity, which is how the Bug A/B/C presets are
-expressed as edits of the safe Fig. 5 preset.
+insert_after`, :meth:`WorkflowDAG.swap`) are what the fault injector's
+``DeleteLine``/``InsertAfter``/``ReplaceLine``/``SwapLines`` mutations
+apply at node granularity, and how the Bug A/B/C presets are expressed
+as edits of the safe Fig. 5 preset.
 """
 
 from __future__ import annotations
@@ -100,7 +101,7 @@ class WorkflowDAG:
 
     def then(self, node_id: str, step: str, **params: Any) -> str:
         """Add a node chained by a success edge from the last one added —
-        the builder idiom for porting the linear legacy scripts."""
+        the builder idiom for linear scripts."""
         previous = self._tail
         self.add_node(node_id, step, params)
         if previous is not None:
@@ -171,6 +172,20 @@ class WorkflowDAG:
             self._tail = node_id
         return node_id
 
+    def swap(self, first: str, second: str) -> None:
+        """Exchange two nodes' places — the ``SwapLines`` analogue: the
+        two ids trade places in every edge and in the entry."""
+        for node_id in (first, second):
+            if node_id not in self.nodes:
+                raise WorkflowError(f"cannot swap unknown node {node_id!r}")
+        trade = {first: second, second: first}
+        self.edges = [
+            WorkflowEdge(trade.get(e.src, e.src), trade.get(e.dst, e.dst), e.on)
+            for e in self.edges
+        ]
+        self.entry = trade.get(self.entry, self.entry)
+        self._tail = trade.get(self._tail, self._tail)
+
     # -- validation ----------------------------------------------------
 
     def validate(self, registry: StepRegistry = REGISTRY) -> None:
@@ -207,27 +222,28 @@ class WorkflowDAG:
         self._check_acyclic_and_reachable()
 
     def _check_acyclic_and_reachable(self) -> None:
-        """DFS from the entry: no cycles (executor totality) and no
-        orphan nodes (a spec should not carry dead weight silently)."""
+        """Iterative DFS from the entry: no cycles (executor totality) and
+        no orphan nodes (a spec should not carry dead weight silently).
+        Iterative so a long linear spec cannot exhaust the call stack."""
         out: Dict[str, List[str]] = {}
         for edge in self.edges:
             out.setdefault(edge.src, []).append(edge.dst)
-        seen: Dict[str, int] = {}  # 1 = on stack, 2 = done
-
-        def visit(node_id: str, path: List[str]) -> None:
-            state = seen.get(node_id)
-            if state == 1:
-                cycle = " -> ".join(path + [node_id])
-                raise WorkflowError(f"workflow {self.name!r} has a cycle: {cycle}")
-            if state == 2:
-                return
-            seen[node_id] = 1
-            for nxt in out.get(node_id, []):
-                visit(nxt, path + [node_id])
-            seen[node_id] = 2
-
         assert self.entry is not None
-        visit(self.entry, [])
+        seen: Dict[str, int] = {self.entry: 1}  # 1 = on the path, 2 = done
+        path = [self.entry]
+        pending = [iter(out.get(self.entry, ()))]
+        while pending:
+            nxt = next(pending[-1], None)
+            if nxt is None:
+                seen[path.pop()] = 2
+                pending.pop()
+            elif seen.get(nxt) == 1:
+                cycle = " -> ".join(path + [nxt])
+                raise WorkflowError(f"workflow {self.name!r} has a cycle: {cycle}")
+            elif nxt not in seen:
+                seen[nxt] = 1
+                path.append(nxt)
+                pending.append(iter(out.get(nxt, ())))
         orphans = sorted(set(self.nodes) - set(seen))
         if orphans:
             raise WorkflowError(
@@ -264,6 +280,10 @@ class WorkflowDAG:
     @classmethod
     def from_spec(cls, spec: Mapping[str, Any]) -> "WorkflowDAG":
         """Rebuild a DAG from a spec dict; strict on schema and shape."""
+        if not isinstance(spec, Mapping):
+            raise WorkflowError(
+                f"a workflow spec must be a JSON object, got {type(spec).__name__}"
+            )
         schema = spec.get("schema")
         if schema != SCHEMA:
             raise WorkflowError(
@@ -277,8 +297,11 @@ class WorkflowDAG:
             prepare=list(spec.get("prepare") or []),
         )
         for node in spec.get("nodes") or []:
+            params = node.get("params") if isinstance(node, Mapping) else None
+            if params is not None and not isinstance(params, Mapping):
+                raise WorkflowError(f"node params must be an object: {node!r}")
             try:
-                dag.add_node(str(node["id"]), str(node["step"]), node.get("params"))
+                dag.add_node(str(node["id"]), str(node["step"]), params)
             except (KeyError, TypeError):
                 raise WorkflowError(f"malformed node entry: {node!r}") from None
         for edge in spec.get("edges") or []:

@@ -1,14 +1,13 @@
 """The deterministic DAG executor.
 
 Drives a validated :class:`~repro.workflow.dag.WorkflowDAG` through the
-interceptor/monitor pipeline exactly like the legacy
-:func:`~repro.lab.workflows.run_workflow` loop drove script lines: every
-step issues guarded proxy calls, a :class:`SafetyViolation` is a RABIT
-stop, an :class:`UnreachableTargetError` is a device fault.  The only
-new control flow is the outcome edge: a node with a ``failure`` edge
-turns a fault into a declared recovery jump (``recovered`` is flagged
-and the *first* alert retained); without one, the run ends on the fault
-— byte-for-byte the legacy semantics for the ported linear presets.
+interceptor/monitor pipeline one script statement per node: every step
+issues guarded proxy calls, a :class:`SafetyViolation` is a RABIT stop,
+an :class:`UnreachableTargetError` is a device fault (the Ned2
+behaviour on unplannable trajectories), and any other exception
+propagates.  A node with a ``failure`` edge turns a fault into a
+declared recovery jump (``recovered`` is flagged and the *first* alert
+retained); without one, the run ends on the fault.
 
 Determinism: the executor adds no randomness and no wall-clock reads;
 given the same DAG, registry, and context wiring it issues the identical
@@ -34,8 +33,7 @@ __all__ = ["WorkflowRunResult", "execute_dag"]
 
 @dataclass
 class WorkflowRunResult:
-    """Outcome of one DAG execution (the legacy ``WorkflowResult`` shape
-    plus the recovery flag)."""
+    """Outcome of one DAG execution."""
 
     completed: bool
     executed_nodes: List[str] = field(default_factory=list)
@@ -65,8 +63,7 @@ def execute_dag(
 
     Validates the whole graph (structure + step bindings) before the
     first command, so a malformed workflow never half-runs.  Node ids
-    are appended to ``executed_nodes`` only after the step succeeds —
-    the same convention as the legacy ``executed_lines``.
+    are appended to ``executed_nodes`` only after the step succeeds.
     """
     dag.validate(registry)
     executed: List[str] = []

@@ -1,7 +1,7 @@
 """Seeded random-DAG generation: workflow-shaped fault injection.
 
-Where :mod:`repro.faults.montecarlo` mutates the one hardcoded Fig. 5
-script, the fuzzer *composes* whole workflows from the step vocabulary —
+Where :mod:`repro.faults.montecarlo` mutates the one Fig. 5 preset,
+the fuzzer *composes* whole workflows from the step vocabulary —
 random move/pick/door/dose sequences over the testbed deck, optionally
 with failure-edge recovery tails — and scores RABIT against unmonitored
 ground truth with the same confusion-matrix machinery

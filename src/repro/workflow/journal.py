@@ -7,10 +7,10 @@ ids, and the outcome footer.  Serialized through the shared
 :mod:`repro.trace.canon` witness, two runs did the same thing iff their
 journal bytes agree.
 
-This is the equality witness of the differential preset tests (legacy
-hardcoded function vs. registry preset) and of the export→load→run
-round-trip: both legs render through the same functions, so the
-comparison is exact, not structural.
+This is the equality witness of the preset tests (each preset's journal
+digest is pinned) and of the export→load→run round-trip: both legs
+render through the same functions, so the comparison is exact, not
+structural.
 """
 
 from __future__ import annotations
@@ -81,8 +81,7 @@ def run_journal(
     device_error: Optional[str] = None,
     recovered: bool = False,
 ) -> Dict[str, Any]:
-    """The full journal dict for one run (legacy or DAG — both legs of
-    the differential tests call this with their own result fields)."""
+    """The full journal dict for one run."""
     return {
         "schema": JOURNAL_SCHEMA,
         "commands": [command_entry(r) for r in records],

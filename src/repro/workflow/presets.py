@@ -1,4 +1,4 @@
-"""Named workflow presets: every legacy hardcoded workflow, declaratively.
+"""Named workflow presets: every experiment workflow, declaratively.
 
 A *preset* is a parameterized builder that emits a
 :class:`~repro.workflow.dag.WorkflowDAG` — the percell3
@@ -6,13 +6,13 @@ A *preset* is a parameterized builder that emits a
 (signature introspection), so ``--param`` values are validated before a
 DAG is built.
 
-Every port is pinned **byte-identical** to its legacy function by the
-differential journal suite (``tests/test_workflow_presets.py``): same
-node ids as the legacy line ids, same commands with the same
-positional/keyword conventions, same virtual-clock timestamps.  The Bug
-A/B/C presets are expressed as DAG surgery on the safe Fig. 5 preset —
+Every preset is pinned to journal digests recorded from the deleted
+hardcoded builders (``tests/test_workflow_presets.py``): same node ids
+as their script line ids, same commands with the same positional/
+keyword conventions, same virtual-clock timestamps.  The Bug A/B/C
+presets are expressed as DAG surgery on the safe Fig. 5 preset —
 exactly the ``DeleteLine``/``InsertAfter`` edits the §IV campaign
-injects — and are pinned against ``apply_mutations`` the same way.
+injects — and are pinned the same way.
 """
 
 from __future__ import annotations

@@ -3,10 +3,10 @@
 A *step* is the unit a declarative workflow composes: a registered
 function that receives a :class:`~repro.workflow.context.WorkflowContext`
 plus keyword parameters and issues one script statement's worth of
-guarded device commands.  Steps are exactly the granularity of the
-legacy :class:`~repro.lab.workflows.ScriptLine` — one step execution is
-one script line, whether it issues a single raw command (``move``) or a
-Fig. 5 composite helper's five (``pick_up_object``).
+guarded device commands.  One step execution is one script line,
+whether it issues a single raw command (``move``) or a Fig. 5
+composite helper's five (``pick_up_object``) — the granularity the
+fault injector mutates.
 
 Each step's parameters are *typed* and introspected from the function
 signature at registration time, so a workflow spec is validated before

@@ -1,11 +1,11 @@
 """The built-in step library: every lab primitive as a registered step.
 
 Each step wraps one script statement's worth of guarded device commands
-— the exact call the legacy hardcoded workflows issued, with the exact
-positional/keyword convention, because :class:`~repro.core.interceptor.
-CommandRecord` captures positional arguments only and the differential
-journal tests pin the preset ports byte-identical to the legacy
-functions.  (``run_action(delay=3, quantity=5)`` stays keyword-form;
+with the exact positional/keyword convention of the paper's scripts,
+because :class:`~repro.core.interceptor.CommandRecord` captures
+positional arguments only and the presets are pinned to journal digests
+recorded from the deleted hardcoded builders.
+(``run_action(delay=3, quantity=5)`` stays keyword-form;
 ``set_door("state", "open")`` stays positional.)
 
 Two tiers:
@@ -13,8 +13,8 @@ Two tiers:
 - **raw** steps issue a single device command (``move``, ``dose_solid``);
 - **composite** steps reproduce the Fig. 5 script-level helpers
   (``pick_up_object`` et al.), which decompose into several individually
-  traced commands — one step still equals one legacy script line, so DAG
-  node surgery (drop/insert) lands at the same granularity the fault
+  traced commands — one step still equals one script line, so DAG node
+  surgery (drop/insert/swap) lands at the granularity the fault
   injector mutates.
 """
 

@@ -186,7 +186,7 @@ class TestMutantCorpusDifferential:
             outcomes[mode] = (
                 description,
                 result.completed,
-                tuple(result.executed_lines),
+                tuple(result.executed_nodes),
                 str(result.alert) if result.alert else None,
                 result.device_error,
                 result.stopped_by_rabit,

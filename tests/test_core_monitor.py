@@ -104,7 +104,8 @@ class TestLatencyAccounting:
 
     def test_gui_charged_only_with_simulator(self):
         deck = build_hein_deck()
-        rabit, proxies, _ = make_hein_rabit(deck, use_extended_simulator=True)
+        options = RabitOptions.modified(use_extended_simulator=True)
+        rabit, proxies, _ = make_hein_rabit(deck, options=options)
         proxies["dosing_device"].open_door()
         assert rabit.clock.spent("rabit_simulator_gui") >= 2.0
 
@@ -116,7 +117,7 @@ class TestLatencyAccounting:
     def test_gui_bypass(self):
         deck = build_hein_deck()
         options = RabitOptions.modified(use_extended_simulator=True, bypass_gui=True)
-        rabit, proxies, _ = make_hein_rabit(deck, options=options, use_extended_simulator=True)
+        rabit, proxies, _ = make_hein_rabit(deck, options=options)
         proxies["dosing_device"].open_door()
         assert rabit.clock.spent("rabit_simulator_gui") == 0.0
 

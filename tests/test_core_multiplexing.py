@@ -5,7 +5,6 @@ import pytest
 from repro.core.errors import SafetyViolation
 from repro.core.multiplexing import SpaceMultiplexer, TimeMultiplexer
 from repro.geometry.walls import SoftwareWall
-from repro.lab.workflows import build_testbed_workflow, run_workflow
 from repro.testbed.deck import (
     attach_space_multiplexing,
     attach_time_multiplexing,
@@ -73,11 +72,13 @@ class TestTimeMultiplexing:
             TimeMultiplexer(rabit, {"kuka": {}})
 
     def test_safe_workflow_unaffected(self):
-        deck = build_testbed_deck(noise_sigma=0.003)
-        rabit, proxies, _ = make_testbed_rabit(deck)
-        attach_time_multiplexing(rabit, deck)
-        result = run_workflow(build_testbed_workflow(proxies))
-        assert result.completed and rabit.alert_count == 0
+        from repro.workflow import build_context, build_preset, execute_dag
+
+        dag = build_preset("testbed_fig5")
+        ctx = build_context(dag.deck, dag.deck_params, dag.prepare)
+        attach_time_multiplexing(ctx.rabit, ctx.deck)
+        result = execute_dag(dag, ctx)
+        assert result.completed and ctx.rabit.alert_count == 0
 
 
 class TestSpaceMultiplexing:

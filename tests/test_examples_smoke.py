@@ -42,3 +42,23 @@ class TestFastExamples:
         assert "completed: True" in out
         assert "RABIT alerts: 0" in out
         assert "5 mg solid" in out
+
+    def test_multi_robot(self):
+        out = run_example("multi_robot.py")
+        assert "plain RABIT: NOT DETECTED" in out
+        assert "attach_time_multiplexing: PREVENTED" in out
+        assert "attach_space_multiplexing: PREVENTED" in out
+        assert "[G3]" in out  # the software wall
+
+    def test_three_stage_validation(self):
+        out = run_example("three_stage_validation.py")
+        assert "promoted to production: True" in out
+        assert "simulator: REJECTED" in out
+        assert "rejected at: simulator, risk exposure: 0" in out
+
+    def test_adapt_new_lab(self):
+        out = run_example("adapt_new_lab.py")
+        assert "config validation: 0 errors" in out
+        assert "spray-coating workflow: completed=True, alerts=0" in out
+        assert "headline custom rule recovered:" in out
+        assert "'start_dosing' on a dosing system must precede 'dose_liquid'" in out

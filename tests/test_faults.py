@@ -22,36 +22,73 @@ from repro.faults.mutation import (
     SwapLines,
     apply_mutations,
 )
-from repro.lab.workflows import ScriptLine
+from repro.workflow import WorkflowDAG, WorkflowError, WorkflowNode
 
 
-def lines(*ids):
-    return [ScriptLine(i, i, lambda: None) for i in ids]
+def dag(*ids):
+    """A linear DAG of stub nodes (surgery never looks at the steps)."""
+    script = WorkflowDAG("script")
+    for node_id in ids:
+        script.then(node_id, "stub")
+    return script
+
+
+def order(script):
+    """Node ids in execution order along the success edges."""
+    ids, node = [], script.entry
+    while node is not None:
+        ids.append(node)
+        node = script.successor(node, "success")
+    return ids
+
+
+def node(node_id):
+    return WorkflowNode(node_id, "stub")
 
 
 class TestMutationOperators:
     def test_delete(self):
-        out = DeleteLine("b").apply_to_script(lines("a", "b", "c"))
-        assert [l.line_id for l in out] == ["a", "c"]
+        script = dag("a", "b", "c")
+        DeleteLine("b").apply_to_dag(script)
+        assert order(script) == ["a", "c"]
 
     def test_delete_unknown_raises(self):
-        with pytest.raises(KeyError, match="no script line"):
-            DeleteLine("zz").apply_to_script(lines("a"))
+        with pytest.raises(WorkflowError, match="unknown node 'zz'"):
+            DeleteLine("zz").apply_to_dag(dag("a"))
+
+    @pytest.mark.parametrize(
+        "mutation",
+        [
+            ReplaceLine("zz", (node("z2"),)),
+            InsertAfter("zz", (node("x"),)),
+            SwapLines("a", "zz"),
+        ],
+        ids=["replace", "insert", "swap"],
+    )
+    def test_other_operators_reject_unknown_nodes(self, mutation):
+        script = dag("a")
+        with pytest.raises(WorkflowError, match="unknown node 'zz'"):
+            mutation.apply_to_dag(script)
+        assert order(script) == ["a"]
 
     def test_replace(self):
-        out = ReplaceLine("b", ScriptLine("b2", "b2", lambda: None)).apply_to_script(
-            lines("a", "b", "c")
-        )
-        assert [l.line_id for l in out] == ["a", "b2", "c"]
+        script = dag("a", "b", "c")
+        ReplaceLine("b", (node("b2"),)).apply_to_dag(script)
+        assert order(script) == ["a", "b2", "c"]
+        ReplaceLine("a", (node("a2"), node("a3"))).apply_to_dag(script)
+        assert order(script) == ["a2", "a3", "b2", "c"]
 
     def test_insert_after(self):
-        new = (ScriptLine("x", "x", lambda: None), ScriptLine("y", "y", lambda: None))
-        out = InsertAfter("a", new).apply_to_script(lines("a", "b"))
-        assert [l.line_id for l in out] == ["a", "x", "y", "b"]
+        script = dag("a", "b")
+        InsertAfter("a", (node("x"), node("y"))).apply_to_dag(script)
+        assert order(script) == ["a", "x", "y", "b"]
 
     def test_swap(self):
-        out = SwapLines("a", "c").apply_to_script(lines("a", "b", "c"))
-        assert [l.line_id for l in out] == ["c", "b", "a"]
+        script = dag("a", "b", "c")
+        SwapLines("a", "c").apply_to_dag(script)
+        assert order(script) == ["c", "b", "a"]
+        SwapLines("b", "a").apply_to_dag(script)
+        assert order(script) == ["c", "a", "b"]
 
     def test_mutate_location_edits_deck(self):
         from repro.testbed.deck import build_testbed_deck
@@ -67,9 +104,9 @@ class TestMutationOperators:
 
         deck = build_testbed_deck()
         out = apply_mutations(
-            lines("a", "b", "c"), deck.world, [DeleteLine("a"), SwapLines("b", "c")]
+            dag("a", "b", "c"), deck.world, [DeleteLine("a"), SwapLines("b", "c")]
         )
-        assert [l.line_id for l in out] == ["c", "b"]
+        assert order(out) == ["c", "b"]
 
 
 class TestCampaignInventory:

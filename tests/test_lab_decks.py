@@ -7,20 +7,14 @@ import pytest
 from repro.core.config import validate_config
 from repro.core.monitor import RabitOptions
 from repro.devices.base import DeviceKind
-from repro.lab.berlinguette import (
-    build_berlinguette_deck,
-    build_spray_coating_workflow,
-    make_berlinguette_rabit,
-)
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.berlinguette import build_berlinguette_deck, make_berlinguette_rabit
+from repro.lab.hein import build_hein_deck
 from repro.lab.stage import STAGE_PROFILES, Stage
-from repro.lab.workflows import (
-    build_centrifuge_workflow,
-    build_solubility_workflow,
-    build_testbed_workflow,
-    run_workflow,
-)
-from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
+from repro.workflow import build_context, build_preset, execute_dag, run_preset
+
+
+def es_options(use_es):
+    return RabitOptions.modified(use_extended_simulator=use_es)
 
 
 class TestHeinDeck:
@@ -42,59 +36,44 @@ class TestHeinDeck:
 
     @pytest.mark.parametrize("use_es", [False, True], ids=["plain", "with-es"])
     def test_safe_solubility_run_has_zero_false_positives(self, use_es):
-        deck = build_hein_deck()
-        rabit, proxies, _ = make_hein_rabit(deck, use_extended_simulator=use_es)
-        result = run_workflow(build_solubility_workflow(proxies))
+        _, ctx, result = run_preset("solubility", options=es_options(use_es))
         assert result.completed
-        assert rabit.alert_count == 0
-        assert deck.world.damage_log == ()
+        assert ctx.rabit.alert_count == 0
+        assert ctx.world.damage_log == ()
 
     def test_safe_run_chemistry(self):
-        deck = build_hein_deck()
-        _, proxies, _ = make_hein_rabit(deck)
-        run_workflow(build_solubility_workflow(proxies, amount_mg=5, initial_solvent_ml=4, dissolution_rounds=2))
-        vial = deck.vials["vial_1"]
+        params = {"amount_mg": 5, "initial_solvent_ml": 4, "dissolution_rounds": 2}
+        _, ctx, _ = run_preset("solubility", params)
+        vial = ctx.deck.vials["vial_1"]
         assert vial.contents.solid_mg == pytest.approx(5.0)
         assert vial.contents.liquid_ml == pytest.approx(8.0)  # 4 + 2 + 2
         assert vial.resting_at == "grid_a1"
         assert vial.stoppered and not vial.broken
 
     def test_safe_run_under_initial_revision_also_clean(self):
-        deck = build_hein_deck()
-        rabit, proxies, _ = make_hein_rabit(deck, options=RabitOptions.initial())
-        result = run_workflow(build_solubility_workflow(proxies))
-        assert result.completed and rabit.alert_count == 0
+        _, ctx, result = run_preset("solubility", options=RabitOptions.initial())
+        assert result.completed and ctx.rabit.alert_count == 0
 
 
 class TestTestbedWorkflows:
     @pytest.mark.parametrize("use_es", [False, True], ids=["plain", "with-es"])
     def test_fig5_workflow_zero_false_positives(self, use_es):
-        deck = build_testbed_deck(noise_sigma=0.003)
-        rabit, proxies, _ = make_testbed_rabit(deck, use_extended_simulator=use_es)
-        result = run_workflow(build_testbed_workflow(proxies))
+        _, ctx, result = run_preset("testbed_fig5", options=es_options(use_es))
         assert result.completed
-        assert rabit.alert_count == 0
-        assert deck.world.damage_log == ()
+        assert ctx.rabit.alert_count == 0
+        assert ctx.world.damage_log == ()
 
     def test_fig5_dosing_outcome(self):
-        deck = build_testbed_deck(noise_sigma=0.003)
-        _, proxies, _ = make_testbed_rabit(deck)
-        run_workflow(build_testbed_workflow(proxies))
-        vial = deck.vials["vial_t1"]
+        _, ctx, _ = run_preset("testbed_fig5")
+        vial = ctx.deck.vials["vial_t1"]
         assert vial.contents.solid_mg == pytest.approx(5.0)
         assert vial.resting_at == "grid_nw_viperx"
 
     @pytest.mark.parametrize("use_es", [False, True], ids=["plain", "with-es"])
     def test_centrifuge_leg_zero_false_positives(self, use_es):
-        deck = build_testbed_deck(noise_sigma=0.003)
-        vial = deck.vials["vial_t1"]
-        vial.decap_vial()
-        vial.contents.solid_mg = 5.0
-        vial.contents.liquid_ml = 5.0
-        rabit, proxies, _ = make_testbed_rabit(deck, use_extended_simulator=use_es)
-        result = run_workflow(build_centrifuge_workflow(proxies))
-        assert result.completed and rabit.alert_count == 0
-        assert deck.world.damage_log == ()
+        _, ctx, result = run_preset("centrifuge", options=es_options(use_es))
+        assert result.completed and ctx.rabit.alert_count == 0
+        assert ctx.world.damage_log == ()
 
 
 class TestBerlinguette:
@@ -113,14 +92,10 @@ class TestBerlinguette:
 
     @pytest.mark.parametrize("solvent_only", [False, True], ids=["full", "solvent-only"])
     def test_spray_coating_clean_under_general_rules(self, solvent_only):
-        deck = build_berlinguette_deck()
-        rabit, proxies, _ = make_berlinguette_rabit(deck)
-        result = run_workflow(
-            build_spray_coating_workflow(proxies, solvent_only=solvent_only)
-        )
-        assert result.completed and rabit.alert_count == 0
+        _, ctx, result = run_preset("spray_coating", {"solvent_only": solvent_only})
+        assert result.completed and ctx.rabit.alert_count == 0
         # Solvent-only runs waste nothing worse than low-severity events.
-        assert all(d.severity.value == "low" for d in deck.world.damage_log)
+        assert all(d.severity.value == "low" for d in ctx.world.damage_log)
 
     def test_general_rules_still_fire(self):
         from repro.core.errors import SafetyViolation
@@ -178,43 +153,25 @@ class TestCrystallizationWorkflow:
 
     @pytest.mark.parametrize("use_es", [False, True], ids=["plain", "with-es"])
     def test_zero_false_positives(self, use_es):
-        from repro.lab.workflows import build_crystallization_workflow
-
-        deck = build_hein_deck()
-        rabit, proxies, _ = make_hein_rabit(deck, use_extended_simulator=use_es)
-        result = run_workflow(build_crystallization_workflow(proxies))
-        assert result.completed and rabit.alert_count == 0
-        assert deck.world.damage_log == ()
+        _, ctx, result = run_preset("crystallization", options=es_options(use_es))
+        assert result.completed and ctx.rabit.alert_count == 0
+        assert ctx.world.damage_log == ()
 
     def test_chemistry_and_final_state(self):
-        from repro.lab.workflows import build_crystallization_workflow
-
-        deck = build_hein_deck()
-        _, proxies, _ = make_hein_rabit(deck)
-        run_workflow(build_crystallization_workflow(proxies, amount_mg=4, solvent_ml=3))
-        vial = deck.vials["vial_2"]
+        _, ctx, _ = run_preset("crystallization", {"amount_mg": 4, "solvent_ml": 3})
+        vial = ctx.deck.vials["vial_2"]
         assert vial.contents.solid_mg == pytest.approx(4.0)
         assert vial.contents.liquid_ml == pytest.approx(3.0)
         assert vial.resting_at == "grid_a2" and vial.stoppered
 
     def test_back_to_back_with_solubility_run(self):
-        from repro.lab.workflows import build_crystallization_workflow
-
-        deck = build_hein_deck()
-        rabit, proxies, _ = make_hein_rabit(deck)
-        assert run_workflow(build_solubility_workflow(proxies)).completed
-        assert run_workflow(build_crystallization_workflow(proxies)).completed
-        assert rabit.alert_count == 0
-        assert deck.world.damage_log == ()
+        ctx = build_context("hein")
+        assert execute_dag(build_preset("solubility"), ctx).completed
+        assert execute_dag(build_preset("crystallization"), ctx).completed
+        assert ctx.rabit.alert_count == 0
+        assert ctx.world.damage_log == ()
 
     def test_shaker_overspeed_is_vetoed(self):
-        from repro.core.errors import SafetyViolation
-        from repro.lab.workflows import build_crystallization_workflow
-
-        deck = build_hein_deck()
-        rabit, proxies, _ = make_hein_rabit(deck)
-        result = run_workflow(
-            build_crystallization_workflow(proxies, shake_rpm=2000.0)  # > 1500
-        )
+        _, _, result = run_preset("crystallization", {"shake_rpm": 2000.0})  # > 1500
         assert result.stopped_by_rabit
         assert result.alert.rule_id == "G11"

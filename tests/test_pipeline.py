@@ -4,7 +4,7 @@ import pytest
 
 from repro.lab.pipeline import ThreeStageValidator
 from repro.lab.stage import Stage
-from repro.lab.workflows import build_solubility_workflow
+from repro.workflow import build_preset
 
 
 def mutate_dosing_pickup_too_low(deck):
@@ -16,7 +16,7 @@ def mutate_dosing_pickup_too_low(deck):
 class TestSafeWorkflowClimbs:
     @pytest.fixture(scope="class")
     def pipeline(self):
-        return ThreeStageValidator().validate(build_solubility_workflow)
+        return ThreeStageValidator().validate(build_preset("solubility"))
 
     def test_promoted_through_all_stages(self, pipeline):
         assert pipeline.promoted_to_production
@@ -35,7 +35,7 @@ class TestDefectiveWorkflowStopsEarly:
     @pytest.fixture(scope="class")
     def pipeline(self):
         return ThreeStageValidator().validate(
-            build_solubility_workflow, mutate_deck=mutate_dosing_pickup_too_low
+            build_preset("solubility"), mutate_deck=mutate_dosing_pickup_too_low
         )
 
     def test_rejected_at_the_simulator_stage(self, pipeline):
@@ -57,7 +57,11 @@ class TestDefectiveWorkflowStopsEarly:
 class TestStageSubsets:
     def test_production_only_run(self):
         pipeline = ThreeStageValidator(stages=(Stage.PRODUCTION,)).validate(
-            build_solubility_workflow
+            build_preset("solubility")
         )
         assert pipeline.promoted_to_production
         assert len(pipeline.outcomes) == 1
+
+    def test_rejects_a_workflow_for_another_deck(self):
+        with pytest.raises(ValueError, match="Hein deck"):
+            ThreeStageValidator().validate(build_preset("testbed_fig5"))

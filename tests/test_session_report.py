@@ -5,16 +5,14 @@ import pytest
 from repro.analysis.session_report import render_session_report, summarize_session
 from repro.core.errors import SafetyViolation
 from repro.lab.hein import build_hein_deck, make_hein_rabit
-from repro.lab.workflows import build_solubility_workflow, run_workflow
+from repro.workflow import run_preset
 
 
 class TestCleanSession:
     @pytest.fixture(scope="class")
     def clean_run(self):
-        deck = build_hein_deck()
-        rabit, proxies, trace = make_hein_rabit(deck)
-        run_workflow(build_solubility_workflow(proxies))
-        return deck, rabit, trace
+        _, ctx, _ = run_preset("solubility")
+        return ctx.deck, ctx.rabit, ctx.trace
 
     def test_summary_numbers(self, clean_run):
         deck, rabit, trace = clean_run

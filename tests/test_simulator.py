@@ -285,7 +285,8 @@ class TestPlanSharing:
 
     def test_noisy_arm_plans_its_own_noisy_target(self, monkeypatch):
         deck = build_testbed_deck(noise_sigma=0.002)
-        rabit, proxies, _ = make_testbed_rabit(deck, use_extended_simulator=True)
+        options = RabitOptions.modified(use_extended_simulator=True)
+        rabit, proxies, _ = make_testbed_rabit(deck, options=options)
         planned, executed = self._record(monkeypatch, deck.viperx.kinematics)
         proxies["viperx"].move_to_location("grid_nw_viperx_safe")
         assert len(planned) == 2
@@ -299,7 +300,8 @@ class TestSilentSkipScenario:
         """Footnote 2 end-to-end: B' silently skipped, A->C sweeps into
         the thermoshaker mockup; only the Extended Simulator notices."""
         deck = build_testbed_deck()
-        rabit, proxies, _ = make_testbed_rabit(deck, use_extended_simulator=True)
+        options = RabitOptions.modified(use_extended_simulator=True)
+        rabit, proxies, _ = make_testbed_rabit(deck, options=options)
         viperx = proxies["viperx"]
         viperx.move_to_location("grid_nw_viperx_safe")  # A
         viperx.move_to_location([0.62, -0.38, 0.35])  # B': skipped silently
@@ -309,7 +311,7 @@ class TestSilentSkipScenario:
 
     def test_without_es_the_same_sequence_is_missed(self):
         deck = build_testbed_deck()
-        rabit, proxies, _ = make_testbed_rabit(deck, use_extended_simulator=False)
+        rabit, proxies, _ = make_testbed_rabit(deck)
         viperx = proxies["viperx"]
         viperx.move_to_location("grid_nw_viperx_safe")
         viperx.move_to_location([0.62, -0.38, 0.35])

@@ -208,6 +208,31 @@ class TestDag:
         with pytest.raises(WorkflowError, match="unknown node"):
             dag.insert_after("zzz", "y", "note")
 
+    def test_swap_trades_places_in_edges_and_entry(self):
+        dag = linear_dag()
+        dag.edge("b", "a", on="failure")
+        dag.swap("a", "b")
+        assert dag.entry == "b"
+        assert dag.successor("b", "success") == "a"
+        assert dag.successor("a", "success") == "c"
+        assert dag.successor("a", "failure") == "b"  # edges move, not nodes
+        dag.then("d", "note", tag="d")
+        dag.swap("d", "b")  # the tail moves too: later nodes chain from it
+        dag.then("e", "note", tag="e")
+        assert dag.successor("b", "success") == "e"
+        with pytest.raises(WorkflowError, match="unknown node"):
+            dag.swap("a", "zzz")
+
+    def test_validate_walks_a_deep_linear_dag(self):
+        reg = sandbox()
+        deep = WorkflowDAG("deep")
+        for index in range(5000):
+            deep.then(f"n{index}", "note", tag="x")
+        deep.validate(reg)  # no RecursionError
+        deep.edge("n4999", "n0")
+        with pytest.raises(WorkflowError, match="has a cycle: n0 -> n1 -> .* -> n4999 -> n0"):
+            deep.validate(reg)
+
     def test_validate_catches_structural_errors(self):
         reg = sandbox()
         empty = WorkflowDAG("empty")
@@ -264,6 +289,25 @@ class TestDag:
         spec = linear_dag().to_spec()
         spec["edges"].append({"from": "a"})  # missing "to"
         with pytest.raises(WorkflowError, match="malformed edge entry"):
+            WorkflowDAG.from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [[], "text", 7, None],
+        ids=["array", "string", "number", "null"],
+    )
+    def test_from_spec_rejects_a_non_object_spec(self, spec):
+        with pytest.raises(WorkflowError, match="must be a JSON object"):
+            WorkflowDAG.from_spec(spec)
+
+    @pytest.mark.parametrize("params", ["tag=a", ["a"], 3])
+    def test_from_spec_rejects_non_object_params(self, params):
+        spec = linear_dag().to_spec()
+        spec["nodes"][0]["params"] = params
+        with pytest.raises(WorkflowError, match="params must be an object"):
+            WorkflowDAG.from_spec(spec)
+        spec["nodes"][0] = "a"
+        with pytest.raises(WorkflowError, match="malformed node entry"):
             WorkflowDAG.from_spec(spec)
 
 

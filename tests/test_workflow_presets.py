@@ -1,43 +1,40 @@
-"""Differential suite: every legacy hardcoded workflow vs. its registry
-preset, pinned **byte-identical** at the journal level.
+"""Every workflow preset pinned to its recorded journal digest.
 
-Both legs render through :func:`repro.workflow.journal.run_journal` and
-compare via canonical bytes, so agreement means the same commands with
-the same positional args, the same virtual-clock timestamps, the same
-action labels and resolved locations, the same alerts, and the same
-executed line/node ids — not merely "similar outcomes".
+The digests in ``fixtures/preset_journal_digests.json`` are the sha256
+of the canonical journal of each hardcoded builder the presets replaced
+(recorded from the deleted builders, which matched these presets byte
+for byte).  A journal renders through
+:func:`repro.workflow.journal.run_journal`, so an unchanged digest
+means the same commands with the same positional args, the same
+virtual-clock timestamps, the same action labels and resolved
+locations, the same alerts, and the same executed node ids — not
+merely "similar outcomes".
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import pytest
 
-from repro.core.monitor import RabitOptions
-from repro.faults.mutation import DeleteLine, InsertAfter, apply_mutations
-from repro.lab.workflows import ScriptLine, run_workflow
 from repro.workflow import (
     PRESETS,
+    build_context,
     build_preset,
+    execute_dag,
     journal_bytes,
     preset_matrix,
     run_journal,
     run_preset,
 )
 
+DIGESTS = json.loads(
+    (Path(__file__).parent / "fixtures" / "preset_journal_digests.json").read_text()
+)
 
-def _legacy_bytes(trace, result) -> bytes:
+
+def _journal_bytes(ctx, result) -> bytes:
     return journal_bytes(
-        run_journal(
-            trace,
-            result.executed_lines,
-            result.completed,
-            result.alert,
-            result.device_error,
-        )
-    )
-
-
-def _preset_bytes(name, params=None):
-    dag, ctx, result = run_preset(name, params)
-    data = journal_bytes(
         run_journal(
             ctx.trace,
             result.executed_nodes,
@@ -47,7 +44,19 @@ def _preset_bytes(name, params=None):
             result.recovered,
         )
     )
-    return data, result
+
+
+def _check(case: str):
+    """Run the digest fixture's *case*; assert its journal digest."""
+    entry = DIGESTS[case]
+    _dag, ctx, result = run_preset(entry["preset"], entry["params"])
+    digest = hashlib.sha256(_journal_bytes(ctx, result)).hexdigest()
+    assert digest == entry["sha256"], case
+    return result
+
+
+def test_digest_fixture_covers_every_preset():
+    assert {entry["preset"] for entry in DIGESTS.values()} == set(PRESETS)
 
 
 # ---------------------------------------------------------------------------
@@ -55,54 +64,18 @@ def _preset_bytes(name, params=None):
 # ---------------------------------------------------------------------------
 
 
-def _hein_legacy(build_lines, **kwargs):
-    from repro.lab.hein import build_hein_deck, make_hein_rabit
-
-    deck = build_hein_deck()
-    _, proxies, trace = make_hein_rabit(deck, options=RabitOptions.modified())
-    result = run_workflow(build_lines(proxies, **kwargs))
-    return _legacy_bytes(trace, result), result
-
-
 class TestHeinPresets:
     def test_solubility_defaults(self):
-        from repro.lab.workflows import build_solubility_workflow
-
-        legacy, legacy_res = _hein_legacy(build_solubility_workflow)
-        mine, res = _preset_bytes("solubility")
-        assert legacy_res.completed and res.completed
-        assert mine == legacy
+        assert _check("solubility").completed
 
     def test_solubility_parameterized(self):
-        from repro.lab.workflows import build_solubility_workflow
-
-        params = {
-            "amount_mg": 3.0,
-            "initial_solvent_ml": 2.0,
-            "temperature": 40.0,
-            "dissolution_rounds": 3,
-            "centrifuge_rpm": 2000.0,
-        }
-        legacy, _ = _hein_legacy(build_solubility_workflow, **params)
-        mine, res = _preset_bytes("solubility", params)
-        assert res.completed
-        assert mine == legacy
+        assert _check("solubility_parameterized").completed
 
     def test_crystallization_defaults(self):
-        from repro.lab.workflows import build_crystallization_workflow
-
-        legacy, _ = _hein_legacy(build_crystallization_workflow)
-        mine, res = _preset_bytes("crystallization")
-        assert res.completed
-        assert mine == legacy
+        assert _check("crystallization").completed
 
     def test_crystallization_parameterized(self):
-        from repro.lab.workflows import build_crystallization_workflow
-
-        params = {"amount_mg": 2.0, "solvent_ml": 2.0, "shake_rpm": 600.0}
-        legacy, _ = _hein_legacy(build_crystallization_workflow, **params)
-        mine, _ = _preset_bytes("crystallization", params)
-        assert mine == legacy
+        _check("crystallization_parameterized")
 
 
 # ---------------------------------------------------------------------------
@@ -113,108 +86,57 @@ class TestHeinPresets:
 class TestSprayCoatingPreset:
     @pytest.mark.parametrize("solvent_only", [False, True])
     def test_spray_coating(self, solvent_only):
-        from repro.lab.berlinguette import (
-            build_berlinguette_deck,
-            build_spray_coating_workflow,
-            make_berlinguette_rabit,
-        )
-
-        deck = build_berlinguette_deck()
-        _, proxies, trace = make_berlinguette_rabit(
-            deck, options=RabitOptions.modified()
-        )
-        result = run_workflow(
-            build_spray_coating_workflow(proxies, solvent_only=solvent_only)
-        )
-        legacy = _legacy_bytes(trace, result)
-        mine, res = _preset_bytes("spray_coating", {"solvent_only": solvent_only})
-        assert res.completed == result.completed
-        assert mine == legacy
+        result = _check("spray_coating_solvent_only" if solvent_only else "spray_coating")
+        assert result.completed
 
 
 # ---------------------------------------------------------------------------
-# Testbed Fig. 5 and the Bug A/B/C variants (DAG surgery vs. apply_mutations)
+# Testbed Fig. 5 and the Bug A/B/C variants
 # ---------------------------------------------------------------------------
 
 
-def _testbed_legacy(mutations_for=None):
-    from repro.lab.workflows import build_testbed_workflow
-    from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
+def _campaign_bug_bytes(bug_id: str) -> bytes:
+    """The journal of campaign bug *bug_id*'s mutations applied to its
+    preset under modified RABIT — the fault injector's path to the same
+    program the Bug A/B/C presets spell out."""
+    from repro.faults.campaign import CAMPAIGN_BUGS
+    from repro.faults.mutation import apply_mutations
 
-    deck = build_testbed_deck(noise_sigma=0.003)
-    _, proxies, trace = make_testbed_rabit(deck, options=RabitOptions.modified())
-    lines = build_testbed_workflow(proxies)
-    if mutations_for is not None:
-        lines = apply_mutations(lines, deck.world, mutations_for(proxies))
-    result = run_workflow(lines)
-    return _legacy_bytes(trace, result), result
+    bug = next(b for b in CAMPAIGN_BUGS if b.bug_id == bug_id)
+    dag = build_preset(bug.workflow)
+    ctx = build_context(dag.deck, dag.deck_params, dag.prepare)
+    apply_mutations(dag, ctx.world, bug.mutations)
+    return _journal_bytes(ctx, execute_dag(dag, ctx))
 
 
 class TestTestbedPresets:
     def test_fig5_safe(self):
-        legacy, legacy_res = _testbed_legacy()
-        mine, res = _preset_bytes("testbed_fig5")
-        assert legacy_res.completed and res.completed
-        assert mine == legacy
+        assert _check("testbed_fig5").completed
 
     def test_bug_a_door_deleted(self):
-        """Bug A (campaign H1): detected — both legs stop on the same alert."""
-        legacy, legacy_res = _testbed_legacy(
-            lambda px: [DeleteLine("open_door_after_dose")]
-        )
-        mine, res = _preset_bytes("testbed_bug_a")
-        assert legacy_res.stopped_by_rabit and res.stopped_by_rabit
-        assert not res.completed
-        assert mine == legacy
+        """Bug A (campaign H1): detected — the run stops on the alert."""
+        result = _check("testbed_bug_a")
+        assert result.stopped_by_rabit and not result.completed
+        digest = hashlib.sha256(_campaign_bug_bytes("H1")).hexdigest()
+        assert digest == DIGESTS["testbed_bug_a"]["sha256"]
 
     def test_bug_b_stray_ned2_move(self):
         """Bug B (campaign MH4): completes undetected, as in the paper."""
-
-        def mutations(px):
-            ned2 = px["ned2"]
-            return [
-                InsertAfter(
-                    "place_grid",
-                    (
-                        ScriptLine(
-                            "ned2_random_move",
-                            "ned2.move_pose(random_location)",
-                            lambda: ned2.move_pose([0.365, -0.010, 0.192]),
-                        ),
-                    ),
-                )
-            ]
-
-        legacy, legacy_res = _testbed_legacy(mutations)
-        mine, res = _preset_bytes("testbed_bug_b")
-        assert legacy_res.completed and res.completed  # undetected
-        assert mine == legacy
+        assert _check("testbed_bug_b").completed  # undetected
+        digest = hashlib.sha256(_campaign_bug_bytes("MH4")).hexdigest()
+        assert digest == DIGESTS["testbed_bug_b"]["sha256"]
 
     def test_bug_c_pick_deleted(self):
         """Bug C (campaign L2): completes undetected (no pressure sensor)."""
-        legacy, legacy_res = _testbed_legacy(lambda px: [DeleteLine("pick_grid")])
-        mine, res = _preset_bytes("testbed_bug_c")
-        assert legacy_res.completed and res.completed
-        assert mine == legacy
+        assert _check("testbed_bug_c").completed
+        digest = hashlib.sha256(_campaign_bug_bytes("L2")).hexdigest()
+        assert digest == DIGESTS["testbed_bug_c"]["sha256"]
 
     @pytest.mark.parametrize("spin_rpm", [3000.0, 2000.0])
     def test_centrifuge(self, spin_rpm):
-        """The prepared-vial leg: declarative ``prepare`` must reproduce
-        the hand-poked vial state byte-for-byte (seeded tracking included)."""
-        from repro.lab.workflows import build_centrifuge_workflow
-        from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
-
-        deck = build_testbed_deck(noise_sigma=0.003)
-        vial = deck.vials["vial_t1"]
-        vial.decap_vial()
-        vial.contents.solid_mg = 5.0
-        vial.contents.liquid_ml = 5.0
-        _, proxies, trace = make_testbed_rabit(deck, options=RabitOptions.modified())
-        result = run_workflow(build_centrifuge_workflow(proxies, spin_rpm=spin_rpm))
-        legacy = _legacy_bytes(trace, result)
-        mine, res = _preset_bytes("centrifuge", {"spin_rpm": spin_rpm})
-        assert res.completed == result.completed
-        assert mine == legacy
+        """The prepared-vial leg: declarative ``prepare`` reproduces the
+        hand-poked vial state byte-for-byte (seeded tracking included)."""
+        assert _check(f"centrifuge_{spin_rpm:g}").completed
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +147,7 @@ class TestTestbedPresets:
 class TestTwoDoorPreset:
     @pytest.mark.parametrize("amount_mg", [3.0, 2.0])
     def test_two_door(self, amount_mg):
-        from repro.lab.two_door import (
-            build_two_door_deck,
-            build_two_door_workflow,
-            make_two_door_rabit,
-        )
-
-        deck = build_two_door_deck()
-        _, proxies, trace = make_two_door_rabit(deck, options=RabitOptions.modified())
-        result = run_workflow(build_two_door_workflow(proxies, amount_mg=amount_mg))
-        legacy = _legacy_bytes(trace, result)
-        mine, res = _preset_bytes("two_door", {"amount_mg": amount_mg})
-        assert res.completed and result.completed
-        assert mine == legacy
+        assert _check(f"two_door_{amount_mg:g}").completed
 
 
 # ---------------------------------------------------------------------------
@@ -266,5 +176,5 @@ class TestPresetMatrix:
 
     def test_one_matrix_entry_runs_clean(self):
         """One cheap end-to-end spot check (the full matrix runs nightly)."""
-        _, res = _preset_bytes("two_door", {"amount_mg": 2.0})
+        _dag, _ctx, res = run_preset("two_door", {"amount_mg": 2.0})
         assert res.completed and res.alert is None

@@ -99,6 +99,34 @@ class TestWorkflowCli:
         bad.write_text("{not json")
         assert main(["workflow", "show", "--spec", str(bad)]) == 2
 
+    @pytest.mark.parametrize("command", ["show", "run", "export"])
+    def test_external_spec_files_load_or_exit_2(self, command, tmp_path, capsys):
+        """A deep valid spec loads (no recursion limit in validation);
+        malformed JSON shapes are load errors (exit 2), not tracebacks."""
+        long = WorkflowDAG("long", deck="hein")
+        for index in range(3000):
+            step = "open_door" if index % 2 == 0 else "close_door"
+            long.then(f"n{index}", step, device="dosing_device")
+        string_params = long.to_spec()
+        string_params["nodes"][0]["params"] = "device=dosing_device"
+        specs = {
+            "long": long.to_spec(),
+            "string-params": string_params,
+            "top-level-array": [long.to_spec()],
+        }
+        codes = {}
+        for name, spec in specs.items():
+            path = tmp_path / f"{name}.spec.json"
+            path.write_text(json.dumps(spec))
+            argv = ["workflow", command, "--spec", str(path)]
+            if command == "export":
+                argv += ["--out", str(tmp_path / f"{name}.out.json")]
+            codes[name] = main(argv)
+        assert codes == {"long": 0, "string-params": 2, "top-level-array": 2}
+        err = capsys.readouterr().err
+        assert "params must be an object" in err
+        assert "must be a JSON object, got list" in err
+
 
 class TestTraceRoundTrip:
     def test_workflow_workload_replays(self):

@@ -1,32 +1,35 @@
-"""Tests for the workflow scripting layer itself."""
+"""Tests for running workflows as script statements: execution order,
+stop conditions, and the preset node ids the fault injector targets."""
 
 import pytest
 
 from repro.core.errors import Alert, AlertKind, SafetyViolation
 from repro.kinematics.arm import UnreachableTargetError
-from repro.lab.workflows import (
-    ScriptLine,
-    build_centrifuge_workflow,
-    build_solubility_workflow,
-    build_testbed_workflow,
-    pick_up_object,
-    place_object,
-    run_workflow,
-)
+from repro.workflow import StepRegistry, WorkflowDAG, build_preset, execute_dag
 
 
-def line(line_id, fn):
-    return ScriptLine(line_id, line_id, fn)
+def run_script(*steps):
+    """Execute a linear DAG whose node ``n`` runs ``steps[n]`` (a plain
+    callable) through a sandboxed one-step registry."""
+    registry = StepRegistry()
+
+    @registry.step("call")
+    def _call(ctx, index: int) -> None:
+        steps[index]()
+
+    dag = WorkflowDAG("script")
+    for index in range(len(steps)):
+        dag.then(f"l{index}", "call", index=index)
+    return execute_dag(dag, None, registry=registry)
 
 
 class TestRunWorkflow:
     def test_runs_all_lines_in_order(self):
         seen = []
-        lines = [line(f"l{i}", lambda i=i: seen.append(i)) for i in range(4)]
-        result = run_workflow(lines)
+        result = run_script(*(lambda i=i: seen.append(i) for i in range(4)))
         assert result.completed
         assert seen == [0, 1, 2, 3]
-        assert result.executed_lines == ["l0", "l1", "l2", "l3"]
+        assert result.executed_nodes == ["l0", "l1", "l2", "l3"]
 
     def test_stops_on_safety_violation(self):
         alert = Alert(AlertKind.INVALID_COMMAND, "nope", rule_id="G1")
@@ -34,17 +37,17 @@ class TestRunWorkflow:
         def boom():
             raise SafetyViolation(alert)
 
-        result = run_workflow([line("ok", lambda: None), line("bad", boom), line("after", lambda: None)])
+        result = run_script(lambda: None, boom, lambda: None)
         assert not result.completed
         assert result.stopped_by_rabit
         assert result.alert is alert
-        assert result.executed_lines == ["ok"]
+        assert result.executed_nodes == ["l0"]
 
     def test_stops_on_device_error(self):
         def boom():
             raise UnreachableTargetError("ned2", (0, 0, 5), 3.0)
 
-        result = run_workflow([line("bad", boom)])
+        result = run_script(boom)
         assert not result.completed
         assert result.stopped_by_device and not result.stopped_by_rabit
         assert "ned2" in result.device_error
@@ -54,54 +57,46 @@ class TestRunWorkflow:
             raise RuntimeError("unexpected")
 
         with pytest.raises(RuntimeError):
-            run_workflow([line("bad", boom)])
+            run_script(boom)
 
 
 class TestWorkflowBuilders:
     def test_solubility_line_ids_unique(self):
-        from repro.lab.hein import build_hein_deck, make_hein_rabit
-
-        _, proxies, _ = make_hein_rabit(build_hein_deck())
-        lines = build_solubility_workflow(proxies)
-        ids = [l.line_id for l in lines]
-        assert len(ids) == len(set(ids))
+        dag = build_preset("solubility")
+        ids = list(dag.nodes)
+        assert len(dag.edges) == len(ids) - 1  # one linear script
         assert "dose_solid" in ids and "place_vial_centrifuge" in ids
 
     def test_testbed_line_ids_cover_fig5_annotations(self):
-        from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
-
-        _, proxies, _ = make_testbed_rabit(build_testbed_deck())
-        ids = [l.line_id for l in build_testbed_workflow(proxies)]
+        ids = build_preset("testbed_fig5").nodes
         # The mutation anchor points of Bugs A and C must exist.
         assert "open_door_after_dose" in ids  # Fig. 5 line 23 (Bug A)
         assert "pick_grid" in ids  # Fig. 5 line 15 (Bug C)
         assert "place_grid" in ids  # Fig. 5 line 26
 
     def test_centrifuge_leg_has_cap_line(self):
-        from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
-
-        _, proxies, _ = make_testbed_rabit(build_testbed_deck())
-        ids = [l.line_id for l in build_centrifuge_workflow(proxies)]
-        assert ids[0] == "cap_vial"  # the H6 deletion target
-        assert "spin" in ids
+        dag = build_preset("centrifuge")
+        assert dag.entry == "cap_vial"  # the H6 deletion target
+        assert "spin" in dag.nodes
 
     def test_dissolution_rounds_scale_line_count(self):
-        from repro.lab.hein import build_hein_deck, make_hein_rabit
-
-        _, proxies, _ = make_hein_rabit(build_hein_deck())
-        short = build_solubility_workflow(proxies, dissolution_rounds=1)
-        long = build_solubility_workflow(proxies, dissolution_rounds=3)
-        assert len(long) == len(short) + 6  # 3 lines per extra round
+        short = build_preset("solubility", {"dissolution_rounds": 1})
+        long = build_preset("solubility", {"dissolution_rounds": 3})
+        assert len(long.nodes) == len(short.nodes) + 6  # 3 lines per extra round
 
 
 class TestHelpers:
     def test_pick_place_helpers_trace_constituents(self):
-        from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
+        from repro.workflow import build_context
 
-        deck = build_testbed_deck()
-        _, proxies, trace = make_testbed_rabit(deck)
-        pick_up_object(proxies["viperx"], "grid_nw_viperx_safe", "grid_nw_viperx")
-        methods = [r.method for r in trace]
+        ctx = build_context("testbed", {"noise_sigma": 0.0})
+        pick = WorkflowDAG("pick", deck="testbed")
+        pick.then(
+            "pick", "pick_up_object", robot="viperx",
+            safe_location="grid_nw_viperx_safe", pickup_location="grid_nw_viperx",
+        )
+        assert execute_dag(pick, ctx).completed
+        methods = [r.method for r in ctx.trace]
         assert methods == [
             "move_to_location",
             "open_gripper",
@@ -109,7 +104,12 @@ class TestHelpers:
             "close_gripper",
             "move_to_location",
         ]
-        assert deck.viperx.holding == "vial_t1"
-        place_object(proxies["viperx"], "grid_nw_viperx_safe", "grid_nw_viperx")
-        assert deck.viperx.holding is None
-        assert deck.world.occupant("grid_nw_viperx") == "vial_t1"
+        assert ctx.deck.viperx.holding == "vial_t1"
+        place = WorkflowDAG("place", deck="testbed")
+        place.then(
+            "place", "place_object", robot="viperx",
+            safe_location="grid_nw_viperx_safe", place_location="grid_nw_viperx",
+        )
+        assert execute_dag(place, ctx).completed
+        assert ctx.deck.viperx.holding is None
+        assert ctx.world.occupant("grid_nw_viperx") == "vial_t1"
