@@ -12,9 +12,8 @@ the same command mix sequentially, paying the same per-command device
 I/O as a blocking ``time.sleep``.  Both sides run a warmup phase first
 so neither pays plan-cache/engine/rulebase cold costs inside the timed
 region.  The gate is aggregate guarded commands/sec at K=8 ≥ 3x the
-sequential rate, plus two structural assertions: sweeps actually
-coalesced across sessions (max batch ≥ 2) and nothing degraded (the
-queue never hit its high watermark at this load).
+sequential rate, plus one structural assertion: sweeps actually
+coalesced across sessions (max batch ≥ 2).
 """
 
 import asyncio
@@ -142,15 +141,12 @@ def test_serve_throughput(emit, trend, benchmark):
             "speedup_vs_sequential": round(speedup, 2),
             "sweep_batches": sweeps["batches"],
             "max_batch": sweeps["max_batch"],
-            "degraded": sweeps["degraded"],
-            "throttled": sweeps["throttled"],
         },
     )
 
-    # Structural checks first: the speedup only counts if sweeps really
-    # coalesced across sessions and nothing fell back to degraded probes.
+    # Structural check first: the speedup only counts if sweeps really
+    # coalesced across sessions.
     assert sweeps["max_batch"] >= 2, f"no cross-session batching: {sweeps}"
-    assert sweeps["degraded"] == 0, f"degraded sweeps at benchmark load: {sweeps}"
     assert speedup >= MIN_SPEEDUP, (
         f"K={SESSIONS} service only {speedup:.2f}x the sequential rate "
         f"(required: {MIN_SPEEDUP}x)"

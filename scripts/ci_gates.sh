@@ -54,6 +54,20 @@ python -m pytest -q \
 echo "==> guard benchmark self-tests (metric arithmetic, traffic, verdict checks)"
 python -m pytest -q guardbench
 
+# The traced run wraps src functions and classes by name, so a rename
+# that the self-tests above never touch still breaks `--trace 1`.  Run it
+# once per workload; the last line is the run's JSON result.
+echo "==> traced guard benchmark (1-s run per workload, verdicts correct)"
+for workload in mix_inproc mix_serve repeat_bare; do
+    result=$(python3 guardbench/run.py --workload "$workload" --seed 3 --seconds 1 --trace 1 | tail -n 1)
+    python3 - "$workload" "$result" <<'PY'
+import json, sys
+workload, result = sys.argv[1], json.loads(sys.argv[2])
+if result.get("correct") is not True:
+    sys.exit(f"{workload}: traced guardbench run not correct: {result}")
+PY
+done
+
 echo "==> perf trend regression gate"
 python benchmarks/check_trend.py
 

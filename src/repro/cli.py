@@ -57,8 +57,8 @@ def _nonneg_float(text: str) -> float:
 
     Latencies and other duration-flavoured knobs must reject ``-1``,
     ``nan``, and ``inf`` at the argparse boundary — a negative sleep
-    raises deep inside asyncio and a NaN watermark comparison silently
-    never degrades, both far from the flag that caused them.
+    raises deep inside asyncio and an infinite one never returns, both
+    far from the flag that caused them.
     """
     try:
         value = float(text)
@@ -460,11 +460,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 2
 
     server = GuardServer(
-        max_sessions=args.sessions,
-        queue_size=args.queue_size,
-        high_watermark=args.watermark,
-        max_batch=args.max_batch,
-        default_io_latency=args.io_latency,
+        max_sessions=args.sessions, default_io_latency=args.io_latency
     )
 
     async def run() -> None:
@@ -474,10 +470,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         else:
             await server.start_tcp(args.host, args.port)
             print(f"guard service listening on {args.host}:{args.port}")
-        print(
-            f"(max {args.sessions} sessions, sweep queue {args.queue_size}, "
-            f"watermark {args.watermark}, batch <= {args.max_batch})"
-        )
+        print(f"(max {args.sessions} sessions)")
         try:
             await server.serve_forever()
         finally:
@@ -501,9 +494,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.port,
         max_sessions=args.sessions,
-        queue_size=args.queue_size,
-        high_watermark=args.watermark,
-        max_batch=args.max_batch,
         default_io_latency=args.io_latency,
         metrics_port=args.metrics_port,
         enable_obs=args.obs,
@@ -523,9 +513,7 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
         else:
             print(f"sharded guard service listening on {config.host}:{config.port}")
         print(
-            f"({config.workers} workers, max {config.max_sessions} sessions "
-            f"each, sweep queue {config.queue_size}, watermark "
-            f"{config.high_watermark}, batch <= {config.max_batch})"
+            f"({config.workers} workers, max {config.max_sessions} sessions each)"
         )
         if config.metrics_port is not None:
             print(
@@ -778,19 +766,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=_positive_int, default=7310, help="TCP bind port")
     p.add_argument(
         "--sessions", type=_positive_int, default=32, metavar="N",
-        help="max concurrent sessions (admission cap; default: 32)",
-    )
-    p.add_argument(
-        "--queue-size", type=_positive_int, default=64, dest="queue_size",
-        help="sweep queue bound (backpressure beyond it; default: 64)",
-    )
-    p.add_argument(
-        "--watermark", type=_positive_int, default=48,
-        help="sweep-queue high watermark (degraded probes beyond it; default: 48)",
-    )
-    p.add_argument(
-        "--max-batch", type=_positive_int, default=16, dest="max_batch",
-        help="max sweep jobs coalesced per batch (default: 16)",
+        help="max concurrent sessions, the only load bound: opens beyond it "
+        "get a retryable session-limit refusal (default: 32)",
     )
     p.add_argument(
         "--io-latency", type=_nonneg_float, default=0.0, dest="io_latency",

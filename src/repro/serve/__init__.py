@@ -13,10 +13,10 @@ users.  :mod:`repro.serve` is that front-end:
   :class:`~repro.core.rulebase.RuleBase` instance and therefore one
   memoized compiled dispatch snapshot.
 - :class:`~repro.serve.batcher.SweepBatcher` — collision sweeps from all
-  sessions drain through one bounded queue and execute as cross-session
-  batches on the stacked geometry kernels, with explicit backpressure
-  (queue full ⇒ admission throttling) and graceful degradation (over the
-  high-watermark ⇒ tool-point-only probes, flagged on the verdict).
+  sessions drain through one queue and execute as cross-session batches
+  on the stacked geometry kernels.  Every command gets the full sweep
+  at any load; the session cap is the only load bound, and a full
+  service refuses new sessions with a retryable ``session-limit``.
 - :class:`~repro.serve.client.ServeClient` — a thin asyncio client
   speaking newline-delimited canonical JSON, with
   :mod:`repro.serve.retry` resilience on connect.
@@ -36,6 +36,7 @@ from repro.serve.client import (
     ServeClient,
     ServeConnectionLost,
     ServeError,
+    ServeSessionLost,
     ServeUnavailableError,
 )
 from repro.serve.retry import RetryPolicy, retrying
@@ -49,6 +50,7 @@ __all__ = [
     "ServeClient",
     "ServeConnectionLost",
     "ServeError",
+    "ServeSessionLost",
     "ServeUnavailableError",
     "SessionRejected",
     "ShardConfig",

@@ -1,4 +1,4 @@
-"""Cross-session collision-sweep batching with backpressure.
+"""Cross-session collision-sweep batching.
 
 The dominant per-command cost of a guarded robot move is the trajectory
 sweep.  Its kernel — :meth:`BatchCollisionEngine.first_containing` — is
@@ -7,26 +7,20 @@ deck geometry can be stacked into one containment pass and pay the
 kernel's fixed costs once per batch instead of once per command.
 
 :class:`SweepBatcher` is the funnel: sessions submit prepared
-:class:`~repro.simulator.extended.SweepJob` s into one bounded
-:class:`asyncio.Queue`; a drainer task coalesces whatever has
-accumulated (up to ``max_batch``), groups it by geometry key, runs one
-stacked pass per (group, probe family), and resolves each job's future
-with the verdict :func:`~repro.simulator.extended.finish_sweep` derives.
-Because every per-job result is bit-identical to evaluating that job
-alone, batching is invisible to verdicts — the differential suite pins
-this.
+:class:`~repro.simulator.extended.SweepJob` s into one
+:class:`asyncio.Queue`; a drainer task takes everything that has
+accumulated, groups it by geometry key, runs one stacked pass per
+(group, probe family), and resolves each job's future with the verdict
+:func:`~repro.simulator.extended.finish_sweep` derives.  Because every
+per-job result is bit-identical to evaluating that job alone, batching
+is invisible to verdicts — the differential suite pins this.
 
-Two overload behaviours, both explicit, never silent:
-
-- **Backpressure** — the queue is bounded; when it is full, ``submit``
-  blocks the producing session (``await queue.put``), throttling
-  admission at the source and counting the event.
-- **Degradation** — above ``high_watermark`` the sweep falls back to an
-  *inline tool-point-only* probe (arm points against obstacles, plus
-  walls/bounds; gripper-tip and held-vial probes skipped).  The verdict
-  comes back flagged ``degraded`` so the caller can surface it — a
-  degraded clearance is weaker evidence than a full sweep and must never
-  masquerade as one.
+Every job gets the full sweep (tool points, gripper tips, held-vial
+tips, walls, bounds), whatever the load.  The queue needs no bound of
+its own: a session awaits its sweep before it reads its next frame, so
+each session has at most one sweep in flight and the service's session
+cap bounds the queue.  Overload is answered at admission, by the
+server's retryable ``session-limit`` refusal, never by a weaker sweep.
 """
 
 from __future__ import annotations
@@ -41,9 +35,7 @@ from repro.simulator.extended import SweepJob, build_sweep_engines, finish_sweep
 __all__ = ["SweepBatcher"]
 
 _OBS_SWEEPS = OBS.registry.counter(
-    "serve_sweeps_total",
-    "Sweeps routed through the cross-session batcher, by mode.",
-    labels=("mode",),
+    "serve_sweeps_total", "Sweeps routed through the cross-session batcher."
 )
 _OBS_BATCHES = OBS.registry.counter(
     "serve_batches_total", "Cross-session sweep batches executed."
@@ -56,31 +48,13 @@ _OBS_BATCH_SIZE = OBS.registry.histogram(
 _OBS_QUEUE_DEPTH = OBS.registry.gauge(
     "serve_sweep_queue_depth", "Sweep jobs waiting in the batcher queue."
 )
-_OBS_THROTTLED = OBS.registry.counter(
-    "serve_admission_throttled_total",
-    "Submissions that blocked on a full sweep queue (backpressure).",
-)
 
 
 class SweepBatcher:
-    """One bounded sweep queue + drainer shared by every session."""
+    """One sweep queue + drainer shared by every session."""
 
-    def __init__(
-        self,
-        maxsize: int = 64,
-        high_watermark: int = 48,
-        max_batch: int = 16,
-    ) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        if not 0 < high_watermark <= maxsize:
-            raise ValueError("high_watermark must be in [1, maxsize]")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
-        self.maxsize = maxsize
-        self.high_watermark = high_watermark
-        self.max_batch = max_batch
-        self._queue: asyncio.Queue = asyncio.Queue(maxsize)
+    def __init__(self) -> None:
+        self._queue: asyncio.Queue = asyncio.Queue()
         #: Engine pairs per geometry key.  Keys embed the deck signature
         #: (or a per-session unique token once a session's geometry
         #: revision moves), the frame, and the exclusion set — everything
@@ -97,8 +71,9 @@ class SweepBatcher:
             "batched": 0,
             "batches": 0,
             "max_batch": 0,
+            # Always 0 (every sweep is full); kept because
+            # guardbench/run.py (batch_delta) reads this key.
             "degraded": 0,
-            "throttled": 0,
         }
 
     # -- lifecycle ---------------------------------------------------------
@@ -131,42 +106,21 @@ class SweepBatcher:
 
     # -- submission --------------------------------------------------------
 
-    async def submit(
-        self, job: SweepJob, geom_key: Hashable
-    ) -> Tuple[Optional[str], bool]:
-        """Sweep *job*, batched when possible; ``(problem, degraded)``.
+    async def submit(self, job: SweepJob, geom_key: Hashable) -> Optional[str]:
+        """Sweep *job* in the next batch; the verdict message or ``None``.
 
         *geom_key* must be equal for two jobs only when their deck
         geometry (frame, exclusions, cuboid contents) is identical —
         sessions compute it from the deck signature and their geometry
-        revision.  Returns the verdict message (or ``None`` for clear)
-        plus whether the degraded tool-point-only path produced it.
+        revision.
         """
         self.stats["submitted"] += 1
-        if self._queue.qsize() >= self.high_watermark:
-            # Over the watermark: shed load by answering inline with the
-            # cheaper tool-point-only probe, explicitly flagged.
-            self.stats["degraded"] += 1
-            if OBS.enabled:
-                _OBS_SWEEPS.inc(1, mode="degraded")
-            return self._degraded_probe(job, geom_key), True
-
         future = asyncio.get_running_loop().create_future()
-        item = (job, geom_key, future)
-        try:
-            self._queue.put_nowait(item)
-        except asyncio.QueueFull:
-            # Backpressure: block this session's admission until the
-            # drainer frees a slot.  The command stalls at its source
-            # instead of the service buffering unboundedly.
-            self.stats["throttled"] += 1
-            if OBS.enabled:
-                _OBS_THROTTLED.inc(1)
-            await self._queue.put(item)
+        self._queue.put_nowait((job, geom_key, future))
         if OBS.enabled:
             _OBS_QUEUE_DEPTH.set(float(self._queue.qsize()))
-            _OBS_SWEEPS.inc(1, mode="batched")
-        return await future, False
+            _OBS_SWEEPS.inc(1)
+        return await future
 
     # -- the drainer -------------------------------------------------------
 
@@ -177,11 +131,8 @@ class SweepBatcher:
             # submit land in this batch instead of the next.
             await asyncio.sleep(0)
             batch = [first]
-            while len(batch) < self.max_batch:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
+            while not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             if OBS.enabled:
                 _OBS_QUEUE_DEPTH.set(float(self._queue.qsize()))
             self._run_batch(batch)
@@ -236,29 +187,6 @@ class SweepBatcher:
             )
             if not future.done():
                 future.set_result(problem)
-
-    # -- degraded path -----------------------------------------------------
-
-    def _degraded_probe(self, job: SweepJob, geom_key: Hashable) -> Optional[str]:
-        """Tool-point-only sweep: arm points, walls, bounds — no tips.
-
-        Strictly weaker than the full sweep (it can miss gripper-tip and
-        held-vial strikes), which is exactly why its verdicts are always
-        flagged degraded by :meth:`submit`."""
-        obst_engine, full_engine = self._engines_for(geom_key, job)
-        arm_hit = obst_engine.first_containing(job.samples)
-        return finish_sweep(
-            job.call,
-            job.samples,
-            job.model.walls.get(job.frame, []),
-            job.model.workspace_bounds.get(job.frame),
-            job.held,
-            arm_hit,
-            None,
-            None,
-            obst_engine.names,
-            full_engine.names,
-        )
 
     # -- engines -----------------------------------------------------------
 

@@ -28,6 +28,7 @@ __all__ = [
     "ServeClient",
     "ServeConnectionLost",
     "ServeError",
+    "ServeSessionLost",
     "ServeUnavailableError",
 ]
 
@@ -37,13 +38,24 @@ class ServeError(Exception):
 
 
 class ServeConnectionLost(ServeError, ConnectionError):
-    """The connection died mid-session (worker drain, crash, or restart).
+    """The connection died where replaying the request is safe.
 
-    Distinct from a verdict-level ``ok: false`` — the request may never
-    have reached the guard, so replaying it against a fresh connection
-    is safe and expected.  Subclassing :class:`ConnectionError` makes it
+    Raised for a request frame that never left, and for a lost answer to
+    any request but a command (open, ping, stats, journal): none of them
+    moves the lab, so replaying against a fresh connection is safe and
+    expected.  Subclassing :class:`ConnectionError` makes it
     retry-eligible under the default :class:`~repro.serve.retry.RetryPolicy`
     without any policy change.
+    """
+
+
+class ServeSessionLost(ServeError):
+    """The session ended with its lab state unknown: stop, do not replay.
+
+    Raised when the connection died after a command frame left (the
+    worker may have executed it) and when the service answered
+    ``device-error`` (the command raised after its guard started).  Not
+    a :class:`ConnectionError`, so no retry policy replays it.
     """
 
 
@@ -119,9 +131,14 @@ class ServeClient:
 
         A connection that dies mid-request (worker drain or crash)
         raises :class:`ServeConnectionLost` — retry-eligible — rather
-        than a bare :class:`ConnectionResetError`; a refusal stamped
-        ``retryable: true`` raises :class:`ServeUnavailableError`.
+        than a bare :class:`ConnectionResetError`, unless the request was
+        a command that left: then :class:`ServeSessionLost`, as for a
+        ``device-error`` answer.  A refusal stamped ``retryable: true``
+        raises :class:`ServeUnavailableError`.
         """
+        if self._reader.at_eof():
+            # The service hung up before this frame: it cannot have run.
+            raise ServeConnectionLost("connection closed by the service before the request")
         try:
             self._writer.write(encode_message(payload))
             await self._writer.drain()
@@ -129,21 +146,27 @@ class ServeClient:
             raise ServeConnectionLost(
                 f"connection lost while sending request: {exc}"
             ) from exc
+        # Once a command frame has left, the service may have run it.
+        lost = (
+            ServeSessionLost if payload.get("op") == "command" else ServeConnectionLost
+        )
         try:
             response = await read_message(self._reader)
         except ProtocolError as exc:
+            if lost is ServeSessionLost:
+                raise lost(f"malformed response to a command: {exc}") from exc
             raise ServeError(f"malformed response: {exc}") from exc
         except (ConnectionError, OSError, asyncio.IncompleteReadError) as exc:
-            raise ServeConnectionLost(
-                f"connection lost awaiting response: {exc}"
-            ) from exc
+            raise lost(f"connection lost awaiting response: {exc}") from exc
         if response is None:
-            raise ServeConnectionLost("connection closed by the service")
+            raise lost("connection closed by the service")
         if not response.get("ok", False) and "error" in response:
             if response.get("retryable"):
                 raise ServeUnavailableError(
                     response["error"], code=str(response.get("code", "unavailable"))
                 )
+            if response.get("code") == "device-error":
+                raise ServeSessionLost(response["error"])
             raise ServeError(response["error"])
         return response
 
@@ -192,8 +215,12 @@ class ServeClient:
         """Guard one device command; returns the verdict dict.
 
         Unlike the in-process proxy, an alert does not raise — the
-        verdict comes back with ``ok: false``-style fields (``alert``,
-        ``degraded``) for the caller to inspect.
+        verdict comes back with ``ok`` false and the ``alert`` filled in
+        for the caller to inspect.  A refused command raises
+        :class:`ServeError` and leaves the session usable.  A command
+        that raised on the device, or whose answer was lost after it was
+        sent, raises :class:`ServeSessionLost`: the lab state is
+        unknown, so stop rather than replay it.
         """
         return await self.request(
             {

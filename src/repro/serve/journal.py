@@ -2,19 +2,13 @@
 
 Every guarded command a session processes appends one JSON-safe record:
 sequence number, device/method/label/location, the virtual time after
-the command, the alert (if any), the rule-verdict-cache disposition, and
-whether the trajectory verdict came from the degraded tool-point-only
-path.  The same builder is used by the service session and by
+the command, the alert (if any), and the rule-verdict-cache
+disposition.  The same builder is used by the service session and by
 :func:`run_inprocess_journal`, which replays a command script through
 the classic synchronous :meth:`Rabit.guard` path — so "service and
 in-process agree" reduces to byte equality of two
-:func:`~repro.trace.canon.canonical_bytes` renderings.
-
-The ``degraded`` field is load-bearing: a degraded sweep may legitimately
-clear a motion the full sweep would block (it skips the gripper-tip and
-held-vial probes), so journals are only byte-identical when no command
-degraded — and when one did, the flag is exactly how the divergence is
-surfaced instead of hidden.
+:func:`~repro.trace.canon.canonical_bytes` renderings, at any load: the
+service sweeps every command in full, so no record carries a caveat.
 """
 
 from __future__ import annotations
@@ -37,7 +31,6 @@ def journal_record(
     t: float,
     alert: Optional[Alert],
     rule_cache: str,
-    degraded: bool,
 ) -> Dict[str, Any]:
     """One canonical journal entry (plain JSON types only)."""
     return {
@@ -57,7 +50,6 @@ def journal_record(
             else None
         ),
         "rule_cache": rule_cache,
-        "degraded": degraded,
     }
 
 
@@ -126,7 +118,6 @@ def run_inprocess_journal(
                 t=rabit.clock.now,
                 alert=alert,
                 rule_cache=cache_disposition(rabit, hits_before, misses_before),
-                degraded=False,
             )
         )
     return journal

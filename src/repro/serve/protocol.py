@@ -10,12 +10,16 @@ and a response can double as its own equality witness.
 The framing is deliberately the simplest thing that works over
 :mod:`asyncio` streams; per-message size is bounded by
 :data:`MAX_MESSAGE_BYTES` so one malformed client cannot balloon server
-memory.
+memory.  The reader accepts exactly what the encoder can produce: strict
+UTF-8, and only finite numbers (the encoder refuses ``NaN`` and
+``Infinity``, so the reader rejects them, and literals like ``1e999``
+that overflow to infinity).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Any, Optional
 
 from repro.trace.canon import canonical_bytes
@@ -46,13 +50,28 @@ def encode_message(payload: Any) -> bytes:
     return data
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ProtocolError(f"number {text} overflows a finite float")
+    return value
+
+
+def _reject_constant(name: str) -> Any:
+    raise ProtocolError(f"{name} is not a finite JSON number")
+
+
+_DECODER = json.JSONDecoder(parse_float=_finite_float, parse_constant=_reject_constant)
+
+
 async def read_message(reader: Any) -> Optional[dict]:
     """Read one frame; ``None`` on clean EOF, :class:`ProtocolError` on junk.
 
     *reader* is an :class:`asyncio.StreamReader` (or anything with an
-    async ``readline``).  A line that is not a JSON object, is not valid
-    JSON, or overruns the frame limit raises — the connection is then
-    unusable and should be closed.
+    async ``readline``).  A line that is not UTF-8, is not valid JSON,
+    holds a non-finite number, is not a JSON object, or overruns the
+    frame limit raises — the connection is then unusable and should be
+    closed.
     """
     try:
         line = await reader.readline()
@@ -69,8 +88,10 @@ async def read_message(reader: Any) -> Optional[dict]:
             f"message of {len(line)} bytes exceeds the {MAX_MESSAGE_BYTES}-byte frame limit"
         )
     try:
-        payload = json.loads(line)
-    except json.JSONDecodeError as exc:
+        payload = _DECODER.decode(line.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        # UnicodeDecodeError and JSONDecodeError are ValueErrors, as is an
+        # integer literal past the int-conversion digit limit.
         raise ProtocolError(f"invalid JSON frame: {exc}") from exc
     if not isinstance(payload, dict):
         raise ProtocolError(

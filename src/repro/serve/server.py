@@ -11,9 +11,13 @@ read concurrently by every session (they are immutable snapshots;
 
 Tenant overlays are extra :meth:`RuleBase.add` calls on top of the
 default rulebase; each tenant's revision keys its own compiled snapshot,
-and tenants that add nothing share the base instance.  Admission is
-capped at ``max_sessions`` — a full service refuses new sessions
-explicitly rather than degrading everyone.
+and tenants that add nothing share the base instance.
+
+``max_sessions`` is the service's only load bound.  A connection handles
+one frame at a time, so each session has at most one sweep in flight and
+the cap bounds the batcher's queue too.  A full service refuses new
+sessions with the retryable ``session-limit`` code; every admitted
+command gets the full guard, whatever the load.
 
 Wire operations (all request/response, one JSON object per line):
 
@@ -26,13 +30,19 @@ Wire operations (all request/response, one JSON object per line):
 - ``{"op": "stats"}`` → service-wide counters/gauges
 - ``{"op": "close"}`` → close this session/connection
 
-Errors come back as ``{"ok": false, "error": "…"}``; protocol-level
-garbage closes the connection after a best-effort error frame.
+Errors come back as ``{"ok": false, "error": "…"}`` on the live
+connection.  Two end it after the error frame: a frame that is not a
+protocol message (not UTF-8, not a finite JSON object, oversized), and a
+command that raised after its guard started, answered with
+``"code": "device-error", "retryable": false`` because the session's
+lab state is then unknown.
 """
 
 from __future__ import annotations
 
 import asyncio
+import logging
+import math
 from typing import Any, Dict, List, Optional
 
 from repro.core.monitor import RabitOptions
@@ -40,9 +50,16 @@ from repro.core.rulebase import Rule, RuleBase, build_default_rulebase
 from repro.obs import OBS
 from repro.serve.batcher import SweepBatcher
 from repro.serve.protocol import ProtocolError, encode_message, read_message
-from repro.serve.session import DECK_BUILDERS, GuardSession, default_serve_options
+from repro.serve.session import (
+    DECK_BUILDERS,
+    DeviceError,
+    GuardSession,
+    default_serve_options,
+)
 
 __all__ = ["GuardServer", "SessionRejected", "TenantRulebases"]
+
+_LOG = logging.getLogger(__name__)
 
 
 class SessionRejected(ValueError):
@@ -67,10 +84,6 @@ _OBS_COMMANDS = OBS.registry.counter(
     "serve_commands_total",
     "Commands guarded by the service, by outcome.",
     labels=("outcome",),
-)
-_OBS_DEGRADED = OBS.registry.counter(
-    "serve_degraded_commands_total",
-    "Commands whose trajectory verdict came from the degraded path.",
 )
 _OBS_REJECTED = OBS.registry.counter(
     "serve_sessions_rejected_total",
@@ -117,9 +130,6 @@ class GuardServer:
     def __init__(
         self,
         max_sessions: int = 32,
-        queue_size: int = 64,
-        high_watermark: int = 48,
-        max_batch: int = 16,
         default_io_latency: float = 0.0,
         options: Optional[RabitOptions] = None,
     ) -> None:
@@ -128,9 +138,7 @@ class GuardServer:
         self.max_sessions = max_sessions
         self.default_io_latency = float(default_io_latency)
         self.options = options or default_serve_options()
-        self.batcher = SweepBatcher(
-            maxsize=queue_size, high_watermark=high_watermark, max_batch=max_batch
-        )
+        self.batcher = SweepBatcher()
         self.tenants = TenantRulebases()
         self.sessions: Dict[int, GuardSession] = {}
         self._next_session_id = 1
@@ -140,6 +148,8 @@ class GuardServer:
             "sessions_rejected": 0,
             "commands": 0,
             "alerts": 0,
+            # Always 0 (every sweep is full); kept because
+            # guardbench/run.py (batch_delta) reads this key.
             "degraded_commands": 0,
             "protocol_errors": 0,
         }
@@ -241,22 +251,36 @@ class GuardServer:
         if op == "command":
             if session is None:
                 return {"ok": False, "error": "no session open (send op=open first)"}, None, True
+            args = request.get("args", [])
+            kwargs = request.get("kwargs", {})
+            if not isinstance(args, list) or not isinstance(kwargs, dict):
+                return (
+                    {"ok": False, "error": "args must be an array, kwargs an object"},
+                    session,
+                    True,
+                )
             try:
                 response = await session.run_command(
                     str(request.get("device", "")),
                     str(request.get("method", "")),
-                    tuple(request.get("args", ())),
-                    dict(request.get("kwargs", {})),
+                    tuple(args),
+                    kwargs,
                 )
-            except KeyError as exc:
-                return {"ok": False, "error": str(exc.args[0])}, session, True
+            except ValueError as exc:
+                return {"ok": False, "error": str(exc)}, session, True
+            except DeviceError as exc:
+                # The client gets the message; the traceback stays here.
+                _LOG.warning("session %d stopped: %s", session.session_id, exc, exc_info=exc)
+                refusal = {
+                    "ok": False,
+                    "error": str(exc),
+                    "code": "device-error",
+                    "retryable": False,
+                }
+                return refusal, session, False
             self.stats["commands"] += 1
             if response.get("alert") is not None:
                 self.stats["alerts"] += 1
-            if response.get("degraded"):
-                self.stats["degraded_commands"] += 1
-                if OBS.enabled:
-                    _OBS_DEGRADED.inc(1)
             if OBS.enabled:
                 _OBS_COMMANDS.inc(
                     1, outcome="alert" if response.get("alert") else "allowed"
@@ -290,9 +314,14 @@ class GuardServer:
         if not isinstance(params, dict):
             raise TypeError("params must be an object")
         tenant = str(request.get("tenant", "default"))
-        io_latency = float(request.get("io_latency", self.default_io_latency))
-        if io_latency < 0:
-            raise ValueError("io_latency must be >= 0")
+        latency = request.get("io_latency", self.default_io_latency)
+        try:
+            io_latency = float(latency)
+            valid = math.isfinite(io_latency) and io_latency >= 0
+        except (TypeError, ValueError, OverflowError):
+            valid = False
+        if not valid:
+            raise ValueError(f"io_latency must be a finite number >= 0, got {latency!r}")
 
         # The shared rulebase needs the deck's enabled custom-rule ids;
         # build a probe model cheaply via the session itself: sessions on

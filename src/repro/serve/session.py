@@ -19,10 +19,11 @@ sessions' guard work under it — which is where the aggregate throughput
 win comes from.
 
 The deck executes *inside the service* here; a production deployment
-would swap :meth:`_execute` for the remote lab driver's awaitable.  The
-session journals every guarded command via
-:mod:`repro.serve.journal`, byte-identical to the in-process path when
-no degradation occurred.
+would swap the device call for the remote lab driver's awaitable.  The
+session journals every guarded command via :mod:`repro.serve.journal`,
+byte-identical to the in-process path.  A command that raises once its
+guard has started ends the session with :class:`DeviceError`, as the
+same exception stops an in-process script.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from repro.trace.canon import content_digest
 
 __all__ = [
     "DECK_BUILDERS",
+    "DeviceError",
     "GuardSession",
     "build_guarded_deck",
     "default_serve_options",
@@ -109,6 +111,15 @@ def build_guarded_deck(
     return deck, rabit
 
 
+class DeviceError(RuntimeError):
+    """A command raised after its guard started; the session must stop.
+
+    Usually the device itself raised mid-command.  Either way the
+    monitor never ran FetchState for the half-run command, so the
+    session's believed lab state may no longer match the lab.
+    """
+
+
 class GuardSession:
     """Isolated per-client guard context inside one service process."""
 
@@ -162,56 +173,68 @@ class GuardSession:
         args: Tuple[Any, ...] = (),
         kwargs: Optional[Dict[str, Any]] = None,
     ) -> Dict[str, Any]:
-        """Guard and execute one command; the wire-level verdict dict."""
+        """Guard and execute one command; the wire-level verdict dict.
+
+        Raises :class:`ValueError` for a command refused before anything
+        ran (unknown device or method, arguments the resolver rejects)
+        and :class:`DeviceError` for one that raised after its guard
+        started.
+        """
         kwargs = kwargs or {}
-        try:
-            device = self.deck.devices[device_name]
-        except KeyError:
-            raise KeyError(f"unknown device {device_name!r}") from None
-        try:
-            attr = getattr(device, method)
-        except AttributeError:
-            raise KeyError(f"device {device_name!r} has no method {method!r}") from None
+        device = self.deck.devices.get(device_name)
+        if device is None:
+            raise ValueError(f"unknown device {device_name!r}")
+        attr = None if method.startswith("_") else getattr(device, method, None)
         if not callable(attr):
-            raise KeyError(f"{device_name}.{method} is not callable")
+            raise ValueError(f"device {device_name!r} has no method {method!r}")
+        try:
+            call = resolve_action(device, method, tuple(args), kwargs)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(
+                f"bad arguments for {device_name}.{method}: {exc!r}"
+            ) from exc
+        try:
+            if call is None:
+                # Unmodeled method: pass through untraced, like DeviceProxy.
+                result = attr(*args, **kwargs)
+                return {"ok": True, "traced": False, "result": _json_safe(result)}
+            return await self._guard(device, method, call, lambda: attr(*args, **kwargs))
+        except Exception as exc:
+            raise DeviceError(
+                f"{device_name}.{method} raised {exc!r}; "
+                "session stopped, lab state unknown"
+            ) from exc
 
-        call = resolve_action(device, method, tuple(args), kwargs)
-        if call is None:
-            # Unmodeled method: pass through untraced, like DeviceProxy.
-            result = attr(*args, **kwargs)
-            return {"ok": True, "traced": False, "result": _json_safe(result)}
-
+    async def _guard(
+        self, device: Any, method: str, call: ActionCall, run: Callable[[], Any]
+    ) -> Dict[str, Any]:
+        """Charge the clock, guard *call* around *run*, journal the verdict."""
         rabit = self.rabit
         rabit.clock.advance(
             device.connection.command_latency + BASELINE_DURATION.get(call.label, 1.0),
             "experiment",
         )
 
-        degraded = False
-
         async def execute() -> Any:
             # The stand-in for the physical lab's round-trip: real
             # wall-clock the event loop overlaps across sessions.
             if self.io_latency > 0.0:
                 await asyncio.sleep(self.io_latency)
-            return attr(*args, **kwargs)
+            return run()
 
         trajectory: Optional[Callable[[ActionCall], Any]] = None
         if self.batcher is not None and rabit.trajectory_checker is not None:
             checker = rabit.trajectory_checker
 
             async def trajectory(call: ActionCall) -> Optional[str]:
-                nonlocal degraded
                 job = checker.prepare_sweep(
                     call, rabit.state, rabit.model, self.options.account_held_objects
                 )
                 if job is None:
                     return None
-                problem, was_degraded = await self.batcher.submit(
+                return await self.batcher.submit(
                     job, self.geom_key(job.frame, job.exclude)
                 )
-                degraded = was_degraded
-                return problem
 
         cache = rabit.rule_cache
         hits_before = cache.hits if cache is not None else 0
@@ -236,7 +259,6 @@ class GuardSession:
             t=rabit.clock.now,
             alert=alert,
             rule_cache=cache_disposition(rabit, hits_before, misses_before),
-            degraded=degraded,
         )
         self.journal.append(entry)
         return {
@@ -247,7 +269,6 @@ class GuardSession:
             "label": entry["label"],
             "alert": entry["alert"],
             "rule_cache": entry["rule_cache"],
-            "degraded": degraded,
         }
 
 

@@ -61,9 +61,6 @@ class ShardConfig:
     port: int = 0
     #: Per-worker GuardServer knobs (each worker gets the full budget).
     max_sessions: int = 32
-    queue_size: int = 64
-    high_watermark: int = 48
-    max_batch: int = 16
     default_io_latency: float = 0.0
     #: Metrics endpoint port (``None`` → no HTTP endpoint; 0 → ephemeral,
     #: rewritten to the bound port by :meth:`ShardService.start`).
@@ -84,9 +81,6 @@ class ShardConfig:
     def server_kwargs(self) -> Dict[str, Any]:
         return {
             "max_sessions": self.max_sessions,
-            "queue_size": self.queue_size,
-            "high_watermark": self.high_watermark,
-            "max_batch": self.max_batch,
             "default_io_latency": self.default_io_latency,
             "options": self.options,
         }

@@ -5,8 +5,10 @@ event loop, its own :class:`~repro.serve.batcher.SweepBatcher`, its own
 tenant rulebase cache — listening on a private unix socket the router
 proxies sessions into.  Because a worker *is* the single-process
 service, every per-session guarantee (journal byte-identity to the
-in-process path, flagged degradation, backpressure) holds per shard by
-construction; sharding adds capacity without touching verdict semantics.
+in-process path, the full sweep for every command, the session cap as
+the only load bound, a stopped session on a device error) holds per
+shard by construction; sharding adds capacity without touching verdict
+semantics.
 
 On top of the session protocol, a worker answers three **control ops**
 (the supervisor's control channel, spoken over the same socket by
@@ -19,8 +21,9 @@ connections that never open a session):
 - ``control_drain`` → stop admitting sessions (opens are refused with
   the retryable ``draining`` code) and exit once the last session
   closes — the graceful half of drain-and-respawn.
-- ``control_shutdown`` → exit now, dropping open sessions (their
-  clients see a retry-eligible connection loss).
+- ``control_shutdown`` → exit now, dropping open sessions (a client
+  waiting on a command sees :class:`~repro.serve.client.ServeSessionLost`,
+  any other request a retry-eligible connection loss).
 
 The fork-only discipline mirrors :mod:`repro.parallel`: workers inherit
 warm module state (compiled rulebases, geometry kernels) from the

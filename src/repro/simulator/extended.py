@@ -136,7 +136,7 @@ def finish_sweep(
     bounds: Optional[Any],
     held: Optional[str],
     arm_hit: np.ndarray,
-    tip_hit: Optional[np.ndarray],
+    tip_hit: np.ndarray,
     held_hit: Optional[np.ndarray],
     obst_names: Sequence[str],
     full_names: Sequence[str],
@@ -144,15 +144,12 @@ def finish_sweep(
     """Walls/bounds checks + first-bad-sample message for a swept job.
 
     *arm_hit*/*tip_hit*/*held_hit* are ``first_containing`` results for
-    the three probe families; *tip_hit* and *held_hit* may be ``None``
-    (the serve layer's degraded tool-point-only mode skips them — the
-    caller must flag that degradation, never hide it).  Messages and
-    probe precedence (arm, gripper tip, held vial, walls, bounds) are
-    verbatim the scalar reference loop's.
+    the three probe families; *held_hit* is ``None`` when RABIT does not
+    believe the arm holds anything.  Messages and probe precedence (arm,
+    gripper tip, held vial, walls, bounds) are verbatim the scalar
+    reference loop's.
     """
-    bad = arm_hit >= 0
-    if tip_hit is not None:
-        bad = bad | (tip_hit >= 0)
+    bad = (arm_hit >= 0) | (tip_hit >= 0)
     if held_hit is not None:
         bad = bad | (held_hit >= 0)
     wall_bad = np.zeros((len(samples), len(walls)), dtype=bool)
@@ -180,7 +177,7 @@ def finish_sweep(
             f"simulated trajectory of {call.robot!r}: arm would "
             f"collide with {obst_names[arm_hit[i]]!r}"
         )
-    if tip_hit is not None and tip_hit[i] >= 0:
+    if tip_hit[i] >= 0:
         return (
             f"simulated trajectory of {call.robot!r}: gripper would "
             f"collide with {full_names[tip_hit[i]]!r}"

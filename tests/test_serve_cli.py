@@ -4,7 +4,8 @@
 an explicit spelling (``auto``) and non-positive or garbage counts are
 rejected at parse time with exit code 2 — across every subcommand that
 grew the knob (montecarlo, campaign) and the serve front-end's
-``--sessions``/``--queue-size``/``--watermark`` family.
+``--sessions``/``--port``.  ``--sessions`` is the service's only load
+bound: the sweep-queue flags are gone, and passing one exits 2.
 """
 
 import argparse
@@ -57,15 +58,20 @@ def test_non_positive_montecarlo_samples_exit_2(capsys):
     assert "positive integer" in err
 
 
-@pytest.mark.parametrize(
-    "flag", ["--sessions", "--queue-size", "--watermark", "--max-batch", "--port"]
-)
+@pytest.mark.parametrize("flag", ["--sessions", "--port"])
 def test_serve_rejects_non_positive_counts(flag, capsys):
     code, err = _exit_code(["serve", flag, "0"], capsys)
     assert code == 2
     assert "positive integer" in err
     code, err = _exit_code(["serve", flag, "-1"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("flag", ["--queue-size", "--watermark", "--max-batch"])
+def test_serve_removed_overload_flags_exit_2(flag, capsys):
+    code, err = _exit_code(["serve", flag, "8"], capsys)
+    assert code == 2
+    assert "unrecognized arguments" in err
 
 
 def test_serve_subcommand_is_wired(capsys):

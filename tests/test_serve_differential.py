@@ -1,4 +1,4 @@
-"""Serve-vs-in-process differential and the degraded-verdict contract.
+"""Serve-vs-in-process differential and the fail-closed contract.
 
 Two halves of the same promise:
 
@@ -9,13 +9,10 @@ Two halves of the same promise:
    dispositions.  The batcher is allowed to exist only because it is
    invisible to verdicts.
 
-2. **Degradation is loud** — over the high watermark the service answers
-   with a tool-point-only probe that is *strictly weaker* (it can miss a
-   gripper-tip strike a full sweep would block).  That divergence is
-   permitted exactly once condition: every degraded verdict carries the
-   ``degraded`` flag, end to end (batcher → session journal → wire
-   response → service counters), and the service recovers to full sweeps
-   as soon as the queue drains.
+2. **Load never weakens the guard** — every command gets the full sweep
+   whatever the load.  Sixty-four sessions moving at once onto a
+   surface slab only the gripper tip strikes must all be blocked, as a
+   lone session is.
 """
 
 import asyncio
@@ -29,7 +26,7 @@ from repro.serve.batcher import SweepBatcher
 from repro.serve.client import ServeClient
 from repro.serve.journal import run_inprocess_journal
 from repro.serve.server import GuardServer
-from repro.serve.session import build_guarded_deck, default_serve_options
+from repro.serve.session import GuardSession
 from repro.trace.canon import canonical_bytes
 
 #: A script that exercises every journal field: clean motions, door
@@ -76,28 +73,26 @@ def test_service_journal_is_byte_identical_to_inprocess():
     # The equality above is only meaningful if the script exercised what
     # it claims to: batched sweeps, an alert, and a cache hit.
     assert sweeps["submitted"] >= 4, sweeps
-    assert sweeps["degraded"] == 0, sweeps
     alerts = [e["alert"] for e in service if e["alert"] is not None]
     assert [a["rule_id"] for a in alerts] == ["G1"]
     assert any(e["rule_cache"] == "hit" for e in service)
-    assert all(e["degraded"] is False for e in service)
+    assert all("degraded" not in e for e in service)
 
 
-# -- degradation -------------------------------------------------------------
+# -- fail closed under load ---------------------------------------------------
 
 
-def _tip_trap_job():
-    """A sweep job whose gripper tip strikes a slab the wrist clears.
+def _add_tip_trap(session):
+    """Add a slab the gripper tip strikes on the move to ``grid_a1_safe``.
 
-    ``surface=True`` obstacles are probed against gripper/held tips only
-    — exactly the family the degraded tool-point-only probe skips — so
-    this is the canonical full-blocks/degraded-clears divergence.
+    ``surface=True`` obstacles are probed against gripper/held tips
+    only, so the tool point clears this slab and only the full sweep
+    blocks the move.
     """
-    deck, rabit = build_guarded_deck("hein", {}, None, default_serve_options())
-    device = deck.devices["ur3e"]
+    rabit = session.rabit
+    device = session.deck.devices["ur3e"]
     call = resolve_action(device, "move_to_location", ("grid_a1_safe",), {})
-    checker = rabit.trajectory_checker
-    job = checker.prepare_sweep(call, rabit.state, rabit.model, True)
+    job = rabit.trajectory_checker.prepare_sweep(call, rabit.state, rabit.model, True)
     assert job is not None
 
     mid = job.samples[len(job.samples) // 2]
@@ -115,95 +110,41 @@ def _tip_trap_job():
             surface=True,
         )
     )
-    # Re-prepare against the mutated geometry so the job and the engines
-    # the batcher builds for it agree.
-    job = checker.prepare_sweep(call, rabit.state, rabit.model, True)
-    return job
 
 
-def test_degraded_probe_misses_tip_strike_but_is_flagged():
+def test_every_session_gets_the_full_sweep_under_load():
+    sessions_count = 64
+
     async def scenario():
-        job = _tip_trap_job()
-        geom_key = ("tip-trap", job.frame, job.exclude)
-
-        # Full path: the batched sweep blocks on the tip strike.
         batcher = SweepBatcher()
         batcher.start()
-        problem, degraded = await batcher.submit(job, geom_key)
-        assert problem is not None and "wet_tray" in problem
-        assert degraded is False
-        await batcher.stop()
-
-        # Degraded path: a queue already at the watermark forces the
-        # inline tool-point-only probe, which *clears* the same motion —
-        # tolerable only because the flag says so.
-        loaded = SweepBatcher(maxsize=4, high_watermark=1)
-        loaded._queue.put_nowait(
-            (job, geom_key, asyncio.get_running_loop().create_future())
-        )
-        problem, degraded = await loaded.submit(job, geom_key)
-        assert problem is None, "degraded probe skips tip strikes by design"
-        assert degraded is True, "a weaker verdict must never pass as a full one"
-        assert loaded.stats["degraded"] == 1
-        await loaded.stop()
-
-    asyncio.run(scenario())
-
-
-def test_service_degrades_under_load_and_recovers():
-    async def scenario():
-        # A watermark of 1 makes any queue overlap degrade: with several
-        # sessions pounding move commands, some sweeps answer inline.
-        server = GuardServer(queue_size=8, high_watermark=1, max_batch=8)
-        path = os.path.join(tempfile.mkdtemp(prefix="rabit-serve-deg-"), "g.sock")
-        await server.start_unix(path)
         try:
-            clients = []
-            for _ in range(6):
-                client = await ServeClient.open_unix(path)
-                await client.open_session(deck="hein_lean")
-                clients.append(client)
-
-            async def hammer(client):
-                responses = []
-                for _ in range(6):
-                    responses.append(
-                        await client.command("ur3e", "move_to_location", "grid_a1_safe")
-                    )
-                    responses.append(await client.command("ur3e", "go_to_home_pose"))
-                return responses
-
-            all_responses = await asyncio.gather(*[hammer(c) for c in clients])
-
-            # Degradation happened, and every degraded verdict was
-            # flagged consistently on the wire, in the journal, and in
-            # the service counters — never silently.
-            assert server.batcher.stats["degraded"] > 0
-            wire_degraded = sum(
-                1 for rs in all_responses for r in rs if r["degraded"]
+            sessions = [
+                GuardSession(i, "hein", batcher=batcher)
+                for i in range(sessions_count)
+            ]
+            for session in sessions:
+                _add_tip_trap(session)
+            responses = await asyncio.gather(
+                *[
+                    session.run_command("ur3e", "move_to_location", ("grid_a1_safe",))
+                    for session in sessions
+                ]
             )
-            journal_degraded = 0
-            for client in clients:
-                journal_degraded += sum(
-                    1 for e in await client.journal() if e["degraded"]
-                )
-            assert wire_degraded == server.batcher.stats["degraded"]
-            assert journal_degraded == wire_degraded
-            assert server.stats["degraded_commands"] == wire_degraded
-
-            # Recovery: with the load gone the queue is empty again, so a
-            # fresh command gets a full (non-degraded) sweep.
-            calm = await clients[0].command(
-                "ur3e", "move_to_location", "grid_a1_safe"
-            )
-            assert calm["ok"] and calm["degraded"] is False
-
-            for client in clients:
-                await client.close()
+            return responses, dict(batcher.stats)
         finally:
-            await server.stop()
+            await batcher.stop()
 
-    asyncio.run(scenario())
+    responses, sweeps = asyncio.run(scenario())
+
+    messages = [
+        (response["alert"] or {}).get("message", "allowed") for response in responses
+    ]
+    blocked = [m for m in messages if "gripper would collide with 'wet_tray'" in m]
+    assert len(blocked) == sessions_count, messages
+    assert not any(response["ok"] for response in responses)
+    # All 64 sweeps were queued together, so the load was real.
+    assert sweeps["max_batch"] == sessions_count, sweeps
 
 
 # -- sharded service ----------------------------------------------------------

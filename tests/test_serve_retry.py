@@ -134,7 +134,9 @@ def test_policy_validation():
 # The service can vanish mid-session (worker crash, drain, deploy).  The
 # client must surface that as a *distinct, retry-eligible* error — not a
 # bare ConnectionResetError from the guts of asyncio, and never a
-# generic ServeError the policy would refuse to retry.
+# generic ServeError the policy would refuse to retry — unless a command
+# frame had left: that command may have run, so the loss surfaces as the
+# non-retryable ServeSessionLost instead.
 
 
 def test_connection_lost_is_a_retry_eligible_serve_error():
@@ -168,36 +170,93 @@ def test_connection_lost_is_a_retry_eligible_serve_error():
     assert fn.calls == 2
 
 
+async def _slam_after_open(reader, writer):
+    # Answer the open, read one more frame, then hang up without
+    # warning — the shape of a worker dying under a live session.
+    await reader.readline()
+    writer.write(b'{"ok":true,"session":1}\n')
+    await writer.drain()
+    await reader.readline()
+    writer.close()
+
+
+async def _request_after_slam(payload):
+    from repro.serve.client import ServeClient
+
+    server = await asyncio.start_server(_slam_after_open, "127.0.0.1", 0)
+    port = server.sockets[0].getsockname()[1]
+    client = await ServeClient.open_tcp("127.0.0.1", port)
+    try:
+        assert await client.open_session(deck="hein") == 1
+        await client.request(payload)
+    finally:
+        await client.close()
+        server.close()
+        await server.wait_closed()
+
+
 def test_server_closing_mid_session_raises_connection_lost():
+    from repro.serve.client import ServeConnectionLost
+
+    # A journal request moves nothing in the lab, so its lost answer
+    # is safe to replay.
+    with pytest.raises(ServeConnectionLost) as excinfo:
+        run(_request_after_slam({"op": "journal"}))
+    # The distinct type is what makes it retry-eligible; the message
+    # says what happened rather than leaking asyncio internals.
+    assert isinstance(excinfo.value, ConnectionError)
+    assert "connection" in str(excinfo.value).lower()
+
+
+def test_server_closing_after_a_command_raises_session_lost():
+    from repro.serve.client import ServeError, ServeSessionLost
+
+    # The command frame left, so the service may have executed it: the
+    # lab state is unknown, and no retry policy may replay it.
+    with pytest.raises(ServeSessionLost) as excinfo:
+        run(_request_after_slam({"op": "command", "device": "ur3e"}))
+    assert isinstance(excinfo.value, ServeError)
+    assert not isinstance(excinfo.value, ConnectionError)
+    assert "connection" in str(excinfo.value).lower()
+
+
+def test_command_that_never_left_raises_connection_lost():
     from repro.serve.client import ServeClient, ServeConnectionLost
 
-    async def scenario():
-        async def slam_after_open(reader, writer):
-            # Answer the open, then hang up without warning — the shape
-            # of a worker dying under a live session.
-            await reader.readline()
-            writer.write(b'{"ok":true,"session":1}\n')
-            await writer.drain()
-            await reader.readline()
-            writer.close()
+    async def open_then_hang_up(reader, writer):
+        await reader.readline()
+        writer.write(b'{"ok":true,"session":1}\n')
+        await writer.drain()
+        writer.close()
 
-        server = await asyncio.start_server(slam_after_open, "127.0.0.1", 0)
+    async def scenario():
+        server = await asyncio.start_server(open_then_hang_up, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
+        client = await ServeClient.open_tcp("127.0.0.1", port)
         try:
-            client = await ServeClient.open_tcp("127.0.0.1", port)
             assert await client.open_session(deck="hein") == 1
-            with pytest.raises(ServeConnectionLost) as excinfo:
-                await client.request({"op": "command", "device": "ur3e"})
-            # The distinct type is what makes it retry-eligible; the
-            # message says what happened rather than leaking asyncio
-            # internals.
-            assert isinstance(excinfo.value, ConnectionError)
-            assert "connection" in str(excinfo.value).lower()
+            await asyncio.sleep(0.1)  # the client sees the hang-up first
+            await client.command("ur3e", "go_to_home_pose")
         finally:
+            await client.close()
             server.close()
             await server.wait_closed()
 
-    run(scenario())
+    # The service hung up before the command was sent, so it cannot have
+    # run: replaying it on a fresh connection is safe.
+    with pytest.raises(ServeConnectionLost, match="before the request"):
+        run(scenario())
+
+
+def test_session_lost_is_never_retried():
+    from repro.serve.client import ServeSessionLost
+
+    slept = []
+    fn = Flaky(ServeSessionLost("command answer lost"), failures=1)
+    wrapped = retrying(RetryPolicy(attempts=4), sleep=_collecting_sleep(slept))(fn)
+    with pytest.raises(ServeSessionLost):
+        run(wrapped())
+    assert fn.calls == 1 and slept == []
 
 
 def test_unavailable_refusal_carries_its_code():

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.actions import ActionLabel
 from repro.core.rulebase import Rule, RuleScope
-from repro.serve.client import ServeClient, ServeError
+from repro.serve.client import ServeClient, ServeError, ServeSessionLost
 from repro.serve.protocol import read_message
 from repro.serve.server import GuardServer
 
@@ -240,6 +240,43 @@ def test_protocol_garbage_gets_error_frame_then_close():
         assert await reader.read() == b""  # server hung up
         writer.close()
         assert server.stats["protocol_errors"] == 1
+
+    serve_test(scenario)
+
+
+def test_device_error_stops_the_session_with_a_definitive_frame():
+    async def scenario(server, path):
+        reader, writer = await asyncio.open_unix_connection(path)
+        for frame in (
+            b'{"op": "open", "deck": "hein_lean"}\n',
+            # RABIT has no rule against the direction, so the guard lets
+            # the command through and the centrifuge itself raises.
+            b'{"op": "command", "device": "centrifuge", "method": "rotate_rotor",'
+            b' "args": ["sideways"]}\n',
+        ):
+            writer.write(frame)
+            await writer.drain()
+            response = await read_message(reader)
+        assert response["ok"] is False
+        assert response["code"] == "device-error"
+        assert response["retryable"] is False
+        assert "invalid compass direction" in response["error"]
+        assert await reader.read() == b"", "the service ends the session"
+        writer.close()
+        await asyncio.sleep(0.05)  # let the server finish the teardown
+        assert server.sessions == {}
+        assert server.stats["commands"] == 0
+
+    serve_test(scenario)
+
+
+def test_client_raises_session_lost_on_a_device_error():
+    async def scenario(server, path):
+        client = await open_client(path, deck="hein_lean")
+        with pytest.raises(ServeSessionLost, match="invalid compass direction") as excinfo:
+            await client.command("centrifuge", "rotate_rotor", "sideways")
+        assert not isinstance(excinfo.value, ConnectionError), "never replayed"
+        await client.close()
 
     serve_test(scenario)
 
