@@ -10,7 +10,8 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.core.errors import SafetyViolation
-from repro.lab.berlinguette import build_berlinguette_deck, make_berlinguette_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.berlinguette import build_berlinguette_deck
 from repro.workflow import run_preset
 
 PAPER_MAPPING = {
@@ -45,7 +46,7 @@ def test_berlinguette_generalization(emit, benchmark):
 
     # And the general rules transfer: the door rule fires unchanged.
     deck2 = build_berlinguette_deck()
-    rabit2, proxies2, _ = make_berlinguette_rabit(deck2)
+    rabit2, proxies2, _ = make_rabit(deck2)
     with pytest.raises(SafetyViolation) as excinfo:
         proxies2["ur5e"].move_to_location("bdosing_interior")
     assert excinfo.value.alert.rule_id == "G1"

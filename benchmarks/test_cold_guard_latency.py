@@ -24,7 +24,8 @@ import time
 from repro.analysis.report import format_table
 from repro.core.actions import ActionCall, ActionLabel
 from repro.core.monitor import RabitOptions
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 from repro.workflow import run_preset
 
 
@@ -48,7 +49,7 @@ def _cold_verdict_kernel(compiled: bool, iterations: int = 400, repeats: int = 5
     full applies_to walk)."""
     deck = build_hein_deck()
     options = RabitOptions.modified(compiled_dispatch=compiled)
-    rabit, proxies, _ = make_hein_rabit(deck, options=options)
+    rabit, proxies, _ = make_rabit(deck, options=options)
     rabit.initialize()
     call = ActionCall(ActionLabel.OPEN_DOOR, "dosing_device")
 

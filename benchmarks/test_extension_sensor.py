@@ -16,14 +16,15 @@ from repro.core.errors import SafetyViolation
 from repro.core.sensor_rule import make_proximity_rule
 from repro.devices.sensor import ProximitySensor
 from repro.geometry.shapes import Cuboid
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 
 ZONE = Cuboid((0.2, -0.2, 0.0), (0.5, 0.2, 0.5), name="shared_zone")
 
 
 def _wired_with_sensor():
     deck = build_hein_deck()
-    rabit, proxies, _ = make_hein_rabit(deck)
+    rabit, proxies, _ = make_rabit(deck)
     sensor = ProximitySensor("curtain", zones={"ur3e": ZONE})
     deck.world.add_device(sensor)
     rabit.devices["curtain"] = sensor

@@ -13,7 +13,8 @@ full Fig. 2 guard round-trip (validate + execute + fetch + compare).
 
 from repro.analysis.latency import measure_workflow_latency
 from repro.analysis.report import format_table
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 
 PAPER = {
     "rabit": {"per_command": 0.03, "percent": 1.5},
@@ -64,7 +65,7 @@ def test_latency_overhead(emit, trend, benchmark):
 
     # Real-CPU kernel: one guarded door cycle (validate/execute/fetch).
     deck = build_hein_deck()
-    rabit, proxies, _ = make_hein_rabit(deck)
+    rabit, proxies, _ = make_rabit(deck)
 
     def guard_round_trip():
         proxies["dosing_device"].open_door()

@@ -43,18 +43,24 @@ def _scene(seed: int = 7):
     return cuboids, starts, ends
 
 
-def _best_of(repeats, fn):
-    """Min-of-N timing of *fn* called CALLS_PER_SAMPLE times per sample.
+def _best_of(repeats, *fns):
+    """Min-of-N timing of each of *fns*, called CALLS_PER_SAMPLE times per
+    sample; one best time per function.
 
     The min over repeats is robust to scheduler noise; amortizing over
     multiple calls per sample keeps timer resolution out of a 2 % gate.
+    The functions are sampled in turn, alternating which goes first, so
+    a slow spell on the host lands on every function alike instead of on
+    whichever one it happened to be timing.
     """
-    best = float("inf")
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        for _ in range(CALLS_PER_SAMPLE):
-            fn()
-        best = min(best, (time.perf_counter() - t0) / CALLS_PER_SAMPLE)
+    best = [float("inf")] * len(fns)
+    for repeat in range(repeats):
+        order = range(len(fns)) if repeat % 2 == 0 else reversed(range(len(fns)))
+        for i in order:
+            t0 = time.perf_counter()
+            for _ in range(CALLS_PER_SAMPLE):
+                fns[i]()
+            best[i] = min(best[i], (time.perf_counter() - t0) / CALLS_PER_SAMPLE)
     return best
 
 
@@ -67,16 +73,23 @@ def test_disabled_observability_overhead_gate(emit, trend, benchmark):
     engine._segment_entry_times_impl(starts, ends)
     engine.segment_entry_times(starts, ends)
 
-    t_seed = _best_of(REPEATS, lambda: engine._segment_entry_times_impl(starts, ends))
-    t_off = _best_of(REPEATS, lambda: engine.segment_entry_times(starts, ends))
-    overhead_off = t_off / t_seed - 1.0
+    def obs_on():
+        OBS.enable()
+        try:
+            engine.segment_entry_times(starts, ends)
+        finally:
+            OBS.disable()
 
-    OBS.enable()
     try:
-        t_on = _best_of(REPEATS, lambda: engine.segment_entry_times(starts, ends))
+        t_seed, t_off, t_on = _best_of(
+            REPEATS,
+            lambda: engine._segment_entry_times_impl(starts, ends),
+            lambda: engine.segment_entry_times(starts, ends),
+            obs_on,
+        )
     finally:
-        OBS.disable()
         OBS.reset()
+    overhead_off = t_off / t_seed - 1.0
     overhead_on = t_on / t_seed - 1.0
 
     lines = [

@@ -10,7 +10,8 @@ counts.
 
 
 from repro.analysis.report import format_table
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 from repro.lab.stage import STAGE_PROFILES, Stage
 
 PAPER_BANDS = {
@@ -62,7 +63,7 @@ def test_table1_regenerates(emit, benchmark):
 
     # Timed kernel: one guarded command (the unit the speed axis counts).
     deck = build_hein_deck()
-    rabit, proxies, _ = make_hein_rabit(deck)
+    rabit, proxies, _ = make_rabit(deck)
 
     def one_monitored_command():
         proxies["dosing_device"].open_door()

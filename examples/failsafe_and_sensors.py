@@ -20,13 +20,14 @@ from repro.core.failsafe import FailSafePolicy
 from repro.core.sensor_rule import make_proximity_rule
 from repro.devices.sensor import ProximitySensor
 from repro.geometry.shapes import Cuboid
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 
 
 def failsafe_demo() -> None:
     print("--- Fail-safe recovery (§II-B) ---")
     deck = build_hein_deck()
-    rabit, proxies, _ = make_hein_rabit(deck)
+    rabit, proxies, _ = make_rabit(deck)
     ur3e = proxies["ur3e"]
 
     ur3e.move_to_location("grid_a1_safe")
@@ -54,7 +55,7 @@ def failsafe_demo() -> None:
 def sensor_demo() -> None:
     print("--- Proximity sensor as a fifth device class (§V-B) ---")
     deck = build_hein_deck()
-    rabit, proxies, _ = make_hein_rabit(deck)
+    rabit, proxies, _ = make_rabit(deck)
     sensor = ProximitySensor(
         "curtain", zones={"ur3e": Cuboid((0.2, -0.2, 0.0), (0.5, 0.2, 0.5), name="zone")}
     )

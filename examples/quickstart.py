@@ -10,7 +10,8 @@ Run:  python examples/quickstart.py
 """
 
 from repro.core.errors import SafetyViolation
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 from repro.simulator.render import render_topdown
 
 
@@ -19,7 +20,7 @@ def main() -> None:
     #    configuration a researcher would author is deck.config; it is
     #    validated and loaded through the same path the pilot study used.
     deck = build_hein_deck()
-    rabit, proxies, trace = make_hein_rabit(deck)
+    rabit, proxies, trace = make_rabit(deck)
     ur3e = proxies["ur3e"]
     dosing = proxies["dosing_device"]
 

@@ -8,9 +8,9 @@ executes.
 
 Most users want one of the prebuilt labs plus the monitor wiring:
 
-    >>> from repro.lab.hein import build_hein_deck, make_hein_rabit
-    >>> deck = build_hein_deck()
-    >>> rabit, proxies, trace = make_hein_rabit(deck)
+    >>> from repro.lab.decks import build_deck, make_rabit
+    >>> deck = build_deck("hein")
+    >>> rabit, proxies, trace = make_rabit(deck)
     >>> proxies["dosing_device"].open_door()
 
 Package map (bottom-up): :mod:`repro.geometry` and

@@ -658,30 +658,20 @@ def _cmd_workflow_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from repro.devices.robot import RobotArmDevice
+    from repro.lab.decks import build_deck
     from repro.simulator.render import render_topdown
 
-    if args.lab == "hein":
-        from repro.lab.hein import build_hein_deck
-
-        deck = build_hein_deck()
-        frames = ["ur3e"]
-    elif args.lab == "berlinguette":
-        from repro.lab.berlinguette import build_berlinguette_deck
-
-        deck = build_berlinguette_deck()
-        frames = ["ur5e"]
-    elif args.lab == "testbed":
-        from repro.testbed.deck import build_testbed_deck
-
-        deck = build_testbed_deck()
-        frames = ["viperx", "ned2"]
-    else:
-        print(f"error: unknown lab {args.lab!r}", file=sys.stderr)
+    try:
+        deck = build_deck(args.lab)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    for frame in frames:
-        robot = deck.devices.get(frame)
-        print(render_topdown(deck.model, frame, robot=robot))
-        print()
+    # One view per arm, in its own frame (an arm's frame is its name).
+    for name, device in deck.devices.items():
+        if isinstance(device, RobotArmDevice):
+            print(render_topdown(deck.model, name, robot=device))
+            print()
     return 0
 
 
@@ -847,8 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="print a top-down view of a deck")
     p.add_argument(
-        "--lab", default="hein", choices=["hein", "berlinguette", "testbed"],
-        help="which deck to render",
+        "--lab", default="hein", metavar="DECK",
+        help="which deck to render: a name in repro.lab.decks.DECKS (default: hein)",
     )
     p.set_defaults(fn=_cmd_render)
 

@@ -90,6 +90,9 @@ class CommandRecord:
     alert: Optional[Alert]
     #: Resolved location name for robot moves/picks/places, when known.
     location: Optional[str] = None
+    #: How the monitor's rule-verdict cache answered this command
+    #: (:attr:`Rabit.last_rule_cache`); ``None`` when no monitor guarded it.
+    rule_cache: Optional[str] = None
 
     def __str__(self) -> str:
         outcome = f" !! {self.alert}" if self.alert else ""
@@ -185,6 +188,11 @@ class DeviceProxy:
                         label=call.label,
                         alert=alert,
                         location=call.location,
+                        rule_cache=(
+                            self._rabit.last_rule_cache
+                            if self._rabit is not None
+                            else None
+                        ),
                     )
                     self._trace.append(record)
                     if TRACE.active:

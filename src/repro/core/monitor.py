@@ -164,6 +164,9 @@ class Rabit:
             if self.options.rule_cache_size > 0
             else None
         )
+        #: How the rule-verdict cache answered the last rulebase consult:
+        #: ``"hit"``, ``"miss"`` or ``"disabled"`` (``None`` before any).
+        self.last_rule_cache: Optional[str] = None
         #: Every alert raised so far (kept even in fail-safe mode).
         self.alerts: List[Alert] = []
         #: Post-action observers (the time multiplexer registers here).
@@ -452,6 +455,7 @@ class Rabit:
             )
             cached = self.rule_cache.lookup(key)
             if cached is not MISS:
+                self.last_rule_cache = "hit"
                 if TRACE.active:
                     TRACE.stage_rule("hit", cached[0] if cached else None, dispatch)
                 return cached
@@ -471,11 +475,12 @@ class Rabit:
             verdict = (rule.rule_id, message)
         if self.rule_cache is not None:
             self.rule_cache.store(key, verdict)
+            self.last_rule_cache = "miss"
+        else:
+            self.last_rule_cache = "disabled"
         if TRACE.active:
             TRACE.stage_rule(
-                "miss" if self.rule_cache is not None else "disabled",
-                verdict[0] if verdict else None,
-                dispatch,
+                self.last_rule_cache, verdict[0] if verdict else None, dispatch
             )
         return verdict
 

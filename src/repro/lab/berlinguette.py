@@ -26,11 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.clock import VirtualClock
 from repro.core.config import build_model
-from repro.core.interceptor import CommandRecord, DeviceProxy, instrument
 from repro.core.model import RabitLabModel
-from repro.core.monitor import Rabit, RabitOptions
 from repro.devices.action_device import (
     Decapper,
     Hotplate,
@@ -48,7 +45,6 @@ from repro.geometry.shapes import Cuboid
 from repro.geometry.transforms import identity
 from repro.geometry.walls import Workspace
 from repro.kinematics.profiles import UR5E
-from repro.simulator.extended import ExtendedSimulator
 
 GEOMETRY: Dict[str, Dict[str, Any]] = {
     "platform": {"min": [-1.0, -1.0, -0.02], "max": [1.0, 1.0, 0.03], "surface": True},
@@ -261,31 +257,3 @@ def _berlinguette_config(vial_names: Tuple[str, ...]) -> Dict[str, Any]:
         "custom_rules": [],
         "reliable_container_tracking": True,
     }
-
-
-def make_berlinguette_rabit(
-    deck: BerlinguetteDeck,
-    options: Optional[RabitOptions] = None,
-    clock: Optional[VirtualClock] = None,
-) -> Tuple[Rabit, Dict[str, DeviceProxy], List[CommandRecord]]:
-    """Wire RABIT onto the Berlinguette deck."""
-    opts = options or RabitOptions.modified()
-    checker = (
-        ExtendedSimulator({"ur5e": deck.ur5e}) if opts.use_extended_simulator else None
-    )
-    rabit = Rabit(
-        model=deck.model,
-        devices=deck.devices,
-        options=opts,
-        trajectory_checker=checker,
-        clock=clock,
-    )
-    for vial_name, vial in deck.vials.items():
-        if vial.resting_at is not None:
-            rabit.seed_tracked("container_at", vial_name, vial.resting_at)
-        rabit.seed_tracked("container_solid", vial_name, vial.contents.solid_mg)
-        rabit.seed_tracked("container_liquid", vial_name, vial.contents.liquid_ml)
-    rabit.initialize()
-    proxies, trace = instrument(deck.devices, rabit, clock=rabit.clock)
-    return rabit, proxies, trace
-

@@ -10,8 +10,8 @@ frame, which doubles as the world frame (single-arm deck).
 JSON configuration document a researcher would write for RABIT; the
 config is deliberately round-tripped through the real
 :mod:`repro.core.config` loader, so every run exercises the same path the
-pilot-study participant used.  :func:`make_hein_rabit` wires up monitor,
-Extended Simulator, and tracing proxies.
+pilot-study participant used.  :func:`repro.lab.decks.make_rabit` wires
+up monitor, Extended Simulator, and tracing proxies.
 """
 
 from __future__ import annotations
@@ -19,12 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.clock import VirtualClock
 from repro.core.config import build_model
-from repro.core.interceptor import CommandRecord, DeviceProxy, instrument
 from repro.core.model import RabitLabModel
-from repro.core.monitor import Rabit, RabitOptions
-from repro.core.rulebase import RuleBase
 from repro.devices.action_device import Centrifuge, Hotplate, Thermoshaker
 from repro.devices.base import Device, DoorState
 from repro.devices.container import Vial
@@ -36,7 +32,6 @@ from repro.geometry.shapes import Cuboid
 from repro.geometry.transforms import identity
 from repro.geometry.walls import Workspace
 from repro.kinematics.profiles import UR3E
-from repro.simulator.extended import ExtendedSimulator
 
 #: Deck geometry, UR3e frame (= world frame).  All metres.  Chosen so that
 #: every scripted location is inside the UR3e's 0.5 m reach, gripper and
@@ -275,41 +270,3 @@ def _hein_config(vial_names: Tuple[str, ...]) -> Dict[str, Any]:
         "custom_rules": ["C1", "C2", "C3", "C4"],
         "reliable_container_tracking": True,
     }
-
-
-def make_hein_rabit(
-    deck: HeinDeck,
-    options: Optional[RabitOptions] = None,
-    clock: Optional[VirtualClock] = None,
-    rulebase: Optional[RuleBase] = None,
-) -> Tuple[Rabit, Dict[str, DeviceProxy], List[CommandRecord]]:
-    """Wire RABIT onto the deck: monitor, simulator, tracing proxies.
-
-    Seeds the tracked initial inventory (which vial starts where, empty
-    and stoppered) the way the lab researcher does at experiment start.
-    Pass *rulebase* to supply a prebuilt (possibly tenant-overlaid)
-    rulebase; sessions sharing one instance also share its memoized
-    compiled snapshot.
-    """
-    opts = options or RabitOptions.modified()
-    checker = (
-        ExtendedSimulator({"ur3e": deck.ur3e}) if opts.use_extended_simulator else None
-    )
-    rabit = Rabit(
-        model=deck.model,
-        devices=deck.devices,
-        options=opts,
-        trajectory_checker=checker,
-        clock=clock,
-        rulebase=rulebase,
-    )
-    for vial_name, vial in deck.vials.items():
-        if vial.resting_at is not None:
-            rabit.seed_tracked("container_at", vial_name, vial.resting_at)
-        # The researcher declares the starting inventory; we read it off
-        # the (correctly prepared) deck, like the lab does at setup time.
-        rabit.seed_tracked("container_solid", vial_name, vial.contents.solid_mg)
-        rabit.seed_tracked("container_liquid", vial_name, vial.contents.liquid_ml)
-    rabit.initialize()
-    proxies, trace = instrument(deck.devices, rabit, clock=rabit.clock)
-    return rabit, proxies, trace

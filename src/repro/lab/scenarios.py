@@ -5,9 +5,10 @@ in the rulebase. ... RABIT successfully detected unsafe behavior in all
 these scenarios."
 
 One scenario per rule in Table III (G1-G11) and Table IV (C1-C4), each on
-a fresh Hein production deck: a safe setup prefix followed by exactly one
-command that violates the rule.  A scenario *passes reproduction* when
-RABIT stops that command with an alert attributing the right rule.
+a fresh Hein production deck, plus the testbed's controlled experiments:
+a safe setup prefix followed by exactly one command that violates the
+rule.  A scenario *passes reproduction* when RABIT stops that command
+with an alert attributing the right rule.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.errors import Alert, SafetyViolation
 from repro.core.monitor import RabitOptions
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import build_deck, make_rabit
 
 
 @dataclass
@@ -50,16 +51,18 @@ class RuleScenario:
     script: Callable[[Dict, object], None]
     #: Deck preparation before RABIT attaches (e.g. pre-filled vials).
     prepare: Optional[Callable[[object], None]] = None
+    #: The registry deck the scenario runs on (:data:`repro.lab.decks.DECKS`).
+    deck: str = "hein"
 
 
 def run_scenario(
     scenario: RuleScenario, options: Optional[RabitOptions] = None
 ) -> ScenarioOutcome:
-    """Execute *scenario* on a fresh Hein deck under *options*."""
-    deck = build_hein_deck()
+    """Execute *scenario* on a fresh deck of its kind under *options*."""
+    deck = build_deck(scenario.deck)
     if scenario.prepare is not None:
         scenario.prepare(deck)
-    rabit, proxies, _ = make_hein_rabit(deck, options=options or RabitOptions.modified())
+    _rabit, proxies, _ = make_rabit(deck, options)
     alert: Optional[Alert] = None
     try:
         scenario.script(proxies, deck)
@@ -270,29 +273,6 @@ ALL_SCENARIOS: Tuple[RuleScenario, ...] = GENERAL_SCENARIOS + CUSTOM_SCENARIOS
 # Testbed-side controlled scenarios (§IV ran on both platforms)
 # ---------------------------------------------------------------------------
 
-
-def run_testbed_scenario(
-    scenario: RuleScenario, options: Optional[RabitOptions] = None
-) -> ScenarioOutcome:
-    """Execute a testbed scenario on a fresh dual-arm testbed deck."""
-    from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
-
-    deck = build_testbed_deck(noise_sigma=0.003)
-    if scenario.prepare is not None:
-        scenario.prepare(deck)
-    rabit, proxies, _ = make_testbed_rabit(
-        deck, options=options or RabitOptions.modified()
-    )
-    alert: Optional[Alert] = None
-    try:
-        scenario.script(proxies, deck)
-    except SafetyViolation as stop:
-        alert = stop.alert
-    return ScenarioOutcome(
-        rule_id=scenario.rule_id, description=scenario.description, alert=alert
-    )
-
-
 #: The paper's named testbed controlled experiments: "On the testbed, we
 #: attempted to move ViperX inside the dosing device while its door was
 #: closed, violating rule 1", plus testbed analogues of the geometric and
@@ -303,11 +283,13 @@ TESTBED_SCENARIOS: Tuple[RuleScenario, ...] = (
         "Move ViperX inside the (mock) dosing device while its door is "
         "closed — the paper's named testbed experiment",
         lambda px, deck: px["viperx"].move_to_location("dosing_pickup_viperx"),
+        deck="testbed",
     ),
     RuleScenario(
         "G3",
         "Drive ViperX into the shared vial grid",
         lambda px, deck: px["viperx"].move_to_location([0.5, 0.0, 0.02]),
+        deck="testbed",
     ),
     RuleScenario(
         "G9",
@@ -316,6 +298,7 @@ TESTBED_SCENARIOS: Tuple[RuleScenario, ...] = (
             px["dosing_device"].set_door("state", "open"),
             px["dosing_device"].run_action(delay=0, quantity=5),
         ),
+        deck="testbed",
     ),
     RuleScenario(
         "G11",
@@ -324,6 +307,7 @@ TESTBED_SCENARIOS: Tuple[RuleScenario, ...] = (
             px["centrifuge"].set_door("state", "closed"),
             px["centrifuge"].start_action(9000.0),
         ),
+        deck="testbed",
     ),
 )
 

@@ -14,13 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict
 
-from repro.core.clock import VirtualClock
 from repro.core.config import build_model
-from repro.core.interceptor import CommandRecord, DeviceProxy, instrument
 from repro.core.model import RabitLabModel
-from repro.core.monitor import Rabit, RabitOptions
 from repro.devices.base import Device, DoorState
 from repro.devices.container import Vial
 from repro.devices.locations import LocationKind
@@ -133,26 +130,3 @@ def build_two_door_deck() -> TwoDoorDeck:
     return TwoDoorDeck(
         world=world, devices=devices, vials={"mv": vial}, config=config, model=model
     )
-
-
-def make_two_door_rabit(
-    deck: TwoDoorDeck,
-    options: Optional[RabitOptions] = None,
-    clock: Optional[VirtualClock] = None,
-) -> Tuple[Rabit, Dict[str, DeviceProxy], List[CommandRecord]]:
-    """Wire RABIT onto the two-door deck (monitor + tracing proxies)."""
-    rabit = Rabit(
-        model=deck.model,
-        devices=deck.devices,
-        options=options or RabitOptions.modified(),
-        clock=clock,
-    )
-    for vial_name, vial in deck.vials.items():
-        if vial.resting_at is not None:
-            rabit.seed_tracked("container_at", vial_name, vial.resting_at)
-        rabit.seed_tracked("container_solid", vial_name, vial.contents.solid_mg)
-        rabit.seed_tracked("container_liquid", vial_name, vial.contents.liquid_ml)
-    rabit.initialize()
-    proxies, trace = instrument(deck.devices, rabit, clock=rabit.clock)
-    return rabit, proxies, trace
-

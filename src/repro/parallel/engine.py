@@ -17,8 +17,9 @@ Mechanics:
   state such as the reference workflow's line ids) and tasks are handed
   out in chunks, so the per-task dispatch cost is a queue hop, not a
   process start;
-- results stream back unordered (``imap_unordered``) and are merged by
-  task index, so a slow shard never stalls collection;
+- results come back in task order (``ProcessPoolExecutor.map``); a task
+  that raises re-raises in the caller, and leaving the ``with`` block
+  cancels the tasks not yet started and joins the workers;
 - the engine falls back to an in-process sequential loop when the
   effective worker count is 1, the task list is trivial, or the platform
   lacks a ``fork`` start method (Windows / some macOS configurations —
@@ -37,6 +38,7 @@ import math
 import multiprocessing
 import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import OBS
@@ -88,14 +90,11 @@ def resolve_workers(workers: Optional[int], task_count: int) -> int:
     return max(1, min(int(workers), max(task_count, 1)))
 
 
-def _timed_call(
-    task_fn: Callable[[Any], Any], indexed: Tuple[int, Any]
-) -> Tuple[int, int, float, Any]:
-    """Run one task; returns ``(index, worker_pid, wall_seconds, value)``."""
-    index, task = indexed
+def _timed_call(task_fn: Callable[[Any], Any], task: Any) -> Tuple[int, float, Any]:
+    """Run one task; returns ``(worker_pid, wall_seconds, value)``."""
     start = time.perf_counter()
     value = task_fn(task)
-    return index, os.getpid(), time.perf_counter() - start, value
+    return os.getpid(), time.perf_counter() - start, value
 
 
 def _record_completion(kind: str, pid: int, wall_seconds: float) -> None:
@@ -132,26 +131,19 @@ def run_sharded(
     if effective <= 1 or count <= 1 or not fork_pool_available():
         if initializer is not None:
             initializer()
-        values: List[Any] = []
-        for indexed in enumerate(task_list):
-            _, pid, wall, value = _timed_call(task_fn, indexed)
-            _record_completion(kind, pid, wall)
-            values.append(value)
-        return values
-
-    chunk = chunk_size or max(1, math.ceil(count / (effective * 4)))
-    merged: dict = {}
-    ctx = multiprocessing.get_context("fork")
-    pool = ctx.Pool(processes=effective, initializer=initializer)
-    try:
-        bound = functools.partial(_timed_call, task_fn)
-        for index, pid, wall, value in pool.imap_unordered(
-            bound, enumerate(task_list), chunksize=chunk
-        ):
-            _record_completion(kind, pid, wall)
-            merged[index] = value
-        pool.close()
-        pool.join()
-    finally:
-        pool.terminate()
-    return [merged[i] for i in range(count)]
+        timed = (_timed_call(task_fn, task) for task in task_list)
+    else:
+        chunk = chunk_size or max(1, math.ceil(count / (effective * 4)))
+        with ProcessPoolExecutor(
+            max_workers=effective,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=initializer,
+        ) as pool:
+            timed = list(
+                pool.map(functools.partial(_timed_call, task_fn), task_list, chunksize=chunk)
+            )
+    values: List[Any] = []
+    for pid, wall, value in timed:
+        _record_completion(kind, pid, wall)
+        values.append(value)
+    return values

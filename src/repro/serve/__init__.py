@@ -20,9 +20,10 @@ users.  :mod:`repro.serve` is that front-end:
 - :class:`~repro.serve.client.ServeClient` — a thin asyncio client
   speaking newline-delimited canonical JSON, with
   :mod:`repro.serve.retry` resilience on connect.
-- :mod:`repro.serve.journal` — the per-session verdict journal both the
-  service and the in-process reference path emit; the differential suite
-  pins the two byte-identical.
+- :mod:`repro.serve.journal` — the per-session verdict journal: the
+  wire projection of the interceptor's ``CommandRecord`` that both the
+  service and the in-process ``DeviceProxy`` path produce; the
+  differential suite pins the two byte-identical.
 - :mod:`repro.serve.shard` — the multi-process scale-out: a supervisor
   forks N full worker services behind a deterministic session router,
   with merged cross-worker stats and a scrapeable ``/metrics`` endpoint.

@@ -21,7 +21,12 @@ import asyncio
 from dataclasses import replace
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.serve.protocol import ProtocolError, encode_message, read_message
+from repro.serve.protocol import (
+    MAX_MESSAGE_BYTES,
+    ProtocolError,
+    encode_message,
+    read_message,
+)
 from repro.serve.retry import RetryPolicy, retrying
 
 __all__ = [
@@ -103,7 +108,7 @@ class ServeClient:
 
         @retrying(policy)
         async def connect() -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-            return await asyncio.open_unix_connection(path)
+            return await asyncio.open_unix_connection(path, limit=MAX_MESSAGE_BYTES)
 
         reader, writer = await connect()
         return cls(reader, writer)
@@ -119,7 +124,7 @@ class ServeClient:
 
         @retrying(policy)
         async def connect() -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-            return await asyncio.open_connection(host, port)
+            return await asyncio.open_connection(host, port, limit=MAX_MESSAGE_BYTES)
 
         reader, writer = await connect()
         return cls(reader, writer)

@@ -1,11 +1,13 @@
 """The per-session verdict journal — the serve differential witness.
 
-Every guarded command a session processes appends one JSON-safe record:
-sequence number, device/method/label/location, the virtual time after
-the command, the alert (if any), and the rule-verdict-cache
-disposition.  The same builder is used by the service session and by
-:func:`run_inprocess_journal`, which replays a command script through
-the classic synchronous :meth:`Rabit.guard` path — so "service and
+A session journals each guarded command as the interceptor's
+:class:`~repro.core.interceptor.CommandRecord`; :func:`journal_entry`
+projects one onto the wire fields: sequence number,
+device/method/label/location, the virtual time after the command, the
+alert (if any), and the rule-verdict-cache disposition.
+:func:`run_inprocess_journal` drives the same script through a deck's
+:class:`~repro.core.interceptor.DeviceProxy` objects — the in-process
+path — and projects their records the same way, so "service and
 in-process agree" reduces to byte equality of two
 :func:`~repro.trace.canon.canonical_bytes` renderings, at any load: the
 service sweeps every command in full, so no record carries a caveat.
@@ -15,31 +17,24 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.core.errors import Alert, SafetyViolation
-from repro.core.interceptor import BASELINE_DURATION, resolve_action
-from repro.core.monitor import Rabit, RabitOptions
+from repro.core.errors import SafetyViolation
+from repro.core.interceptor import CommandRecord
+from repro.core.monitor import RabitOptions
+from repro.lab.decks import build_deck, make_rabit
 
-__all__ = ["journal_record", "run_inprocess_journal", "cache_disposition"]
+__all__ = ["journal_entry", "run_inprocess_journal"]
 
 
-def journal_record(
-    seq: int,
-    device: str,
-    method: str,
-    label: Optional[Any],
-    location: Optional[str],
-    t: float,
-    alert: Optional[Alert],
-    rule_cache: str,
-) -> Dict[str, Any]:
-    """One canonical journal entry (plain JSON types only)."""
+def journal_entry(seq: int, record: CommandRecord) -> Dict[str, Any]:
+    """The journal fields of one guarded command (plain JSON types only)."""
+    alert = record.alert
     return {
         "seq": seq,
-        "device": device,
-        "method": method,
-        "label": label.value if label is not None else None,
-        "location": location,
-        "t": t,
+        "device": record.device,
+        "method": record.method,
+        "label": record.label.value if record.label is not None else None,
+        "location": record.location,
+        "t": record.time,
         "alert": (
             {
                 "kind": alert.kind.value,
@@ -49,20 +44,8 @@ def journal_record(
             if alert is not None
             else None
         ),
-        "rule_cache": rule_cache,
+        "rule_cache": record.rule_cache,
     }
-
-
-def cache_disposition(rabit: Rabit, hits_before: int, misses_before: int) -> str:
-    """How the rule-verdict cache answered the command just guarded."""
-    cache = rabit.rule_cache
-    if cache is None:
-        return "disabled"
-    if cache.hits > hits_before:
-        return "hit"
-    if cache.misses > misses_before:
-        return "miss"
-    return "none"
 
 
 def run_inprocess_journal(
@@ -71,53 +54,22 @@ def run_inprocess_journal(
     deck_params: Optional[Dict[str, Any]] = None,
     options: Optional[RabitOptions] = None,
 ) -> List[Dict[str, Any]]:
-    """Replay *commands* through the classic synchronous guard path.
+    """Run *commands* through the deck's tracing proxies; their journal.
 
-    Builds the same deck/monitor a :class:`GuardSession` would (same
-    options, same seeding, same clock charges) and guards each command
-    with :meth:`Rabit.guard` — the single-session in-process reference
-    the service journal must match byte-for-byte.
+    Builds the deck and monitor a :class:`GuardSession` would (same
+    registry, same options, same seeding) and calls each command on its
+    :class:`DeviceProxy` — the single-session in-process reference the
+    service journal must match byte-for-byte.  Unmodeled methods pass
+    through unjournaled, as they do in the service.
     """
-    from repro.serve.session import build_guarded_deck, default_serve_options
+    from repro.serve.session import default_serve_options
 
-    opts = options or default_serve_options()
-    deck, rabit = build_guarded_deck(deck_name, deck_params or {}, None, opts)
-    journal: List[Dict[str, Any]] = []
+    deck = build_deck(deck_name, deck_params)
+    _rabit, proxies, trace = make_rabit(deck, options or default_serve_options())
     for command in commands:
-        device = deck.devices[command["device"]]
-        method = command["method"]
-        args = tuple(command.get("args", ()))
-        kwargs = dict(command.get("kwargs", {}))
-        attr = getattr(device, method)
-        call = resolve_action(device, method, args, kwargs)
-        if call is None:
-            attr(*args, **kwargs)  # unmodeled: pass through, unjournaled
-            continue
-        rabit.clock.advance(
-            device.connection.command_latency + BASELINE_DURATION.get(call.label, 1.0),
-            "experiment",
-        )
-        cache = rabit.rule_cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
-        before = rabit.alert_count
-        alert: Optional[Alert] = None
+        method = getattr(proxies[command["device"]], command["method"])
         try:
-            rabit.guard(call, lambda: attr(*args, **kwargs))
-            if rabit.alert_count > before:
-                alert = rabit.last_alert()
-        except SafetyViolation as violation:
-            alert = violation.alert
-        journal.append(
-            journal_record(
-                seq=len(journal),
-                device=device.name,
-                method=method,
-                label=call.label,
-                location=call.location,
-                t=rabit.clock.now,
-                alert=alert,
-                rule_cache=cache_disposition(rabit, hits_before, misses_before),
-            )
-        )
-    return journal
+            method(*command.get("args", ()), **command.get("kwargs", {}))
+        except SafetyViolation:
+            pass  # preemptive-stop options: the proxy journaled the alert
+    return [journal_entry(seq, record) for seq, record in enumerate(trace)]

@@ -23,7 +23,9 @@ Wire operations (all request/response, one JSON object per line):
 
 - ``{"op": "ping"}``
 - ``{"op": "open", "deck": "hein", "params": {…}, "tenant": "…",
-  "io_latency": 0.004}`` → ``{"ok": true, "session": N}``
+  "io_latency": 0.004}`` → ``{"ok": true, "session": N}``; ``deck`` is
+  a :data:`repro.lab.decks.DECKS` name and ``params`` its builder's
+  keyword arguments (an unknown key is refused)
 - ``{"op": "command", "device": "ur3e", "method": "go_to_home_pose",
   "args": […], "kwargs": {…}}`` → the verdict dict
 - ``{"op": "journal"}`` → the session's full verdict journal
@@ -31,11 +33,11 @@ Wire operations (all request/response, one JSON object per line):
 - ``{"op": "close"}`` → close this session/connection
 
 Errors come back as ``{"ok": false, "error": "…"}`` on the live
-connection.  Two end it after the error frame: a frame that is not a
-protocol message (not UTF-8, not a finite JSON object, oversized), and a
-command that raised after its guard started, answered with
-``"code": "device-error", "retryable": false`` because the session's
-lab state is then unknown.
+connection, as does a reply too big for one frame.  Two end it after
+the error frame: a frame that is not a protocol message (not UTF-8, not
+a finite JSON object, oversized), and a command that raised after its
+guard started, answered with ``"code": "device-error", "retryable":
+false`` because the session's lab state is then unknown.
 """
 
 from __future__ import annotations
@@ -49,13 +51,14 @@ from repro.core.monitor import RabitOptions
 from repro.core.rulebase import Rule, RuleBase, build_default_rulebase
 from repro.obs import OBS
 from repro.serve.batcher import SweepBatcher
-from repro.serve.protocol import ProtocolError, encode_message, read_message
-from repro.serve.session import (
-    DECK_BUILDERS,
-    DeviceError,
-    GuardSession,
-    default_serve_options,
+from repro.serve.journal import journal_entry
+from repro.serve.protocol import (
+    MAX_MESSAGE_BYTES,
+    ProtocolError,
+    encode_message,
+    read_message,
 )
+from repro.serve.session import DeviceError, GuardSession, default_serve_options
 
 __all__ = ["GuardServer", "SessionRejected", "TenantRulebases"]
 
@@ -159,12 +162,16 @@ class GuardServer:
     async def start_unix(self, path: str) -> None:
         """Listen on a unix socket at *path*."""
         self.batcher.start()
-        self._server = await asyncio.start_unix_server(self._handle_connection, path)
+        self._server = await asyncio.start_unix_server(
+            self._handle_connection, path, limit=MAX_MESSAGE_BYTES
+        )
 
     async def start_tcp(self, host: str, port: int) -> None:
         """Listen on TCP *host*:*port*."""
         self.batcher.start()
-        self._server = await asyncio.start_server(self._handle_connection, host, port)
+        self._server = await asyncio.start_server(
+            self._handle_connection, host, port, limit=MAX_MESSAGE_BYTES
+        )
 
     async def serve_forever(self) -> None:
         """Block serving connections until cancelled."""
@@ -215,7 +222,13 @@ class GuardServer:
                 pass
 
     async def _send(self, writer: asyncio.StreamWriter, payload: dict) -> None:
-        writer.write(encode_message(payload))
+        try:
+            frame = encode_message(payload)
+        except ProtocolError as exc:
+            # A reply past the frame limit (a journal of ~7,000 commands)
+            # is refused, not dropped with the connection.
+            frame = encode_message({"ok": False, "error": f"reply not sent: {exc}"})
+        writer.write(frame)
         await writer.drain()
 
     async def _dispatch(
@@ -289,7 +302,8 @@ class GuardServer:
         if op == "journal":
             if session is None:
                 return {"ok": False, "error": "no session open"}, None, True
-            return {"ok": True, "journal": list(session.journal)}, session, True
+            journal = [journal_entry(seq, r) for seq, r in enumerate(session.journal)]
+            return {"ok": True, "journal": journal}, session, True
         if op == "stats":
             return {"ok": True, "stats": self.snapshot()}, session, True
         if op == "close":
@@ -306,10 +320,6 @@ class GuardServer:
                 retryable=True,
             )
         deck_name = str(request.get("deck", "hein"))
-        if deck_name not in DECK_BUILDERS:
-            raise KeyError(
-                f"unknown deck {deck_name!r}; known: {', '.join(sorted(DECK_BUILDERS))}"
-            )
         params = request.get("params") or {}
         if not isinstance(params, dict):
             raise TypeError("params must be an object")
@@ -323,13 +333,10 @@ class GuardServer:
         if not valid:
             raise ValueError(f"io_latency must be a finite number >= 0, got {latency!r}")
 
-        # The shared rulebase needs the deck's enabled custom-rule ids;
-        # build a probe model cheaply via the session itself: sessions on
-        # the same deck share config, so read it off DECK_BUILDERS once.
-        session_id = self._next_session_id
-        self._next_session_id += 1
+        # The deck registry refuses an unknown deck or parameter here
+        # (ValueError), before the session takes an id.
         session = GuardSession(
-            session_id=session_id,
+            session_id=self._next_session_id,
             deck_name=deck_name,
             deck_params=params,
             rulebase=None,  # placeholder; replaced below with the shared one
@@ -346,7 +353,8 @@ class GuardServer:
             tuple(session.rabit.model.custom_rule_ids), tenant
         )
         session.rabit.rulebase = shared
-        self.sessions[session_id] = session
+        self._next_session_id += 1
+        self.sessions[session.session_id] = session
         self.stats["sessions_opened"] += 1
         if OBS.enabled:
             _OBS_SESSIONS.set(float(len(self.sessions)))

@@ -20,10 +20,12 @@ win comes from.
 
 The deck executes *inside the service* here; a production deployment
 would swap the device call for the remote lab driver's awaitable.  The
-session journals every guarded command via :mod:`repro.serve.journal`,
-byte-identical to the in-process path.  A command that raises once its
-guard has started ends the session with :class:`DeviceError`, as the
-same exception stops an in-process script.
+session journals every guarded command as the interceptor's
+:class:`~repro.core.interceptor.CommandRecord`, projected onto the wire
+by :func:`repro.serve.journal.journal_entry`, byte-identical to the
+in-process path.  A command that raises once its guard has started ends
+the session with :class:`DeviceError`, as the same exception stops an
+in-process script.
 """
 
 from __future__ import annotations
@@ -34,44 +36,20 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 from repro.core.actions import ActionCall
 from repro.core.clock import VirtualClock
 from repro.core.errors import Alert, SafetyViolation
-from repro.core.interceptor import BASELINE_DURATION, resolve_action
+from repro.core.interceptor import BASELINE_DURATION, CommandRecord, resolve_action
 from repro.core.monitor import Rabit, RabitOptions
 from repro.core.rulebase import RuleBase
+from repro.lab.decks import build_deck, make_rabit
 from repro.serve.batcher import SweepBatcher
-from repro.serve.journal import cache_disposition, journal_record
+from repro.serve.journal import journal_entry
 from repro.trace.canon import content_digest
 
 __all__ = [
-    "DECK_BUILDERS",
     "DeviceError",
     "GuardSession",
     "build_guarded_deck",
     "default_serve_options",
 ]
-
-
-def _build_hein(params: Dict[str, Any]) -> Any:
-    from repro.lab.hein import build_hein_deck
-
-    vials = tuple(params.get("vials", ("vial_1", "vial_2")))
-    return build_hein_deck(vials)
-
-
-def _build_hein_lean(params: Dict[str, Any]) -> Any:
-    from repro.lab.hein import build_hein_deck
-
-    vials = tuple(params.get("vials", ("vial_1", "vial_2")))
-    return build_hein_deck(vials, world_geometry=False)
-
-
-#: Decks a session can be opened on.  ``hein_lean`` is the same deck
-#: without ground-truth world geometry (the throughput benchmark's
-#: stand-in for a remote lab whose physics live across an I/O boundary);
-#: guard verdicts are identical because RABIT only reads the config model.
-DECK_BUILDERS: Dict[str, Callable[[Dict[str, Any]], Any]] = {
-    "hein": _build_hein,
-    "hein_lean": _build_hein_lean,
-}
 
 
 def default_serve_options() -> RabitOptions:
@@ -95,19 +73,13 @@ def build_guarded_deck(
     options: RabitOptions,
     clock: Optional[VirtualClock] = None,
 ) -> Tuple[Any, Rabit]:
-    """Deck + wired monitor, shared by sessions and the in-process runner."""
-    try:
-        builder = DECK_BUILDERS[deck_name]
-    except KeyError:
-        raise KeyError(
-            f"unknown deck {deck_name!r}; known: {', '.join(sorted(DECK_BUILDERS))}"
-        ) from None
-    from repro.lab.hein import make_hein_rabit
+    """Registry deck + wired monitor for one session.
 
-    deck = builder(deck_params)
-    rabit, _proxies, _trace = make_hein_rabit(
-        deck, options=options, clock=clock, rulebase=rulebase
-    )
+    *deck_params* are the deck builder's keyword arguments; an unknown
+    deck or parameter raises :class:`ValueError`.
+    """
+    deck = build_deck(deck_name, deck_params)
+    rabit, _proxies, _trace = make_rabit(deck, options, clock, rulebase)
     return deck, rabit
 
 
@@ -144,7 +116,7 @@ class GuardSession:
         self.deck, self.rabit = build_guarded_deck(
             deck_name, self.deck_params, rulebase, self.options
         )
-        self.journal: List[Dict[str, Any]] = []
+        self.journal: List[CommandRecord] = []
         #: Sessions opened on the same deck+params share a signature, so
         #: their sweep jobs land in the same batcher geometry group …
         self._deck_signature = content_digest(
@@ -198,7 +170,9 @@ class GuardSession:
                 # Unmodeled method: pass through untraced, like DeviceProxy.
                 result = attr(*args, **kwargs)
                 return {"ok": True, "traced": False, "result": _json_safe(result)}
-            return await self._guard(device, method, call, lambda: attr(*args, **kwargs))
+            return await self._guard(
+                device, method, tuple(args), call, lambda: attr(*args, **kwargs)
+            )
         except Exception as exc:
             raise DeviceError(
                 f"{device_name}.{method} raised {exc!r}; "
@@ -206,7 +180,12 @@ class GuardSession:
             ) from exc
 
     async def _guard(
-        self, device: Any, method: str, call: ActionCall, run: Callable[[], Any]
+        self,
+        device: Any,
+        method: str,
+        args: Tuple[Any, ...],
+        call: ActionCall,
+        run: Callable[[], Any],
     ) -> Dict[str, Any]:
         """Charge the clock, guard *call* around *run*, journal the verdict."""
         rabit = self.rabit
@@ -236,9 +215,6 @@ class GuardSession:
                     job, self.geom_key(job.frame, job.exclude)
                 )
 
-        cache = rabit.rule_cache
-        hits_before = cache.hits if cache is not None else 0
-        misses_before = cache.misses if cache is not None else 0
         before = rabit.alert_count
         alert: Optional[Alert] = None
         try:
@@ -250,17 +226,18 @@ class GuardSession:
             # session still answers with the verdict.
             alert = violation.alert
 
-        entry = journal_record(
-            seq=len(self.journal),
+        record = CommandRecord(
+            time=rabit.clock.now,
             device=device.name,
             method=method,
+            args=args,
             label=call.label,
-            location=call.location,
-            t=rabit.clock.now,
             alert=alert,
-            rule_cache=cache_disposition(rabit, hits_before, misses_before),
+            location=call.location,
+            rule_cache=rabit.last_rule_cache,
         )
-        self.journal.append(entry)
+        entry = journal_entry(len(self.journal), record)
+        self.journal.append(record)
         return {
             "ok": alert is None,
             "traced": True,

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.monitor import RabitOptions
 from repro.parallel.engine import fork_pool_available
-from repro.serve.protocol import encode_message, read_message
+from repro.serve.protocol import MAX_MESSAGE_BYTES, encode_message, read_message
 from repro.serve.shard.http import MetricsEndpoint
 from repro.serve.shard.merge import merged_view
 from repro.serve.shard.router import ShardRouter
@@ -139,7 +139,9 @@ class ShardService:
         self, index: int
     ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
         """One fresh stream to worker *index* (raises OSError when down)."""
-        return await asyncio.open_unix_connection(self.workers[index].socket_path)
+        return await asyncio.open_unix_connection(
+            self.workers[index].socket_path, limit=MAX_MESSAGE_BYTES
+        )
 
     # -- lifecycle ---------------------------------------------------------
 

@@ -15,14 +15,13 @@ thermoshaker, and hotplate, sharing a vial grid.
   (~3 cm in the paper), which motivated multiplexing instead.
 """
 
-from repro.testbed.deck import TestbedDeck, build_testbed_deck, make_testbed_rabit
+from repro.testbed.deck import TestbedDeck, build_testbed_deck
 from repro.testbed.noise import NoiseModel
 from repro.testbed.calibration import CalibrationResult, run_calibration_experiment
 
 __all__ = [
     "TestbedDeck",
     "build_testbed_deck",
-    "make_testbed_rabit",
     "NoiseModel",
     "CalibrationResult",
     "run_calibration_experiment",

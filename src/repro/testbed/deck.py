@@ -24,11 +24,9 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.clock import VirtualClock
 from repro.core.config import build_model
-from repro.core.interceptor import CommandRecord, DeviceProxy, instrument
 from repro.core.model import RabitLabModel
-from repro.core.monitor import Rabit, RabitOptions
+from repro.core.monitor import Rabit
 from repro.core.multiplexing import SpaceMultiplexer, TimeMultiplexer
 from repro.devices.action_device import Centrifuge, Hotplate, Thermoshaker
 from repro.devices.base import Device, DoorState
@@ -41,7 +39,6 @@ from repro.geometry.shapes import Cuboid, bounding_cuboid
 from repro.geometry.transforms import identity, rotation_z, translation
 from repro.geometry.walls import SoftwareWall, Workspace
 from repro.kinematics.profiles import NED2, VIPERX_300
-from repro.simulator.extended import ExtendedSimulator
 
 #: Ned2's mounting: 0.82 m along world x, rotated 180° about z.
 NED2_BASE = translation([0.82, 0.0, 0.0]) @ rotation_z(math.pi)
@@ -295,43 +292,6 @@ def _testbed_config(vial_names: Tuple[str, ...]) -> Dict[str, Any]:
         "custom_rules": ["C1", "C2", "C3", "C4"],
         "reliable_container_tracking": False,
     }
-
-
-def make_testbed_rabit(
-    deck: TestbedDeck,
-    options: Optional[RabitOptions] = None,
-    clock: Optional[VirtualClock] = None,
-    exclude_rules: Tuple[str, ...] = (),
-) -> Tuple[Rabit, Dict[str, DeviceProxy], List[CommandRecord]]:
-    """Wire RABIT onto the testbed (monitor + proxies, optional ES).
-
-    ``exclude_rules`` drops rules by id (the ablation benchmark's knob)."""
-    from repro.core.rulebase import build_default_rulebase
-
-    opts = options or RabitOptions.modified()
-    checker = (
-        ExtendedSimulator({"viperx": deck.viperx, "ned2": deck.ned2})
-        if opts.use_extended_simulator
-        else None
-    )
-    rabit = Rabit(
-        model=deck.model,
-        devices=deck.devices,
-        options=opts,
-        rulebase=build_default_rulebase(deck.model.custom_rule_ids, exclude=exclude_rules),
-        trajectory_checker=checker,
-        clock=clock,
-    )
-    for vial_name, vial in deck.vials.items():
-        if vial.resting_at is not None:
-            rabit.seed_tracked("container_at", vial_name, vial.resting_at)
-        # The researcher declares the starting inventory; we read it off
-        # the (correctly prepared) deck, like the lab does at setup time.
-        rabit.seed_tracked("container_solid", vial_name, vial.contents.solid_mg)
-        rabit.seed_tracked("container_liquid", vial_name, vial.contents.liquid_ml)
-    rabit.initialize()
-    proxies, trace = instrument(deck.devices, rabit, clock=rabit.clock)
-    return rabit, proxies, trace
 
 
 def sleep_footprints(deck: TestbedDeck) -> Dict[str, Dict[str, Cuboid]]:

@@ -34,12 +34,7 @@ from repro.workflow.registry import (  # noqa: F401
     step,
 )
 from repro.workflow import steps  # noqa: F401  (populates REGISTRY)
-from repro.workflow.context import (  # noqa: F401
-    DECKS,
-    WorkflowContext,
-    build_context,
-    deck_names,
-)
+from repro.workflow.context import WorkflowContext, build_context  # noqa: F401
 from repro.workflow.dag import (  # noqa: F401
     SCHEMA,
     WorkflowDAG,
@@ -73,10 +68,8 @@ __all__ = [
     "StepRegistry",
     "StepSpec",
     "step",
-    "DECKS",
     "WorkflowContext",
     "build_context",
-    "deck_names",
     "SCHEMA",
     "WorkflowDAG",
     "WorkflowEdge",

@@ -2,11 +2,12 @@
 
 A workflow spec names its deck declaratively (``"deck": "testbed"``);
 :func:`build_context` turns that name into the fully wired stack —
-deck, monitor, tracing proxies — through each lab's ``make_*_rabit``
-entry point, so a DAG run drives the interceptor/monitor pipeline
-exactly like a hand-wired deck.  ``monitored=False`` wires the proxies
-without a monitor (the ground-truth leg of the Monte Carlo and fuzz
-sweeps, and the §II-C latency baseline).
+deck, monitor, tracing proxies — through the deck registry and
+:func:`~repro.lab.decks.make_rabit`, so a DAG run drives the
+interceptor/monitor pipeline exactly like a hand-wired deck.
+``monitored=False`` wires the proxies without a monitor (the
+ground-truth leg of the Monte Carlo and fuzz sweeps, and the §II-C
+latency baseline).
 
 Vial preparation is declarative too (``"prepare"`` entries), and runs
 *before* the monitor attaches so seeded tracked state matches.
@@ -15,13 +16,15 @@ Vial preparation is declarative too (``"prepare"`` entries), and runs
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.core.clock import VirtualClock
 from repro.core.interceptor import CommandRecord, DeviceProxy, instrument
 from repro.core.monitor import Rabit, RabitOptions
+from repro.core.rulebase import build_default_rulebase
+from repro.lab.decks import build_deck, make_rabit
 
-__all__ = ["WorkflowContext", "DECKS", "build_context", "deck_names"]
+__all__ = ["WorkflowContext", "build_context"]
 
 
 @dataclass
@@ -50,82 +53,6 @@ class WorkflowContext:
     def world(self) -> Any:
         """The ground-truth world (damage log lives here)."""
         return self.deck.world
-
-
-def _build_hein(params: Mapping[str, Any]) -> Any:
-    from repro.lab.hein import build_hein_deck
-
-    return build_hein_deck(**dict(params))
-
-
-def _make_hein(deck: Any, options: RabitOptions, clock: Optional[VirtualClock]):
-    from repro.lab.hein import make_hein_rabit
-
-    return make_hein_rabit(deck, options=options, clock=clock)
-
-
-def _build_testbed(params: Mapping[str, Any]) -> Any:
-    from repro.testbed.deck import build_testbed_deck
-
-    merged = {"noise_sigma": 0.003}
-    merged.update(params)
-    return build_testbed_deck(**merged)
-
-
-def _make_testbed(
-    deck: Any,
-    options: RabitOptions,
-    clock: Optional[VirtualClock],
-    exclude_rules: Tuple[str, ...] = (),
-):
-    from repro.testbed.deck import make_testbed_rabit
-
-    return make_testbed_rabit(
-        deck, options=options, clock=clock, exclude_rules=exclude_rules
-    )
-
-
-def _build_two_door(params: Mapping[str, Any]) -> Any:
-    from repro.lab.two_door import build_two_door_deck
-
-    if params:
-        raise ValueError(f"deck 'two_door' takes no parameters, got {sorted(params)}")
-    return build_two_door_deck()
-
-
-def _make_two_door(deck: Any, options: RabitOptions, clock: Optional[VirtualClock]):
-    from repro.lab.two_door import make_two_door_rabit
-
-    return make_two_door_rabit(deck, options=options, clock=clock)
-
-
-def _build_berlinguette(params: Mapping[str, Any]) -> Any:
-    from repro.lab.berlinguette import build_berlinguette_deck
-
-    return build_berlinguette_deck(**dict(params))
-
-
-def _make_berlinguette(deck: Any, options: RabitOptions, clock: Optional[VirtualClock]):
-    from repro.lab.berlinguette import make_berlinguette_rabit
-
-    return make_berlinguette_rabit(deck, options=options, clock=clock)
-
-
-#: name -> (deck builder, monitor wiring).  The builder receives the
-#: spec's ``deck_params``; the wiring is the lab's ``make_*_rabit``
-#: (testbed defaults to the 0.003 actuation noise every testbed run
-#: uses; only the testbed wiring takes rule exclusions).
-DECKS: Dict[str, Tuple[Callable[[Mapping[str, Any]], Any], Callable[..., Any]]] = {
-    "hein": (_build_hein, _make_hein),
-    "testbed": (_build_testbed, _make_testbed),
-    "two_door": (_build_two_door, _make_two_door),
-    "berlinguette": (_build_berlinguette, _make_berlinguette),
-}
-
-
-def deck_names() -> List[str]:
-    """Registered deck names, sorted."""
-    return sorted(DECKS)
 
 
 def _apply_prepare(deck: Any, prepare: Sequence[Mapping[str, Any]]) -> None:
@@ -170,39 +97,31 @@ def build_context(
 ) -> WorkflowContext:
     """Build and wire deck *deck*; returns the run-ready context.
 
-    With ``monitored=False`` the proxies trace but never consult a
-    monitor — the ground-truth configuration of the fuzz campaign and
-    the §II-C latency baseline.  ``exclude_rules`` drops rules by id
-    (the rule-knockout ablation; testbed deck only).
+    *deck_params* are the deck builder's keyword arguments; an unknown
+    deck or parameter raises :class:`ValueError`.  With
+    ``monitored=False`` the proxies trace but never consult a monitor —
+    the ground-truth configuration of the fuzz campaign and the §II-C
+    latency baseline.  ``exclude_rules`` drops rules by id (the
+    rule-knockout ablation).
     """
-    try:
-        build, make = DECKS[deck]
-    except KeyError:
-        raise ValueError(f"unknown deck {deck!r}; known: {deck_names()}") from None
-    if exclude_rules and deck != "testbed":
-        raise ValueError(f"deck {deck!r} does not take rule exclusions")
     params = dict(deck_params or {})
-    the_deck = build(params)
+    the_deck = build_deck(deck, params)
     _apply_prepare(the_deck, prepare)
+    rabit: Optional[Rabit] = None
     if monitored:
-        wiring = {"exclude_rules": tuple(exclude_rules)} if exclude_rules else {}
-        rabit, proxies, trace = make(
-            the_deck, options or RabitOptions.modified(), clock, **wiring
-        )
-        return WorkflowContext(
-            deck_name=deck,
-            deck=the_deck,
-            proxies=proxies,
-            trace=trace,
-            rabit=rabit,
-            deck_params=params,
-        )
-    proxies, trace = instrument(the_deck.devices, rabit=None, clock=clock)
+        rulebase = None
+        if exclude_rules:
+            rulebase = build_default_rulebase(
+                the_deck.model.custom_rule_ids, exclude=tuple(exclude_rules)
+            )
+        rabit, proxies, trace = make_rabit(the_deck, options, clock, rulebase)
+    else:
+        proxies, trace = instrument(the_deck.devices, rabit=None, clock=clock)
     return WorkflowContext(
         deck_name=deck,
         deck=the_deck,
         proxies=proxies,
         trace=trace,
-        rabit=None,
+        rabit=rabit,
         deck_params=params,
     )

@@ -89,12 +89,13 @@ class TestFetchStateScaling:
     @staticmethod
     def _overhead_for(vial_count):
         from repro.core.clock import VirtualClock
-        from repro.lab.hein import build_hein_deck, make_hein_rabit
+        from repro.lab.decks import make_rabit
+        from repro.lab.hein import build_hein_deck
 
         names = tuple(f"vial_{i + 1}" for i in range(vial_count))
         deck = build_hein_deck(vial_names=names)
         clock = VirtualClock()
-        rabit, proxies, _ = make_hein_rabit(deck, clock=clock)
+        rabit, proxies, _ = make_rabit(deck, clock=clock)
         baseline = clock.spent("rabit_fetch_state")
         proxies["dosing_device"].open_door()
         return clock.spent("rabit_fetch_state") - baseline, len(deck.devices)

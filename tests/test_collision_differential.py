@@ -315,11 +315,12 @@ class TestExtendedSimulatorDifferential:
 
     def test_random_moves_agree(self):
         from repro.core.actions import ActionCall, ActionLabel
-        from repro.lab.hein import build_hein_deck, make_hein_rabit
+        from repro.lab.decks import make_rabit
+        from repro.lab.hein import build_hein_deck
         from repro.simulator.extended import ExtendedSimulator
 
         deck = build_hein_deck()
-        rabit, proxies, _ = make_hein_rabit(deck)
+        rabit, proxies, _ = make_rabit(deck)
         batch = ExtendedSimulator({"ur3e": deck.ur3e}, use_batch=True)
         scalar = ExtendedSimulator({"ur3e": deck.ur3e}, use_batch=False)
 
@@ -353,11 +354,12 @@ class TestExtendedSimulatorDifferential:
     def test_engine_cache_invalidated_by_model_mutation(self):
         from repro.core.actions import ActionCall, ActionLabel
         from repro.core.model import ObstacleModel
-        from repro.lab.hein import build_hein_deck, make_hein_rabit
+        from repro.lab.decks import make_rabit
+        from repro.lab.hein import build_hein_deck
         from repro.simulator.extended import ExtendedSimulator
 
         deck = build_hein_deck()
-        rabit, proxies, _ = make_hein_rabit(deck)
+        rabit, proxies, _ = make_rabit(deck)
         checker = ExtendedSimulator({"ur3e": deck.ur3e}, use_batch=True)
         call = ActionCall(
             ActionLabel.MOVE_ROBOT, "ur3e", robot="ur3e", target=(0.3, -0.05, 0.28)

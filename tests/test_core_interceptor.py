@@ -6,13 +6,14 @@ from repro.core.actions import ActionLabel
 from repro.core.clock import VirtualClock
 from repro.core.errors import SafetyViolation
 from repro.core.interceptor import BASELINE_DURATION, instrument
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 
 
 @pytest.fixture()
 def wired():
     deck = build_hein_deck()
-    rabit, proxies, trace = make_hein_rabit(deck)
+    rabit, proxies, trace = make_rabit(deck)
     return deck, rabit, proxies, trace
 
 

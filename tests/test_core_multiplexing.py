@@ -5,11 +5,11 @@ import pytest
 from repro.core.errors import SafetyViolation
 from repro.core.multiplexing import SpaceMultiplexer, TimeMultiplexer
 from repro.geometry.walls import SoftwareWall
+from repro.lab.decks import make_rabit
 from repro.testbed.deck import (
     attach_space_multiplexing,
     attach_time_multiplexing,
     build_testbed_deck,
-    make_testbed_rabit,
     sleep_footprints,
 )
 
@@ -17,7 +17,7 @@ from repro.testbed.deck import (
 @pytest.fixture()
 def wired():
     deck = build_testbed_deck()
-    rabit, proxies, _ = make_testbed_rabit(deck)
+    rabit, proxies, _ = make_rabit(deck)
     return deck, rabit, proxies
 
 

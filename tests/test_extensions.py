@@ -9,13 +9,14 @@ from repro.core.sensor_rule import make_proximity_rule
 from repro.devices.base import DeviceKind
 from repro.devices.sensor import ProximitySensor
 from repro.geometry.shapes import Cuboid
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 
 
 @pytest.fixture()
 def wired():
     deck = build_hein_deck()
-    rabit, proxies, trace = make_hein_rabit(deck)
+    rabit, proxies, trace = make_rabit(deck)
     return deck, rabit, proxies
 
 

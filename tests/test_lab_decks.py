@@ -7,7 +7,8 @@ import pytest
 from repro.core.config import validate_config
 from repro.core.monitor import RabitOptions
 from repro.devices.base import DeviceKind
-from repro.lab.berlinguette import build_berlinguette_deck, make_berlinguette_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.berlinguette import build_berlinguette_deck
 from repro.lab.hein import build_hein_deck
 from repro.lab.stage import STAGE_PROFILES, Stage
 from repro.workflow import build_context, build_preset, execute_dag, run_preset
@@ -101,7 +102,7 @@ class TestBerlinguette:
         from repro.core.errors import SafetyViolation
 
         deck = build_berlinguette_deck()
-        rabit, proxies, _ = make_berlinguette_rabit(deck)
+        rabit, proxies, _ = make_rabit(deck)
         with pytest.raises(SafetyViolation) as excinfo:
             proxies["ur5e"].move_to_location("bdosing_interior")  # door closed
         assert excinfo.value.alert.rule_id == "G1"
@@ -110,7 +111,7 @@ class TestBerlinguette:
         from repro.core.errors import SafetyViolation
 
         deck = build_berlinguette_deck()
-        rabit, proxies, _ = make_berlinguette_rabit(deck)
+        rabit, proxies, _ = make_rabit(deck)
         with pytest.raises(SafetyViolation) as excinfo:
             proxies["nozzle"].start_action(80.0)
         assert excinfo.value.alert.rule_id == "G11"

@@ -10,7 +10,8 @@ import pytest
 
 from repro.core.errors import AlertKind, SafetyViolation
 from repro.core.monitor import RabitOptions
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 
 
 def _ferry_vial_into_dosing(px):
@@ -28,7 +29,7 @@ def _ferry_vial_into_dosing(px):
 class TestDoorJam:
     def test_jammed_door_caught_on_open(self):
         deck = build_hein_deck()
-        rabit, px, _ = make_hein_rabit(deck)
+        rabit, px, _ = make_rabit(deck)
         deck.devices["dosing_device"].door.jam()
         with pytest.raises(SafetyViolation) as excinfo:
             px["dosing_device"].open_door()
@@ -37,7 +38,7 @@ class TestDoorJam:
 
     def test_jammed_lid_caught_on_close(self):
         deck = build_hein_deck()
-        rabit, px, _ = make_hein_rabit(deck)
+        rabit, px, _ = make_rabit(deck)
         deck.devices["centrifuge"].door.jam()  # lid starts open
         with pytest.raises(SafetyViolation) as excinfo:
             px["centrifuge"].close_door()
@@ -47,7 +48,7 @@ class TestDoorJam:
 class TestDoserMiscalibration:
     def test_overdispensing_detected_post_execution(self):
         deck = build_hein_deck()
-        rabit, px, _ = make_hein_rabit(deck)
+        rabit, px, _ = make_rabit(deck)
         deck.devices["dosing_device"].miscalibrate(1.5)
         _ferry_vial_into_dosing(px)
         with pytest.raises(SafetyViolation) as excinfo:
@@ -60,7 +61,7 @@ class TestDoserMiscalibration:
 
     def test_underdispensing_also_detected(self):
         deck = build_hein_deck()
-        rabit, px, _ = make_hein_rabit(deck)
+        rabit, px, _ = make_rabit(deck)
         deck.devices["dosing_device"].miscalibrate(0.5)
         _ferry_vial_into_dosing(px)
         with pytest.raises(SafetyViolation) as excinfo:
@@ -69,7 +70,7 @@ class TestDoserMiscalibration:
 
     def test_calibrated_doser_is_silent(self):
         deck = build_hein_deck()
-        rabit, px, _ = make_hein_rabit(deck)
+        rabit, px, _ = make_rabit(deck)
         _ferry_vial_into_dosing(px)
         px["dosing_device"].dose_solid(5)
         assert rabit.alert_count == 0
@@ -86,7 +87,7 @@ class TestFailSafeAfterMalfunction:
         # monitor adopts S_actual (Fig. 2 line 16) so subsequent checks
         # reason from reality, not from the failed expectation.
         deck = build_hein_deck()
-        rabit, px, _ = make_hein_rabit(
+        rabit, px, _ = make_rabit(
             deck, options=RabitOptions.modified(preemptive_stop=False)
         )
         deck.devices["dosing_device"].door.jam()

@@ -92,19 +92,21 @@ class TestRuleBaseApi:
 
 class TestProxyKwargs:
     def test_move_accepts_keyword_ref(self):
-        from repro.lab.hein import build_hein_deck, make_hein_rabit
+        from repro.lab.decks import make_rabit
+        from repro.lab.hein import build_hein_deck
 
         deck = build_hein_deck()
-        rabit, proxies, trace = make_hein_rabit(deck)
+        rabit, proxies, trace = make_rabit(deck)
         proxies["ur3e"].move_to_location(ref="grid_a1_safe")
         assert trace[-1].location == "grid_a1_safe"
 
     def test_dosing_keyword_quantity(self):
         from repro.core.errors import SafetyViolation
-        from repro.lab.hein import build_hein_deck, make_hein_rabit
+        from repro.lab.decks import make_rabit
+        from repro.lab.hein import build_hein_deck
 
         deck = build_hein_deck()
-        rabit, proxies, trace = make_hein_rabit(deck)
+        rabit, proxies, trace = make_rabit(deck)
         # Door open -> G9 veto proves the kwargs-resolved quantity went
         # through the full guard path.
         proxies["dosing_device"].open_door()

@@ -105,10 +105,11 @@ def test_observed_scenario_covers_the_hot_path():
 
 def test_session_report_gains_observability_section():
     from repro.analysis.session_report import render_session_report
-    from repro.lab.hein import build_hein_deck, make_hein_rabit
+    from repro.lab.decks import make_rabit
+    from repro.lab.hein import build_hein_deck
 
     deck = build_hein_deck()
-    rabit, proxies, trace = make_hein_rabit(deck)
+    rabit, proxies, trace = make_rabit(deck)
     OBS.enable()
     OBS.bind_clock(rabit.clock)
     proxies["dosing_device"].open_door()

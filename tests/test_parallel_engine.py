@@ -2,11 +2,12 @@
 
 The heavy end-to-end guarantees (parallel Monte Carlo / campaign equal to
 sequential) live in ``test_parallel_differential.py``; this file pins the
-engine mechanics with toy tasks: canonical-order merge under out-of-order
+engine mechanics with toy tasks: task-order results under out-of-order
 completion, worker resolution, the sequential fallback, per-process
 initialization, obs metrics, and error propagation.
 """
 
+import faulthandler
 import os
 import time
 
@@ -23,8 +24,8 @@ def _square(x: int) -> int:
 
 
 def _slow_square(x: int) -> int:
-    # Later tasks finish sooner, so unordered completion actually happens
-    # and the positional merge has something to fix.
+    # Later tasks finish sooner, so workers complete out of order and the
+    # results must still come back in task order.
     time.sleep(0.002 * (7 - (x % 8)))
     return x * x
 
@@ -90,8 +91,14 @@ class TestRunSharded:
 
     @pytest.mark.skipif(not fork_pool_available(), reason="no fork start method")
     def test_worker_error_propagates(self):
-        with pytest.raises(ValueError, match="exploded"):
-            run_sharded(range(4), _boom, workers=2)
+        # A hang in pool teardown must fail the run, not stall it: dump
+        # every thread's stack and exit after 60 s.
+        faulthandler.dump_traceback_later(60, exit=True)
+        try:
+            with pytest.raises(ValueError, match="exploded"):
+                run_sharded(range(4), _boom, workers=2)
+        finally:
+            faulthandler.cancel_dump_traceback_later()
 
 
 class TestEngineMetrics:

@@ -171,10 +171,11 @@ class TestRuleCheckPurity:
     def test_checking_all_rules_leaves_state_untouched(self):
         from repro.core.actions import ActionCall, ActionLabel
         from repro.core.rulebase import CheckContext, build_default_rulebase
-        from repro.lab.hein import build_hein_deck, make_hein_rabit
+        from repro.lab.decks import make_rabit
+        from repro.lab.hein import build_hein_deck
 
         deck = build_hein_deck()
-        rabit, _, _ = make_hein_rabit(deck)
+        rabit, _, _ = make_rabit(deck)
         rulebase = build_default_rulebase(["C1", "C2", "C3", "C4"])
         snapshot = {
             var: rabit.state.entries(var)

@@ -49,9 +49,9 @@ def test_detection_is_preemptive(scenario):
     if scenario.prepare is not None:
         scenario.prepare(deck)
     from repro.core.errors import SafetyViolation
-    from repro.lab.hein import make_hein_rabit
+    from repro.lab.decks import make_rabit
 
-    rabit, proxies, _ = make_hein_rabit(deck)
+    rabit, proxies, _ = make_rabit(deck)
     try:
         scenario.script(proxies, deck)
     except SafetyViolation:
@@ -70,12 +70,13 @@ class TestTestbedControlledScenarios:
         from repro.lab.scenarios import TESTBED_SCENARIOS
 
         assert [s.rule_id for s in TESTBED_SCENARIOS] == ["G1", "G3", "G9", "G11"]
+        assert {s.deck for s in TESTBED_SCENARIOS} == {"testbed"}
 
     @pytest.mark.parametrize(
         "index", range(4), ids=lambda i: ["G1", "G3", "G9", "G11"][i]
     )
     def test_detected_on_testbed(self, index):
-        from repro.lab.scenarios import TESTBED_SCENARIOS, run_testbed_scenario
+        from repro.lab.scenarios import TESTBED_SCENARIOS, run_scenario
 
-        outcome = run_testbed_scenario(TESTBED_SCENARIOS[index])
+        outcome = run_scenario(TESTBED_SCENARIOS[index])
         assert outcome.detected and outcome.attributed_correctly, str(outcome.alert)

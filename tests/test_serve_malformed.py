@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.serve.client import ServeClient
-from repro.serve.protocol import read_message
+from repro.serve.protocol import MAX_MESSAGE_BYTES, read_message
 from repro.serve.server import GuardServer
 
 OPEN = b'{"op": "open", "deck": "hein_lean"}\n'
@@ -27,6 +27,12 @@ OPEN = b'{"op": "open", "deck": "hein_lean"}\n'
 
 def _frame(payload):
     return json.dumps(payload).encode("utf-8") + b"\n"
+
+
+def _ping(size):
+    """A ping frame of exactly *size* bytes, newline included."""
+    head = b'{"op": "ping", "pad": "'
+    return head + b"x" * (size - len(head) - 3) + b'"}\n'
 
 
 async def _converse(server, path, frames):
@@ -95,7 +101,7 @@ def _run(scenario):
         (b'{"op": "open", "io_latency": Infinity}\n', "Infinity"),
         (b'{"op": "open", "io_latency": 1e999}\n', "1e999"),
         (b"[" * 5000 + b"\n", "recursion"),
-        (b'{"op": "ping", "pad": "' + b"x" * 70_000 + b'"}\n', "oversized"),
+        (_ping(MAX_MESSAGE_BYTES + 1), "exceeds the 1048576-byte frame limit"),
     ],
     ids=["non-utf8", "nan", "infinity", "overflow", "deep", "oversized"],
 )
@@ -105,6 +111,17 @@ def test_non_protocol_frames_get_one_error_frame_then_close(frame, message):
         assert closed
         assert replies[0]["ok"] is False and message in replies[0]["error"]
         assert server.stats["protocol_errors"] == 1
+
+    _run(scenario)
+
+
+def test_a_frame_past_the_asyncio_default_limit_gets_a_normal_reply():
+    async def scenario(server, path):
+        frame = _ping(70_000)
+        assert len(frame) == 70_000
+        replies, closed = await _converse(server, path, [frame, _ping(MAX_MESSAGE_BYTES)])
+        assert not closed and replies == [{"ok": True, "op": "ping"}] * 2
+        assert server.stats["protocol_errors"] == 0
 
     _run(scenario)
 
@@ -231,7 +248,7 @@ _GARBAGE = st.binary(max_size=48).map(lambda b: b.replace(b"\n", b"") + b"\n")
 _NON_UTF8 = st.binary(max_size=16).map(
     lambda b: b'{"op": "ping", "x": "\xc3\x28' + b.replace(b"\n", b"") + b'"}\n'
 )
-_OVERSIZED = st.just(b'{"op": "ping", "pad": "' + b"y" * 70_000 + b'"}\n')
+_OVERSIZED = st.just(_ping(MAX_MESSAGE_BYTES + 1))
 _FRAMES = st.one_of(
     _COMMAND,
     _WRONG_COMMAND,

@@ -18,7 +18,7 @@ import pytest
 from repro.core.actions import ActionLabel
 from repro.core.rulebase import Rule, RuleScope
 from repro.serve.client import ServeClient, ServeError, ServeSessionLost
-from repro.serve.protocol import read_message
+from repro.serve.protocol import encode_message, read_message
 from repro.serve.server import GuardServer
 
 
@@ -301,6 +301,38 @@ def test_server_snapshot_reports_batcher_stats():
         assert stats["commands"] == 1
         assert stats["sweeps"]["submitted"] >= 1
         assert stats["sweeps"]["degraded"] == 0
+        await client.close()
+
+    serve_test(scenario)
+
+
+# -- the journal fits any frame up to the protocol limit ----------------------
+
+
+def test_a_500_command_session_reads_back_its_whole_journal():
+    async def scenario(server, path):
+        client = await open_client(path, deck="hein_lean")
+        for i in range(500):
+            method = "open_door" if i % 2 == 0 else "close_door"
+            assert (await client.command("dosing_device", method))["ok"]
+        journal = await client.journal()
+        assert [entry["seq"] for entry in journal] == list(range(500))
+        # Past asyncio's 64 KiB default stream limit, within the 1 MiB frame.
+        assert len(encode_message({"ok": True, "journal": journal})) > 1 << 16
+        await client.close()
+
+    serve_test(scenario)
+
+
+def test_a_reply_past_the_frame_limit_is_refused_on_the_live_connection():
+    async def scenario(server, path):
+        client = await open_client(path, deck="hein_lean")
+        await client.command("dosing_device", "open_door")
+        (session,) = server.sessions.values()
+        session.journal *= 8000  # ~1.2 MB of journal: one frame cannot carry it
+        with pytest.raises(ServeError, match="exceeds the 1048576-byte frame limit"):
+            await client.journal()
+        await client.ping()
         await client.close()
 
     serve_test(scenario)

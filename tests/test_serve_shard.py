@@ -11,8 +11,10 @@ command surfacing as the non-retryable lost session, and the
 """
 
 import asyncio
+import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -276,6 +278,34 @@ def test_mid_session_crash_surfaces_retry_eligible_loss():
             assert not isinstance(excinfo.value, ConnectionError)
             await client.close()
         finally:
+            await service.stop()
+
+    run(scenario())
+
+
+def test_a_crash_ends_the_session_while_a_fork_holds_the_router_sockets():
+    """Workers are forked, so a worker respawned while a session is open
+    holds copies of the router's sockets.  The router must still end the
+    client's connection when the session's worker dies."""
+
+    async def scenario():
+        service = ShardService(ShardConfig(workers=1, watchdog_interval=0.02))
+        await service.start()
+        holder = None
+        try:
+            client = await _open_pinned(service, worker=0)
+            assert (await client.command("ur3e", "go_to_home_pose"))["ok"]
+            holder = multiprocessing.get_context("fork").Process(target=time.sleep, args=(60,))
+            holder.start()  # a copy of every socket open right now
+            os.kill(service.workers[0].process.pid, signal.SIGKILL)
+            with pytest.raises(ServeSessionLost):
+                for _ in range(20):  # first commands may race the kill
+                    await asyncio.wait_for(client.command("ur3e", "go_to_home_pose"), 10)
+            await client.close()
+        finally:
+            if holder is not None:
+                holder.kill()
+                holder.join(timeout=10)
             await service.stop()
 
     run(scenario())

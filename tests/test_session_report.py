@@ -4,7 +4,8 @@ import pytest
 
 from repro.analysis.session_report import render_session_report, summarize_session
 from repro.core.errors import SafetyViolation
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 from repro.workflow import run_preset
 
 
@@ -35,7 +36,7 @@ class TestDirtySession:
     @pytest.fixture(scope="class")
     def vetoed_run(self):
         deck = build_hein_deck()
-        rabit, proxies, trace = make_hein_rabit(deck)
+        rabit, proxies, trace = make_rabit(deck)
         try:
             proxies["ur3e"].move_to_location("dosing_interior")
         except SafetyViolation:
@@ -57,10 +58,10 @@ class TestDirtySession:
         assert "command: move_robot_inside" in report
 
     def test_damage_section_when_world_is_harmed(self):
-        from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
+        from repro.testbed.deck import build_testbed_deck
 
         deck = build_testbed_deck()
-        rabit, proxies, trace = make_testbed_rabit(deck)
+        rabit, proxies, trace = make_rabit(deck)
         # Door closed (G9 satisfied), no vial inside: on the testbed,
         # container tracking is unreliable so the dose is not vetoed —
         # but ground truth records the spill, and the report shows it.
@@ -73,7 +74,7 @@ class TestDirtySession:
 class TestEmptySession:
     def test_zero_commands(self):
         deck = build_hein_deck()
-        rabit, proxies, trace = make_hein_rabit(deck)
+        rabit, proxies, trace = make_rabit(deck)
         summary = summarize_session(trace, rabit.alerts, deck.world)
         assert summary.commands == 0 and summary.virtual_duration == 0.0
         report = render_session_report(trace, rabit.alerts, deck.world)

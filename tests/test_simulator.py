@@ -8,14 +8,15 @@ from repro.core.actions import ActionCall, ActionLabel
 from repro.core.errors import AlertKind, SafetyViolation
 from repro.core.monitor import RabitOptions
 from repro.core.state import LabState
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 from repro.kinematics.arm import ArmKinematics
 from repro.kinematics.profiles import UR3E, VIPERX_300
 from repro.simulator.extended import ExtendedSimulator
 from repro.simulator.gui import GuiLatencyModel
 from repro.simulator.ursim import URSimArm
 from repro.core.clock import VirtualClock
-from repro.testbed.deck import build_testbed_deck, make_testbed_rabit
+from repro.testbed.deck import build_testbed_deck
 
 
 class TestURSim:
@@ -46,7 +47,7 @@ class TestURSim:
 class TestExtendedSimulatorChecks:
     def _checker_and_model(self):
         deck = build_hein_deck()
-        rabit, proxies, _ = make_hein_rabit(deck)
+        rabit, proxies, _ = make_rabit(deck)
         checker = ExtendedSimulator({"ur3e": deck.ur3e})
         return deck, rabit, checker
 
@@ -125,7 +126,7 @@ class TestArmLinkSweep:
 
     def _setup(self, sweep_links):
         deck = build_hein_deck()
-        rabit, _, _ = make_hein_rabit(deck)
+        rabit, _, _ = make_rabit(deck)
         checker = ExtendedSimulator({"ur3e": deck.ur3e}, sweep_links=sweep_links)
         return deck, rabit, checker
 
@@ -215,7 +216,7 @@ class TestPlanSharing:
     def _guarded_hein():
         deck = build_hein_deck()
         options = RabitOptions.modified(use_extended_simulator=True, bypass_gui=True)
-        rabit, proxies, _ = make_hein_rabit(deck, options=options)
+        rabit, proxies, _ = make_rabit(deck, options=options)
         return deck, rabit, proxies
 
     @staticmethod
@@ -286,7 +287,7 @@ class TestPlanSharing:
     def test_noisy_arm_plans_its_own_noisy_target(self, monkeypatch):
         deck = build_testbed_deck(noise_sigma=0.002)
         options = RabitOptions.modified(use_extended_simulator=True)
-        rabit, proxies, _ = make_testbed_rabit(deck, options=options)
+        rabit, proxies, _ = make_rabit(deck, options=options)
         planned, executed = self._record(monkeypatch, deck.viperx.kinematics)
         proxies["viperx"].move_to_location("grid_nw_viperx_safe")
         assert len(planned) == 2
@@ -301,7 +302,7 @@ class TestSilentSkipScenario:
         the thermoshaker mockup; only the Extended Simulator notices."""
         deck = build_testbed_deck()
         options = RabitOptions.modified(use_extended_simulator=True)
-        rabit, proxies, _ = make_testbed_rabit(deck, options=options)
+        rabit, proxies, _ = make_rabit(deck, options=options)
         viperx = proxies["viperx"]
         viperx.move_to_location("grid_nw_viperx_safe")  # A
         viperx.move_to_location([0.62, -0.38, 0.35])  # B': skipped silently
@@ -311,7 +312,7 @@ class TestSilentSkipScenario:
 
     def test_without_es_the_same_sequence_is_missed(self):
         deck = build_testbed_deck()
-        rabit, proxies, _ = make_testbed_rabit(deck)
+        rabit, proxies, _ = make_rabit(deck)
         viperx = proxies["viperx"]
         viperx.move_to_location("grid_nw_viperx_safe")
         viperx.move_to_location([0.62, -0.38, 0.35])
@@ -335,11 +336,11 @@ class TestTopdownRenderer:
 
     @pytest.fixture(scope="class")
     def rendering(self):
-        from repro.lab.hein import build_hein_deck, make_hein_rabit
+        from repro.lab.hein import build_hein_deck
         from repro.simulator.render import render_topdown
 
         deck = build_hein_deck()
-        make_hein_rabit(deck)
+        make_rabit(deck)
         return render_topdown(deck.model, "ur3e", robot=deck.ur3e)
 
     def test_every_device_appears_in_legend(self, rendering):

@@ -18,14 +18,15 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.monitor import RabitOptions
-from repro.lab.hein import build_hein_deck, make_hein_rabit
+from repro.lab.decks import make_rabit
+from repro.lab.hein import build_hein_deck
 
 
 class LegalOperationMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.deck = build_hein_deck()
-        self.rabit, self.proxies, _ = make_hein_rabit(self.deck)
+        self.rabit, self.proxies, _ = make_rabit(self.deck)
         self.ur3e = self.proxies["ur3e"]
         self.dosing = self.proxies["dosing_device"]
         self.hotplate = self.proxies["hotplate"]
@@ -253,7 +254,7 @@ def _fresh_monitor(cache_size):
     options = RabitOptions.modified(
         preemptive_stop=False, rule_cache_size=cache_size
     )
-    rabit, proxies, _ = make_hein_rabit(deck, options=options)
+    rabit, proxies, _ = make_rabit(deck, options=options)
     return rabit, proxies
 
 
