@@ -57,37 +57,6 @@ def severity_rows(
     return rows
 
 
-#: §IV's four unsafe-behaviour categories, in the paper's order.
-CATEGORY_TITLES = {
-    1: "Interactions with the dosing device door",
-    2: "Collisions between two robot arms",
-    3: "Experiments without a vial",
-    4: "Changing position coordinates",
-}
-
-
-def category_rows(
-    result: CampaignResult, config: str
-) -> List[Tuple[int, str, int, int]]:
-    """§IV category rows for *config*: (number, title, total, detected)."""
-    rows: List[Tuple[int, str, int, int]] = []
-    for number in sorted(CATEGORY_TITLES):
-        outcomes = [
-            o
-            for o in result.outcomes
-            if o.config == config and o.bug.category == number
-        ]
-        rows.append(
-            (
-                number,
-                CATEGORY_TITLES[number],
-                len(outcomes),
-                sum(1 for o in outcomes if o.detected),
-            )
-        )
-    return rows
-
-
 @dataclass(frozen=True)
 class ConfusionStats:
     """Confusion matrix of a Monte Carlo mutant sweep."""

@@ -37,19 +37,33 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 
-def _positive_int(text: str) -> int:
-    """Argparse type: a strictly positive integer (exit 2 otherwise)."""
+def _int_at_least(text: str, minimum: int, kind: str) -> int:
+    """Parse *text* as an integer >= *minimum* for argparse (exit 2 otherwise)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}"
+            f"expected a {kind} integer, got {text!r}"
         ) from None
-    if value <= 0:
+    if value < minimum:
         raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {value}"
+            f"expected a {kind} integer, got {value}"
         )
     return value
+
+
+def _positive_int(text: str) -> int:
+    """Argparse type: a strictly positive integer (exit 2 otherwise)."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _nonneg_int(text: str) -> int:
+    """Argparse type: an integer >= 0 (exit 2 otherwise).
+
+    Seeds and counts reject ``-1`` at the argparse boundary; numpy's seed
+    check or a negative slice bound would otherwise fail, or run on,
+    far from the flag that caused it."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _nonneg_float(text: str) -> float:
@@ -269,7 +283,7 @@ def _run_observed_solubility() -> int:
     the intercepted-command count."""
     from repro.trace.workloads import run_preset_workload
 
-    outcome = run_preset_workload("solubility", {})
+    outcome, _records = run_preset_workload("solubility", {})
     if not outcome["completed"]:  # pragma: no cover - safe workflow invariant
         raise RuntimeError(f"observed workflow did not complete: {outcome['alert']}")
     return outcome["commands"]
@@ -392,7 +406,7 @@ def _parse_params(pairs: Sequence[str]) -> dict:
 
 
 def _cmd_record(args: argparse.Namespace) -> int:
-    from repro.trace import WORKLOADS, record_workload
+    from repro.trace.workloads import WORKLOADS, record_workload
 
     if args.workload not in WORKLOADS:
         print(
@@ -405,7 +419,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         trace = record_workload(
             args.workload, _parse_params(args.param), obs=args.obs
         )
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
     lines = trace.write_jsonl(args.out)
@@ -418,8 +432,9 @@ def _cmd_record(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    from repro.trace import RunTrace, TraceFormatError, UnknownSchemaVersionError
+    from repro.trace.recorder import RunTrace, TraceFormatError
     from repro.trace.replay import replay_trace
+    from repro.trace.schema import UnknownSchemaVersionError
 
     mismatches = 0
     for path in args.traces:
@@ -710,7 +725,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="sample random workflow mutants; print the confusion matrix",
     )
     p.add_argument("--samples", type=_positive_int, default=40, help="mutants to sample")
-    p.add_argument("--seed", type=int, default=2024, help="sweep base seed")
+    p.add_argument("--seed", type=_nonneg_int, default=2024, help="sweep base seed")
     p.add_argument(
         "--workers", type=_workers_type, default=1, metavar="N|auto",
         help="process-pool workers; 'auto' means one per CPU (default: 1, sequential)",
@@ -863,7 +878,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--json-out", default="", dest="json_out",
         help="optional JSON metrics-snapshot output path",
     )
-    p.add_argument("--top", type=int, default=8, help="span rows to print")
+    p.add_argument("--top", type=_nonneg_int, default=8, help="span rows to print")
     p.set_defaults(fn=_cmd_metrics)
 
     p = sub.add_parser(
@@ -900,10 +915,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_replay)
 
     p = sub.add_parser("mine", help="generate traces and mine candidate rules")
-    p.add_argument("--hein", type=int, default=5, help="Hein sessions to replay")
-    p.add_argument("--berlinguette", type=int, default=4, help="Berlinguette sessions")
-    p.add_argument("--min-support", type=int, default=4, dest="min_support")
-    p.add_argument("--top", type=int, default=15, help="rules to print")
+    p.add_argument("--hein", type=_nonneg_int, default=5, help="Hein sessions to replay")
+    p.add_argument(
+        "--berlinguette", type=_nonneg_int, default=4, help="Berlinguette sessions"
+    )
+    p.add_argument("--min-support", type=_nonneg_int, default=4, dest="min_support")
+    p.add_argument("--top", type=_nonneg_int, default=15, help="rules to print")
     p.add_argument("--out", default="", help="write traces to this JSONL path")
     p.set_defaults(fn=_cmd_mine)
 

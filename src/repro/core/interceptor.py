@@ -11,9 +11,13 @@ forwarded to the device and executed."
 :class:`DeviceProxy` is that reconfigured tracer: it wraps a device
 object, resolves each method call into an :class:`ActionCall`, asks the
 :class:`~repro.core.monitor.Rabit` monitor to guard it, and appends a
-:class:`CommandRecord` to the shared trace.  Methods without an action
-mapping (``status``, helpers) pass straight through, untraced — exactly
-like the low-level calls RATracer does not instrument.
+:class:`CommandRecord` to the shared trace.  The record is the one
+record of the command: it carries what the guard learned along the way
+(rule-cache disposition, dispatch, sweep, lab state before and after),
+and run traces and service journals are projections of it.  Methods
+without an action mapping (``status``, helpers) pass straight through,
+untraced — exactly like the low-level calls RATracer does not
+instrument.
 
 The proxy also charges the *baseline* execution time of every command to
 the virtual clock, so the latency experiment can compute RABIT's
@@ -30,7 +34,8 @@ import numpy as np
 from repro.core.actions import ActionCall, ActionLabel
 from repro.core.clock import VirtualClock
 from repro.core.errors import Alert, SafetyViolation
-from repro.core.monitor import Rabit
+from repro.core.monitor import GuardFacts, Rabit, Sweep
+from repro.core.state import LabState
 from repro.devices.base import Device
 from repro.devices.container import Vial
 from repro.devices.dosing import SolidDosingDevice, SyringePump
@@ -39,7 +44,6 @@ from repro.devices.action_device import ActionDeviceBase, Decapper
 from repro.devices.locations import LocationKind
 from repro.devices.robot import RobotArmDevice
 from repro.obs import OBS
-from repro.trace.recorder import TRACE
 
 _OBS_COMMANDS = OBS.registry.counter(
     "rabit_commands_intercepted_total",
@@ -80,7 +84,10 @@ BASELINE_DURATION: Dict[ActionLabel, float] = {
 
 @dataclass(frozen=True)
 class CommandRecord:
-    """One traced command (the RATracer trace line)."""
+    """One traced command (the RATracer trace line).
+
+    Carries every fact the guard produced for the command, so run traces
+    and journals are projections of it."""
 
     time: float
     device: str
@@ -91,13 +98,105 @@ class CommandRecord:
     #: Resolved location name for robot moves/picks/places, when known.
     location: Optional[str] = None
     #: How the monitor's rule-verdict cache answered this command
-    #: (:attr:`Rabit.last_rule_cache`); ``None`` when no monitor guarded it.
+    #: (``"hit"``, ``"miss"`` or ``"disabled"``); ``None`` when no monitor
+    #: guarded it.
     rule_cache: Optional[str] = None
+    #: Which rulebase dispatch produced the verdict (``"compiled"`` or
+    #: ``"interpreted"``); ``None`` when no monitor guarded it.
+    dispatch: Optional[str] = None
+    #: The Extended Simulator's sweep, or ``None`` when nothing was swept.
+    sweep: Optional[Sweep] = None
+    #: The monitor's lab state before and after the command; ``None``
+    #: when FetchState never ran (unmonitored, blocked, or raised).
+    state_before: Optional[LabState] = None
+    state_after: Optional[LabState] = None
+    #: Id of the command's ``intercept.command`` span (observability on).
+    span_id: Optional[int] = None
 
     def __str__(self) -> str:
         outcome = f" !! {self.alert}" if self.alert else ""
         args = ", ".join(repr(a) for a in self.args)
         return f"[{self.time:9.3f}s] {self.device}.{self.method}({args}){outcome}"
+
+
+_NO_FACTS = GuardFacts()
+
+
+class Interception:
+    """One intercepted command, from its clock charge to its record.
+
+    A context manager around the guard.  Entering charges the command's
+    baseline duration to the virtual clock; leaving appends the
+    :class:`CommandRecord` to *trace*, with the alert the guard raised
+    (if any) and the monitor's :class:`~repro.core.monitor.GuardFacts`.
+    :class:`DeviceProxy` and the guard service's sessions both guard
+    through it, so their records agree field for field.  Set
+    :attr:`span` inside the block to link the record to a span.
+    """
+
+    __slots__ = (
+        "_rabit", "_clock", "_device", "_method", "_args", "_call", "_trace",
+        "_alerts_before", "span", "record",
+    )
+
+    def __init__(
+        self,
+        rabit: Optional[Rabit],
+        clock: VirtualClock,
+        device: Device,
+        method: str,
+        args: Tuple[Any, ...],
+        call: ActionCall,
+        trace: List[CommandRecord],
+    ) -> None:
+        self._rabit = rabit
+        self._clock = clock
+        self._device = device
+        self._method = method
+        self._args = args
+        self._call = call
+        self._trace = trace
+        self._alerts_before = 0
+        self.span: Any = None
+        #: The appended record, once the block has exited.
+        self.record: Optional[CommandRecord] = None
+
+    def __enter__(self) -> "Interception":
+        self._clock.advance(
+            self._device.connection.command_latency
+            + BASELINE_DURATION.get(self._call.label, 1.0),
+            "experiment",
+        )
+        if self._rabit is not None:
+            self._alerts_before = self._rabit.alert_count
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
+        rabit = self._rabit
+        alert: Optional[Alert] = None
+        if isinstance(exc, SafetyViolation):
+            alert = exc.alert
+        elif rabit is not None and rabit.alert_count > self._alerts_before:
+            alert = rabit.last_alert()
+        facts = rabit.facts if rabit is not None else _NO_FACTS
+        call = self._call
+        self.record = CommandRecord(
+            time=self._clock.now,
+            device=self._device.name,
+            method=self._method,
+            args=self._args,
+            label=call.label,
+            alert=alert,
+            location=call.location,
+            rule_cache=facts.rule_cache,
+            dispatch=facts.dispatch,
+            sweep=facts.sweep,
+            state_before=facts.state_before,
+            state_after=facts.state_after,
+            span_id=self.span.span_id if self.span is not None else None,
+        )
+        self._trace.append(self.record)
+        return False
 
 
 class DeviceProxy:
@@ -144,62 +243,28 @@ class DeviceProxy:
                 _OBS_COMMANDS.inc(
                     1, device=self._device.name, label=call.label.value
                 )
-            self._clock.advance(
-                self._device.connection.command_latency
-                + BASELINE_DURATION.get(call.label, 1.0),
-                "experiment",
+            command = Interception(
+                self._rabit, self._clock, self._device, attr, args, call, self._trace
             )
-            alert: Optional[Alert] = None
-            span_attrs = {
-                "device": self._device.name,
-                "method": attr,
-                "label": call.label.value,
-            }
-            if TRACE.active:
-                # Cross-link: every span of a recorded run carries the
-                # trace id and the event seq the command will land at.
-                span_attrs["trace_id"] = TRACE.trace_id
-                span_attrs["trace_seq"] = TRACE.next_seq
-            with OBS.span("intercept.command", **span_attrs) as span:
-                try:
+            try:
+                with command, OBS.span(
+                    "intercept.command",
+                    device=self._device.name,
+                    method=attr,
+                    label=call.label.value,
+                ) as span:
+                    command.span = span
                     if self._rabit is None:
                         return attr_callable(*args, **kwargs)
-                    before = self._rabit.alert_count
-                    result = self._rabit.guard(
+                    return self._rabit.guard(
                         call, lambda: attr_callable(*args, **kwargs)
                     )
-                    if self._rabit.alert_count > before:
-                        alert = self._rabit.last_alert()
-                    return result
-                except SafetyViolation as violation:
-                    alert = violation.alert
-                    raise
-                finally:
-                    if OBS.enabled:
-                        _OBS_VERDICTS.inc(
-                            1,
-                            outcome=alert.kind.value if alert else "allowed",
-                        )
-                    record = CommandRecord(
-                        time=self._clock.now,
-                        device=self._device.name,
-                        method=attr,
-                        args=args,
-                        label=call.label,
-                        alert=alert,
-                        location=call.location,
-                        rule_cache=(
-                            self._rabit.last_rule_cache
-                            if self._rabit is not None
-                            else None
-                        ),
+            finally:
+                if OBS.enabled:
+                    alert = command.record.alert if command.record else None
+                    _OBS_VERDICTS.inc(
+                        1, outcome=alert.kind.value if alert else "allowed"
                     )
-                    self._trace.append(record)
-                    if TRACE.active:
-                        TRACE.record_command(
-                            record,
-                            obs_span_id=span.span_id if span is not None else None,
-                        )
 
         return traced
 

@@ -146,15 +146,6 @@ class RabitLabModel:
         self.geometry_revision += 1
         return location
 
-    def invalidate_caches(self) -> None:
-        """Force-bump the revision after an out-of-band mutation.
-
-        Call this after editing model structures in place (e.g. mutating an
-        :class:`ObstacleModel`'s frames directly) so revision-keyed caches
-        (rule verdicts, packed collision engines) drop their entries.
-        """
-        self.geometry_revision += 1
-
     def belief_fingerprint(self) -> Tuple:
         """Everything rule checks read from the model that can change at
         run time, digested for the rule-verdict cache key.

@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Optional, Protocol
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Protocol
 
 from repro.core.actions import ActionCall, ActionLabel, TransitionTable
 from repro.core.clock import VirtualClock
@@ -41,7 +41,6 @@ from repro.core.rulecache import MISS, RuleVerdictCache
 from repro.core.state import LabState
 from repro.devices.base import Device
 from repro.obs import OBS
-from repro.trace.recorder import TRACE
 
 _OBS_ALERTS = OBS.registry.counter(
     "rabit_alerts_total",
@@ -77,14 +76,50 @@ ROBOT_MOVE_LABELS = frozenset(
 )
 
 
+class Sweep(NamedTuple):
+    """One trajectory sweep: which path ran, how many samples, the verdict."""
+
+    #: ``"batch"`` (the packed engine) or ``"scalar"`` (the reference loop).
+    path: str
+    samples: int
+    #: The collision message, or ``None`` when the trajectory is clear.
+    verdict: Optional[str]
+
+
+@dataclass
+class GuardFacts:
+    """What one guard learned besides its verdict.
+
+    :class:`Rabit` starts a fresh instance at the start of every guard;
+    the interceptor copies it onto the command's
+    :class:`~repro.core.interceptor.CommandRecord`.
+    """
+
+    #: How the rule-verdict cache answered: ``"hit"``, ``"miss"`` or
+    #: ``"disabled"``.
+    rule_cache: Optional[str] = None
+    #: Which dispatch produced the verdict: ``"compiled"`` or ``"interpreted"``.
+    dispatch: Optional[str] = None
+    #: The Extended Simulator's sweep, or ``None`` when nothing was swept.
+    sweep: Optional[Sweep] = None
+    #: The monitor's state before and after the command; ``None`` when
+    #: FetchState never ran (the command was blocked or raised).  The
+    #: monitor replaces its state at every command rather than editing
+    #: it, so both references stay valid; only :meth:`Rabit.seed_tracked`
+    #: edits the current state, and decks seed before their first command.
+    state_before: Optional[LabState] = None
+    state_after: Optional[LabState] = None
+
+
 class TrajectoryChecker(Protocol):
     """Interface the Extended Simulator implements (Fig. 2 line 9)."""
 
     def validate_trajectory(
         self, call: ActionCall, state: LabState, model: RabitLabModel,
-        account_held_objects: bool,
+        account_held_objects: bool, facts: Optional[GuardFacts] = None,
     ) -> Optional[str]:
-        """Reason the trajectory is invalid, or ``None`` if collision-free."""
+        """Reason the trajectory is invalid, or ``None`` if collision-free;
+        the sweep that ran goes to ``facts.sweep`` when *facts* is given."""
         ...  # pragma: no cover - protocol
 
 
@@ -164,9 +199,8 @@ class Rabit:
             if self.options.rule_cache_size > 0
             else None
         )
-        #: How the rule-verdict cache answered the last rulebase consult:
-        #: ``"hit"``, ``"miss"`` or ``"disabled"`` (``None`` before any).
-        self.last_rule_cache: Optional[str] = None
+        #: What the current (or last) guard learned besides its verdict.
+        self.facts = GuardFacts()
         #: Every alert raised so far (kept even in fail-safe mode).
         self.alerts: List[Alert] = []
         #: Post-action observers (the time multiplexer registers here).
@@ -235,17 +269,18 @@ class Rabit:
                 self.state,
                 self.model,
                 account_held_objects=self.options.account_held_objects,
+                facts=self.facts,
             )
             if problem is not None:
                 return self._trajectory_alert(call, problem)
 
-        previous_state, expected = self._guard_expected(call)
+        expected = self._guard_expected(call)
 
         # Line 12: execute the (now believed-safe) command.
         with OBS.span("rabit.execute", device=call.device):
             result = execute()
 
-        self._guard_postlude(call, expected, previous_state)
+        self._guard_postlude(call, expected)
         return result
 
     async def guard_async(
@@ -259,7 +294,8 @@ class Rabit:
         *execute* is an async callable (device I/O the event loop can
         overlap across sessions); *trajectory*, when given, replaces the
         synchronous trajectory checker with an awaitable so the serve
-        layer can route sweeps through the cross-session batcher.  The
+        layer can route sweeps through the cross-session batcher (it
+        records its sweep in :attr:`facts` itself).  The
         stages, their order, the clock charges, and the alert
         construction are shared with :meth:`guard` — the serve
         differential suite pins the two paths verdict-byte-identical.
@@ -303,16 +339,17 @@ class Rabit:
                     self.state,
                     self.model,
                     account_held_objects=self.options.account_held_objects,
+                    facts=self.facts,
                 )
             if problem is not None:
                 return self._trajectory_alert(call, problem)
 
-        previous_state, expected = self._guard_expected(call)
+        expected = self._guard_expected(call)
 
         with OBS.span("rabit.execute", device=call.device):
             result = await execute()
 
-        self._guard_postlude(call, expected, previous_state)
+        self._guard_postlude(call, expected)
         return result
 
     # -- Fig. 2 stages (shared between the sync and async guards) ------
@@ -321,6 +358,7 @@ class Rabit:
         """Lines 4-7: clock charges and precondition validation.
 
         Returns the ``(rule_id, message)`` violation, or ``None``."""
+        self.facts = GuardFacts()
         if not self._initialized:
             self.initialize()
         self.clock.advance(self.options.bookkeeping_latency, "rabit_bookkeeping")
@@ -367,17 +405,13 @@ class Rabit:
             )
         )
 
-    def _guard_expected(self, call: ActionCall) -> tuple:
+    def _guard_expected(self, call: ActionCall) -> LabState:
         """Line 11: expected state from postconditions."""
-        previous_state = self.state if TRACE.active else None
-        expected = self.transition_table.expected_state(
+        return self.transition_table.expected_state(
             self.state, call, self.model.transition_context()
         )
-        return previous_state, expected
 
-    def _guard_postlude(
-        self, call: ActionCall, expected: LabState, previous_state: Optional[LabState]
-    ) -> None:
+    def _guard_postlude(self, call: ActionCall, expected: LabState) -> None:
         """Lines 13-16: fetch actual state, compare, adopt, notify."""
         observed = self._fetch_state()
         mismatches = expected.diff_observable(observed)
@@ -386,14 +420,14 @@ class Rabit:
                 1, outcome="mismatch" if mismatches else "match"
             )
         # Line 16: adopt the actual state (observed over expected).
+        previous = self.state
         self.state = expected.merge_observed(observed)
         for observer in self.observers:
             observer(call)
-        if previous_state is not None and TRACE.active:
-            # Staged after the observers so multiplexing-driven state
-            # edits land in the same event as the command that caused
-            # them; consumed by the interceptor's record_command.
-            TRACE.stage_state(previous_state, self.state)
+        # Taken after the observers, so multiplexing-driven state edits
+        # land in the record of the command that caused them.
+        self.facts.state_before = previous
+        self.facts.state_after = self.state
         if mismatches:
             var, key, want, got = mismatches[0]
             self._alert(
@@ -444,7 +478,8 @@ class Rabit:
         reference path.
         """
         compiled = self.options.compiled_dispatch
-        dispatch = "compiled" if compiled else "interpreted"
+        facts = self.facts
+        facts.dispatch = "compiled" if compiled else "interpreted"
         key = None
         if self.rule_cache is not None:
             key = (
@@ -455,9 +490,7 @@ class Rabit:
             )
             cached = self.rule_cache.lookup(key)
             if cached is not MISS:
-                self.last_rule_cache = "hit"
-                if TRACE.active:
-                    TRACE.stage_rule("hit", cached[0] if cached else None, dispatch)
+                facts.rule_cache = "hit"
                 return cached
         ctx = CheckContext(
             state=self.state,
@@ -475,13 +508,9 @@ class Rabit:
             verdict = (rule.rule_id, message)
         if self.rule_cache is not None:
             self.rule_cache.store(key, verdict)
-            self.last_rule_cache = "miss"
+            facts.rule_cache = "miss"
         else:
-            self.last_rule_cache = "disabled"
-        if TRACE.active:
-            TRACE.stage_rule(
-                self.last_rule_cache, verdict[0] if verdict else None, dispatch
-            )
+            facts.rule_cache = "disabled"
         return verdict
 
     def _alert(self, alert: Alert) -> None:

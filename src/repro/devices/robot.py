@@ -118,10 +118,6 @@ class RobotArmDevice(Device):
         """Exact end-effector position in the arm's own frame."""
         return self.kinematics.current_position()
 
-    def ee_position_world(self) -> Vec3:
-        """Exact end-effector position in world coordinates."""
-        return as_vec3(self.world.to_world(self.ee_position_own_frame(), self.name))
-
     def current_footprint_world(self) -> Cuboid:
         """World-frame cuboid bounding the arm at its current posture."""
         polyline_own = self.kinematics.arm_polyline()

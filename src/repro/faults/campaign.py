@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.interceptor import CommandRecord
 from repro.core.monitor import RabitOptions
 from repro.devices.world import DamageEvent, DamageSeverity
 from repro.faults.mutation import (
@@ -423,6 +424,16 @@ def run_bug(
     ``compiled_dispatch=False`` runs the interpreted reference scan
     instead of the compiled decision lists (the differential suite pins
     both to identical outcomes)."""
+    return run_bug_traced(bug, config, exclude_rules, compiled_dispatch)[0]
+
+
+def run_bug_traced(
+    bug: InjectedBug,
+    config: str,
+    exclude_rules: Tuple[str, ...] = (),
+    compiled_dispatch: bool = True,
+) -> Tuple[BugOutcome, List[CommandRecord]]:
+    """:func:`run_bug`, also returning the run's command records."""
     try:
         options_factory = RABIT_CONFIGS[config]
     except KeyError:
@@ -438,7 +449,7 @@ def run_bug(
     )
     apply_mutations(dag, ctx.world, bug.mutations)
     result = execute_dag(dag, ctx)
-    return BugOutcome(
+    outcome = BugOutcome(
         bug=bug,
         config=config,
         detected=result.stopped_by_rabit,
@@ -447,6 +458,7 @@ def run_bug(
         damage=ctx.world.damage_log,
         completed=result.completed,
     )
+    return outcome, ctx.trace
 
 
 def run_campaign(
@@ -478,7 +490,17 @@ def run_campaign(
             for bug in bugs:
                 result.outcomes.append(run_bug(bug, config))
     if trace_dir is not None:
-        from repro.trace.workloads import dump_campaign_mismatch_traces
+        from repro.trace.workloads import dump_traces
 
-        dump_campaign_mismatch_traces(result, trace_dir)
+        dump_traces(
+            (
+                (
+                    "bug",
+                    {"bug_id": o.bug.bug_id, "config": o.config},
+                    f"bug-{o.bug.bug_id}-{o.config}",
+                )
+                for o in result.mismatches()
+            ),
+            trace_dir,
+        )
     return result

@@ -34,6 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.interceptor import CommandRecord
 from repro.core.monitor import RabitOptions
 from repro.faults.mutation import (
     DeleteLine,
@@ -190,14 +191,15 @@ def _run_mutant(
     mutations: Sequence[Mutation],
     monitored: bool,
     options: Optional[RabitOptions] = None,
-) -> Tuple[WorkflowRunResult, Tuple[str, ...]]:
-    """Run one mutant of the Fig. 5 preset; returns (result, damage kinds)."""
+) -> Tuple[WorkflowRunResult, Tuple[str, ...], List[CommandRecord]]:
+    """Run one mutant of the Fig. 5 preset; returns (result, damage
+    kinds, command records)."""
     dag = build_preset(_PRESET)
     ctx = build_context(
         dag.deck, dag.deck_params, dag.prepare, options=options, monitored=monitored
     )
     result = execute_dag(apply_mutations(dag, ctx.world, mutations), ctx)
-    return result, tuple(sorted({d.kind for d in ctx.world.damage_log}))
+    return result, tuple(sorted({d.kind for d in ctx.world.damage_log})), ctx.trace
 
 
 def run_mutant_monitored(seed: int, index: int, options=None):
@@ -210,12 +212,12 @@ def run_mutant_monitored(seed: int, index: int, options=None):
     monitor configuration (default: modified RABIT); verdicts are pinned
     dispatch-invariant, so passing an interpreted-dispatch variant keeps
     the recorded trace replayable.  Returns
-    ``(description, WorkflowRunResult)``."""
+    ``(description, WorkflowRunResult, command records)``."""
     description, mutations = _sample_mutation(
         _rng_for_sample(seed, index), reference_line_ids()
     )
-    result, _ = _run_mutant(mutations, monitored=True, options=options)
-    return description, result
+    result, _, records = _run_mutant(mutations, monitored=True, options=options)
+    return description, result, records
 
 
 def score_mutant(index: int, base_seed: int, line_ids: Sequence[str]) -> MutantOutcome:
@@ -229,8 +231,8 @@ def score_mutant(index: int, base_seed: int, line_ids: Sequence[str]) -> MutantO
         _rng_for_sample(base_seed, index), line_ids
     )
     try:
-        truth, truth_damage = _run_mutant(mutations, monitored=False)
-        verdict, _ = _run_mutant(mutations, monitored=True)
+        truth, truth_damage, _ = _run_mutant(mutations, monitored=False)
+        verdict, _, _ = _run_mutant(mutations, monitored=True)
     except Exception as exc:  # noqa: BLE001 - classify, don't crash the sweep
         return MutantOutcome(
             seed=index,
@@ -307,12 +309,18 @@ def run_monte_carlo(
         for index in range(samples):
             report.outcomes.append(score_mutant(index, seed, line_ids))
     if trace_dir is not None:
-        if generator == "dag":
-            from repro.trace.workloads import dump_failed_dag_traces
+        from repro.trace.workloads import dump_traces
 
-            dump_failed_dag_traces(report, seed, trace_dir)
-        else:
-            from repro.trace.workloads import dump_failed_mutant_traces
-
-            dump_failed_mutant_traces(report, seed, trace_dir)
+        # Misclassified cases only; a harness error crashed the run
+        # itself, so there is nothing to replay.
+        workload = "fuzz" if generator == "dag" else "mutant"
+        dump_traces(
+            (
+                (workload, {"seed": seed, "index": o.seed}, f"{workload}-s{seed}-i{o.seed}")
+                for o in report.outcomes
+                if o.classification in ("false_negative", "false_positive")
+                and "harness_error" not in o.damage_kinds
+            ),
+            trace_dir,
+        )
     return report

@@ -34,7 +34,6 @@ from repro.kinematics.ik import (
     analytic_position_jacobian,
     numeric_position_jacobian,
     solve_position_ik,
-    solve_position_ik_batch,
 )
 from repro.kinematics.trajectory import JointTrajectory, plan_joint_trajectory
 from repro.kinematics.arm import ArmKinematics, TrajectoryPlan, UnreachableTargetError
@@ -54,7 +53,6 @@ __all__ = [
     "analytic_position_jacobian",
     "numeric_position_jacobian",
     "solve_position_ik",
-    "solve_position_ik_batch",
     "JointTrajectory",
     "plan_joint_trajectory",
     "ArmKinematics",

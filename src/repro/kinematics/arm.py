@@ -22,7 +22,7 @@ from repro.geometry.shapes import Cuboid, bounding_cuboid
 from repro.geometry.transforms import Transform
 from repro.geometry.vec import Vec3, as_vec3
 from repro.kinematics.dh import DHChain
-from repro.kinematics.ik import IKResult, solve_position_ik, solve_position_ik_batch
+from repro.kinematics.ik import solve_position_ik
 from repro.kinematics.profiles import ArmProfile, UnreachableBehavior
 from repro.kinematics.trajectory import JointTrajectory, plan_joint_trajectory
 
@@ -122,10 +122,6 @@ class ArmKinematics:
             self._position = self._chain.end_effector_position(self._q)
         return self._position.copy()
 
-    def base_position(self) -> Vec3:
-        """World position of the arm's mounting point."""
-        return self._chain.base.translation
-
     # -- planning --------------------------------------------------------------
 
     def _ik_seeds(self) -> Iterator[np.ndarray]:
@@ -204,24 +200,6 @@ class ArmKinematics:
             residual=result.error,
         )
 
-    def solve_targets(self, targets: Sequence[Sequence[float]]) -> List[IKResult]:
-        """One vectorized IK solve per Cartesian target, from the current posture.
-
-        A reachability *screen* for fault-injection campaigns: every target
-        is solved concurrently through the batched analytic-Jacobian kernel
-        with the current posture as seed (no multi-seed restart cascade —
-        callers that need the full cascade plan targets individually via
-        :meth:`plan_move`).  Joint limits are enforced, so every returned
-        posture is feasible.
-        """
-        return solve_position_ik_batch(
-            self._chain,
-            targets,
-            q0=self._q,
-            joint_limits=self.profile.joint_limits,
-            tolerance=self.REACH_TOLERANCE,
-        )
-
     def plan_posture(self, q_end: Sequence[float], speed: float = 1.0) -> TrajectoryPlan:
         """Plan a move to an explicit joint posture (home/sleep poses)."""
         trajectory = plan_joint_trajectory(self._chain, self._q, q_end, speed=speed)
@@ -267,7 +245,3 @@ class ArmKinematics:
         pad = self.profile.link_radius if margin is None else margin
         box = bounding_cuboid(self.arm_polyline(), name=name or self.profile.name)
         return box.inflated(pad)
-
-    def reach_envelope(self) -> float:
-        """Nominal maximum reach from the base (metres)."""
-        return self.profile.reach

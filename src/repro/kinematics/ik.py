@@ -20,19 +20,12 @@ The Jacobian comes in two flavours:
 - :func:`numeric_position_jacobian` is the central-difference reference
   the differential suite checks the analytic columns against (they agree
   to ~1e-10; the suite gates at 1e-6).
-
-:func:`solve_position_ik_batch` solves many targets at once — the shape
-fault-injection campaigns need — by running every damped-least-squares
-iteration across all still-unconverged targets through the batched FK
-kernel, retiring targets as they converge.  Its per-target arithmetic is
-element-for-element the scalar solver's, so verdicts and solutions match
-the sequential loop exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -104,7 +97,7 @@ def _jacobian_from_frames(frames: np.ndarray, prismatic: np.ndarray) -> np.ndarr
 
     ``(..., dof + 1, 4, 4)`` frames in, ``(..., 3, dof)`` Jacobians out —
     the one construction behind :func:`analytic_position_jacobian` and
-    both solvers.  The cross product is spelled out: each component is
+    the solver.  The cross product is spelled out: each component is
     the same float64 product-minus-product ``np.cross`` evaluates, without
     its per-call setup, which costs more than the arithmetic at 3 x dof.
     """
@@ -195,107 +188,3 @@ def solve_position_ik(
     return IKResult(
         tuple(float(x) for x in best_q), best_err, max_iterations, converged=False
     )
-
-
-def solve_position_ik_batch(
-    chain: DHChain,
-    targets: Sequence[Sequence[float]],
-    q0: Sequence[float] | Sequence[Sequence[float]],
-    joint_limits: Optional[Sequence[Tuple[float, float]]] = None,
-    tolerance: float = 1e-4,
-    max_iterations: int = 200,
-    damping: float = 0.05,
-) -> List[IKResult]:
-    """Solve one IK problem per row of *targets*, vectorized over targets.
-
-    *q0* is either a single seed posture shared by every target or one
-    seed row per target.  Each damped-least-squares iteration runs all
-    still-unconverged targets through the batched FK kernel at once:
-    stacked Jacobians, stacked ``3x3`` solves, per-row step clamping, and
-    joint-limit clipping.  A target that converges retires from the
-    active set with its iteration count; the rest keep iterating.
-
-    The per-target arithmetic is exactly the scalar solver's, so the
-    returned :class:`IKResult` list matches ``[solve_position_ik(chain,
-    t, ...) for t in targets]`` — verdicts, iteration counts, and
-    solutions alike.  Fault-injection campaigns use this to precompute
-    reachability for whole location tables in one call.
-    """
-    tgts = np.asarray(targets, dtype=np.float64)
-    if tgts.ndim != 2 or tgts.shape[1] != 3:
-        raise ValueError(f"targets must be (T, 3) points, got shape {tgts.shape}")
-    t_count = tgts.shape[0]
-    seeds = np.asarray(q0, dtype=np.float64)
-    if seeds.ndim == 1:
-        seeds = np.broadcast_to(seeds, (t_count, chain.dof)).copy()
-    elif seeds.shape != (t_count, chain.dof):
-        raise ValueError(
-            f"q0 must be ({chain.dof},) or ({t_count}, {chain.dof}), "
-            f"got shape {seeds.shape}"
-        )
-    else:
-        seeds = seeds.copy()
-    if t_count == 0:
-        return []
-    limits_lo = limits_hi = None
-    if joint_limits is not None:
-        limits_lo, limits_hi = _limit_bounds(joint_limits)
-        np.clip(seeds, limits_lo, limits_hi, out=seeds)
-
-    lam_sq = damping * damping
-    eye3 = lam_sq * np.eye(3)
-    prismatic = chain.prismatic_mask
-    q = seeds
-    best_q = q.copy()
-    best_err = np.full(t_count, np.inf)
-    active = np.arange(t_count)
-    results: List[Optional[IKResult]] = [None] * t_count
-
-    for iteration in range(1, max_iterations + 1):
-        frames = chain.frames_batch(q[active])  # (A, dof + 1, 4, 4)
-        error_vec = tgts[active] - frames[:, -1, :3, 3]  # (A, 3)
-        err = np.linalg.norm(error_vec, axis=1)
-
-        improved = err < best_err[active]
-        rows = active[improved]
-        best_err[rows] = err[improved]
-        best_q[rows] = q[rows]
-
-        done = err < tolerance
-        for row, e in zip(active[done], err[done]):
-            results[row] = IKResult(
-                tuple(float(x) for x in q[row]),
-                float(e),
-                iteration,
-                converged=True,
-            )
-        if done.any():
-            active = active[~done]
-            if active.size == 0:
-                break
-            frames = frames[~done]
-            error_vec = error_vec[~done]
-
-        jac = _jacobian_from_frames(frames, prismatic)
-        if OBS.enabled:
-            _OBS_JACOBIANS.inc(float(len(active)), mode="analytic")
-        jjt = jac @ np.swapaxes(jac, 1, 2) + eye3  # (A, 3, 3)
-        y = np.linalg.solve(jjt, error_vec[..., None])  # (A, 3, 1)
-        dq = (np.swapaxes(jac, 1, 2) @ y)[..., 0]  # (A, dof)
-
-        step_norm = np.linalg.norm(dq, axis=1)
-        over = step_norm > _MAX_STEP
-        dq[over] *= (_MAX_STEP / step_norm[over])[:, None]
-        stepped = q[active] + dq
-        if limits_lo is not None:
-            np.clip(stepped, limits_lo, limits_hi, out=stepped)
-        q[active] = stepped
-
-    for row in active:
-        results[row] = IKResult(
-            tuple(float(x) for x in best_q[row]),
-            float(best_err[row]),
-            max_iterations,
-            converged=False,
-        )
-    return results  # type: ignore[return-value]

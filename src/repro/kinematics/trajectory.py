@@ -96,12 +96,6 @@ class JointTrajectory:
         """
         return [self.chain.joint_positions(q) for q in self.sample(resolution)]
 
-    def max_joint_excursion(self) -> float:
-        """Largest absolute joint-angle change over the motion (radians)."""
-        q0 = np.asarray(self.q_start)
-        q1 = np.asarray(self.q_end)
-        return float(np.max(np.abs(q1 - q0)))
-
 
 def plan_joint_trajectory(
     chain: DHChain,

@@ -14,7 +14,7 @@ with an alert attributing the right rule.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.errors import Alert, SafetyViolation
 from repro.core.monitor import RabitOptions
@@ -311,10 +311,3 @@ TESTBED_SCENARIOS: Tuple[RuleScenario, ...] = (
     ),
 )
 
-
-def run_all_scenarios(
-    options: Optional[RabitOptions] = None,
-    scenarios: Tuple[RuleScenario, ...] = ALL_SCENARIOS,
-) -> List[ScenarioOutcome]:
-    """Run every controlled scenario; returns outcomes in rule order."""
-    return [run_scenario(s, options=options) for s in scenarios]

@@ -7,9 +7,10 @@ siblings: the tenant's :class:`~repro.core.rulebase.RuleBase` (hence its
 memoized compiled dispatch snapshot) and the
 :class:`~repro.serve.batcher.SweepBatcher`.
 
-Command handling mirrors :class:`~repro.core.interceptor.DeviceProxy`
-step for step — the same action resolution, the same virtual-clock
-charges, the same alert bookkeeping — but guards through
+Command handling is :class:`~repro.core.interceptor.DeviceProxy`'s —
+the same action resolution, and the same
+:class:`~repro.core.interceptor.Interception` for the virtual-clock
+charge, the alert and the record — but guards through
 :meth:`Rabit.guard_async` so the event loop can overlap many sessions'
 device I/O, and routes trajectory sweeps through the shared batcher.
 ``io_latency`` models the wall-clock the physical lab spends per command
@@ -35,9 +36,9 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.core.actions import ActionCall
 from repro.core.clock import VirtualClock
-from repro.core.errors import Alert, SafetyViolation
-from repro.core.interceptor import BASELINE_DURATION, CommandRecord, resolve_action
-from repro.core.monitor import Rabit, RabitOptions
+from repro.core.errors import SafetyViolation
+from repro.core.interceptor import CommandRecord, Interception, resolve_action
+from repro.core.monitor import Rabit, RabitOptions, Sweep
 from repro.core.rulebase import RuleBase
 from repro.lab.decks import build_deck, make_rabit
 from repro.serve.batcher import SweepBatcher
@@ -189,10 +190,6 @@ class GuardSession:
     ) -> Dict[str, Any]:
         """Charge the clock, guard *call* around *run*, journal the verdict."""
         rabit = self.rabit
-        rabit.clock.advance(
-            device.connection.command_latency + BASELINE_DURATION.get(call.label, 1.0),
-            "experiment",
-        )
 
         async def execute() -> Any:
             # The stand-in for the physical lab's round-trip: real
@@ -211,35 +208,25 @@ class GuardSession:
                 )
                 if job is None:
                     return None
-                return await self.batcher.submit(
+                problem = await self.batcher.submit(
                     job, self.geom_key(job.frame, job.exclude)
                 )
+                rabit.facts.sweep = Sweep("batch", len(job.samples), problem)
+                return problem
 
-        before = rabit.alert_count
-        alert: Optional[Alert] = None
-        try:
-            await rabit.guard_async(call, execute, trajectory=trajectory)
-            if rabit.alert_count > before:
-                alert = rabit.last_alert()
-        except SafetyViolation as violation:
-            # Only reachable with preemptive_stop=True options; a service
-            # session still answers with the verdict.
-            alert = violation.alert
-
-        record = CommandRecord(
-            time=rabit.clock.now,
-            device=device.name,
-            method=method,
-            args=args,
-            label=call.label,
-            alert=alert,
-            location=call.location,
-            rule_cache=rabit.last_rule_cache,
+        command = Interception(
+            rabit, rabit.clock, device, method, args, call, self.journal
         )
-        entry = journal_entry(len(self.journal), record)
-        self.journal.append(record)
+        try:
+            with command:
+                await rabit.guard_async(call, execute, trajectory=trajectory)
+        except SafetyViolation:
+            # Only reachable with preemptive_stop=True options; a service
+            # session still answers with the verdict the record carries.
+            pass
+        entry = journal_entry(len(self.journal) - 1, command.record)
         return {
-            "ok": alert is None,
+            "ok": entry["alert"] is None,
             "traced": True,
             "seq": entry["seq"],
             "t": entry["t"],

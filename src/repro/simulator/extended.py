@@ -53,13 +53,13 @@ import numpy as np
 
 from repro.core.actions import ActionCall, ActionLabel
 from repro.core.model import RabitLabModel
+from repro.core.monitor import GuardFacts, Sweep
 from repro.core.state import LabState
 from repro.devices.robot import RobotArmDevice
 from repro.geometry.batch import BatchCollisionEngine
 from repro.geometry.shapes import Cuboid
 from repro.kinematics.arm import TrajectoryPlan, UnreachableTargetError
 from repro.obs import OBS
-from repro.trace.recorder import TRACE
 
 _OBS_CHECKS = OBS.registry.counter(
     "es_trajectory_checks_total",
@@ -258,8 +258,12 @@ class ExtendedSimulator:
         state: LabState,
         model: RabitLabModel,
         account_held_objects: bool,
+        facts: Optional[GuardFacts] = None,
     ) -> Optional[str]:
-        """Reason the commanded motion would collide, or ``None``."""
+        """Reason the commanded motion would collide, or ``None``.
+
+        When *facts* is given, the sweep that ran is written to
+        ``facts.sweep`` (left ``None`` when nothing was swept)."""
         job = self.prepare_sweep(call, state, model, account_held_objects)
         if job is None:
             # Nothing to sweep: the command targets no known arm, or the
@@ -267,38 +271,29 @@ class ExtendedSimulator:
             # skip or raise on its own).
             return None
         frame, exclude = job.frame, list(job.exclude)
-        robot_model, held, samples = job.robot_model, job.held, job.samples
-        robot, plan = job.robot, job.plan
-
-        sweep = self._sweep_batch if self.use_batch else self._sweep_scalar
-        if not OBS.enabled:
-            problem = sweep(call, model, frame, exclude, robot_model, held, samples)
-            if problem is None and self.sweep_links:
-                problem = self._sweep_arm_links(call, model, frame, exclude, robot, plan)
-            if TRACE.active:
-                TRACE.stage_trajectory(
-                    path="batch" if self.use_batch else "scalar",
-                    samples=len(samples),
-                    verdict=problem,
-                )
-            return problem
-
+        samples = len(job.samples)
         path = "batch" if self.use_batch else "scalar"
-        _OBS_CHECKS.inc(1, path=path)
-        _OBS_SEGMENTS.inc(float(len(samples)))
-        _OBS_SWEEP_SAMPLES.observe(float(len(samples)))
+        sweep = self._sweep_batch if self.use_batch else self._sweep_scalar
+        if OBS.enabled:
+            _OBS_CHECKS.inc(1, path=path)
+            _OBS_SEGMENTS.inc(float(samples))
+            _OBS_SWEEP_SAMPLES.observe(float(samples))
         with OBS.span(
             "es.validate_trajectory", robot=call.robot, label=call.label.value,
-            path=path, samples=len(samples),
+            path=path, samples=samples,
         ) as span:
-            problem = sweep(call, model, frame, exclude, robot_model, held, samples)
+            problem = sweep(
+                call, model, frame, exclude, job.robot_model, job.held, job.samples
+            )
             if problem is None and self.sweep_links:
-                problem = self._sweep_arm_links(call, model, frame, exclude, robot, plan)
-            _OBS_VERDICTS.inc(1, verdict="collision" if problem else "clear")
+                problem = self._sweep_arm_links(
+                    call, model, frame, exclude, job.robot, job.plan
+                )
             if span is not None:
+                _OBS_VERDICTS.inc(1, verdict="collision" if problem else "clear")
                 span.set(verdict=problem or "clear")
-        if TRACE.active:
-            TRACE.stage_trajectory(path=path, samples=len(samples), verdict=problem)
+        if facts is not None:
+            facts.sweep = Sweep(path, samples, problem)
         return problem
 
     def prepare_sweep(
@@ -312,8 +307,8 @@ class ExtendedSimulator:
 
         Returns ``None`` when there is nothing to sweep (unknown arm, or
         the controller cannot plan the motion) — the caller must then
-        pass the command through without staging a trajectory verdict,
-        exactly the behaviour of the inline path."""
+        pass the command through without recording a sweep, exactly the
+        behaviour of the inline path."""
         if call.robot is None or call.robot not in self._robots:
             return None
         robot = self._robots[call.robot]

@@ -1,26 +1,15 @@
-"""The run-trace recorder the interception pipeline reports into.
+"""Run traces: the projection of a run's command records.
 
-:data:`TRACE` is a process-wide runtime with the same hot-path contract
-as :data:`repro.obs.OBS`: **default off**, and while off every
-instrumentation site costs exactly one attribute read
-(``TRACE.active``).  Nothing is allocated, staged, or timed, the
-virtual clock is never touched, and the differential suite pins the
-stronger guarantee that enabling recording changes no verdicts and no
-latency figures.
-
-While recording, the pipeline contributes one *event* per intercepted
-command, assembled from three sources:
-
-- the **monitor** stages the rule verdict's cache disposition (hit /
-  miss / disabled), the state delta the command produced, and a content
-  fingerprint of the resulting state (:meth:`TraceRuntime.stage_rule`,
-  :meth:`TraceRuntime.stage_state`);
-- the **Extended Simulator** stages the trajectory-sweep outcome when a
-  robot command consults it (:meth:`TraceRuntime.stage_trajectory`);
-- the **interceptor** closes the event with the command itself — device,
-  method, arguments, resolved label/location, virtual-clock timestamp,
-  alert, and the enclosing observability span id
-  (:meth:`TraceRuntime.record_command`).
+The interceptor keeps one :class:`~repro.core.interceptor.CommandRecord`
+per intercepted command, and the record carries every fact the guard
+produced: the command itself (device, method, arguments, resolved
+label/location, virtual-clock timestamp, alert), the rule-verdict
+cache disposition and dispatch, the Extended Simulator's sweep, the lab
+state before and after, and the enclosing observability span id.  A
+run trace is those records projected one by one with
+:func:`trace_event` — the only place a state delta and a state
+fingerprint are computed — between a header naming the workload and a
+footer with its outcome (:func:`run_trace`).
 
 Everything recorded is a deterministic function of the workload: virtual
 time instead of wall time, content digests instead of object ids, and a
@@ -33,12 +22,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Sequence
 
 from repro.trace.canon import canonical_bytes, content_digest
-from repro.trace.schema import SCHEMA_VERSION, TraceSchemaError, upgrade_trace
+from repro.trace.schema import SCHEMA_VERSION, upgrade_trace
 
-__all__ = ["TRACE", "TraceRuntime", "RunTrace", "TraceFormatError"]
+__all__ = ["RunTrace", "TraceFormatError", "run_trace", "trace_event"]
 
 
 class TraceFormatError(Exception):
@@ -158,154 +147,66 @@ def _trace_id(workload: str, params: Dict[str, Any], obs: bool) -> str:
     )
 
 
-class TraceRuntime:
-    """Process-wide recorder with per-command staging.
+def trace_event(seq: int, record: Any) -> Dict[str, Any]:
+    """The trace event of one :class:`~repro.core.interceptor.CommandRecord`.
 
-    One recording may be active at a time (recording is per-run, and
-    every workload runs single-threaded under the virtual clock)."""
-
-    def __init__(self) -> None:
-        #: The hot-path guard; instrumented modules read this directly.
-        self.active: bool = False
-        self._header: Optional[Dict[str, Any]] = None
-        self._events: List[Dict[str, Any]] = []
-        # Per-command staging area, consumed by record_command.
-        self._staged_rule: Optional[Dict[str, Any]] = None
-        self._staged_state: Optional[Dict[str, Any]] = None
-        self._staged_trajectory: Optional[Dict[str, Any]] = None
-
-    @property
-    def trace_id(self) -> Optional[str]:
-        """Id of the in-flight recording (``None`` when inactive)."""
-        return self._header["trace_id"] if self._header else None
-
-    @property
-    def next_seq(self) -> int:
-        """Sequence number the next recorded command will carry."""
-        return len(self._events)
-
-    # -- lifecycle ---------------------------------------------------------
-
-    def begin(
-        self, workload: str, params: Optional[Dict[str, Any]] = None, obs: bool = False
-    ) -> None:
-        """Start recording a run of *workload* with *params*."""
-        if self.active:
-            raise RuntimeError(
-                f"a recording is already active (trace {self.trace_id})"
-            )
-        params = dict(params or {})
-        self._header = {
-            "type": "header",
-            "schema_version": SCHEMA_VERSION,
-            "trace_id": _trace_id(workload, params, obs),
-            "workload": workload,
-            "params": params,
-            "obs": bool(obs),
-        }
-        self._events = []
-        self._clear_staged()
-        self.active = True
-
-    def end(self, outcome: Dict[str, Any]) -> RunTrace:
-        """Finish the recording; returns the completed :class:`RunTrace`."""
-        if not self.active:
-            raise RuntimeError("no recording is active")
-        assert self._header is not None
-        final_time = self._events[-1]["t"] if self._events else 0.0
-        footer = {
-            "type": "end",
-            "events": len(self._events),
-            "final_time": final_time,
-            "outcome": {k: _jsonable(v) for k, v in sorted(outcome.items())},
-        }
-        trace = RunTrace(header=self._header, events=self._events, footer=footer)
-        self.abort()
-        return trace
-
-    def abort(self) -> None:
-        """Discard any in-flight recording and staging."""
-        self.active = False
-        self._header = None
-        self._events = []
-        self._clear_staged()
-
-    def _clear_staged(self) -> None:
-        self._staged_rule = None
-        self._staged_state = None
-        self._staged_trajectory = None
-
-    # -- staging (called from monitor / simulator) -------------------------
-
-    def stage_rule(
-        self, cache: str, rule_id: Optional[str], dispatch: str = "interpreted"
-    ) -> None:
-        """Record the rulebase verdict's cache disposition for the
-        in-flight command: ``"hit"``, ``"miss"``, or ``"disabled"``,
-        plus which dispatch path produced (or would produce) the verdict
-        — ``"compiled"`` decision lists or the ``"interpreted"``
-        full-rulebase scan."""
-        self._staged_rule = {"cache": cache, "rule_id": rule_id, "dispatch": dispatch}
-
-    def stage_state(self, previous: Any, current: Any) -> None:
-        """Record the state transition the in-flight command produced.
-
-        *previous*/*current* are :class:`~repro.core.state.LabState`
-        snapshots; the event stores the sorted delta triples plus a
-        content fingerprint of the full resulting state."""
-        self._staged_state = {
-            "delta": [
-                [var, key, _jsonable(value)]
-                for var, key, value in current.delta_from(previous)
-            ],
-            "fp": content_digest(current.as_dict()),
-        }
-
-    def stage_trajectory(self, path: str, samples: int, verdict: Optional[str]) -> None:
-        """Record the Extended Simulator sweep for the in-flight robot
-        command: which sweep path ran, how many samples, and the
-        collision verdict (``None`` when clear)."""
-        self._staged_trajectory = {
-            "path": path,
-            "samples": int(samples),
-            "verdict": verdict,
-        }
-
-    # -- event assembly (called from the interceptor) ----------------------
-
-    def record_command(self, record: Any, obs_span_id: Optional[int] = None) -> None:
-        """Close one event from the interceptor's :class:`CommandRecord`
-        plus whatever the monitor/simulator staged for it."""
-        if not self.active:
-            return
-        alert = record.alert
-        verdict: Dict[str, Any] = {
+    *seq* is the record's position in the run.  The state delta is the
+    sorted triples from the state before the command to the state after
+    it, and the fingerprint a content digest of the state after; both
+    are empty when FetchState never ran for the command."""
+    alert = record.alert
+    after = record.state_after
+    return {
+        "type": "command",
+        "seq": seq,
+        "t": record.time,
+        "device": record.device,
+        "method": record.method,
+        "args": [_jsonable(a) for a in record.args],
+        "label": record.label.value if record.label is not None else None,
+        "location": record.location,
+        "verdict": {
             "outcome": alert.kind.value if alert is not None else "allowed",
             "rule_id": alert.rule_id if alert is not None else None,
             "message": alert.message if alert is not None else None,
-            "cache": self._staged_rule["cache"] if self._staged_rule else None,
-            "dispatch": self._staged_rule["dispatch"] if self._staged_rule else None,
-        }
-        staged_state = self._staged_state
-        self._events.append(
-            {
-                "type": "command",
-                "seq": len(self._events),
-                "t": record.time,
-                "device": record.device,
-                "method": record.method,
-                "args": [_jsonable(a) for a in record.args],
-                "label": record.label.value if record.label is not None else None,
-                "location": record.location,
-                "verdict": verdict,
-                "trajectory": self._staged_trajectory,
-                "state_delta": staged_state["delta"] if staged_state else [],
-                "state_fp": staged_state["fp"] if staged_state else None,
-                "obs_span_id": obs_span_id,
-            }
-        )
-        self._clear_staged()
+            "cache": record.rule_cache,
+            "dispatch": record.dispatch,
+        },
+        "trajectory": record.sweep._asdict() if record.sweep is not None else None,
+        "state_delta": (
+            [
+                [var, key, _jsonable(value)]
+                for var, key, value in after.delta_from(record.state_before)
+            ]
+            if after is not None
+            else []
+        ),
+        "state_fp": content_digest(after.as_dict()) if after is not None else None,
+        "obs_span_id": record.span_id,
+    }
 
 
-#: The process-wide recorder every instrumented module imports.
-TRACE = TraceRuntime()
+def run_trace(
+    workload: str,
+    params: Dict[str, Any],
+    obs: bool,
+    records: Sequence[Any],
+    outcome: Dict[str, Any],
+) -> RunTrace:
+    """The trace of one run of *workload*: its records, then *outcome*."""
+    events = [trace_event(seq, record) for seq, record in enumerate(records)]
+    header = {
+        "type": "header",
+        "schema_version": SCHEMA_VERSION,
+        "trace_id": _trace_id(workload, params, obs),
+        "workload": workload,
+        "params": params,
+        "obs": bool(obs),
+    }
+    footer = {
+        "type": "end",
+        "events": len(events),
+        "final_time": events[-1]["t"] if events else 0.0,
+        "outcome": {k: _jsonable(v) for k, v in sorted(outcome.items())},
+    }
+    return RunTrace(header=header, events=events, footer=footer)

@@ -26,19 +26,26 @@ Registered workloads:
 
 The first four are rows of :data:`PRESET_WORKLOADS`: a workflow preset
 plus monitor options, all run by :func:`run_preset_workload`.
+
+Each workload returns its footer outcome and the command records of the
+one proxy trace its run drove; :func:`record_workload` projects those
+records into the run trace.
 """
 
 from __future__ import annotations
 
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.trace.recorder import TRACE, RunTrace
+from repro.trace.recorder import RunTrace, run_trace
 
-WorkloadFn = Callable[[Dict[str, Any]], Dict[str, Any]]
+#: A workload's result: its JSON-safe outcome (the trace footer) and the
+#: command records of the run.
+WorkloadResult = Tuple[Dict[str, Any], Sequence[Any]]
+WorkloadFn = Callable[[Dict[str, Any]], WorkloadResult]
 
-#: name -> function(params) -> JSON-safe outcome dict (the trace footer).
+#: name -> function(params) -> (outcome, command records).
 WORKLOADS: Dict[str, WorkloadFn] = {}
 
 
@@ -96,8 +103,8 @@ PRESET_WORKLOADS: Dict[str, Tuple[str, Dict[str, Any]]] = {
 }
 
 
-def run_preset_workload(name: str, params: Dict[str, Any]) -> Dict[str, Any]:
-    """Run preset-backed workload *name*; returns its footer outcome."""
+def run_preset_workload(name: str, params: Dict[str, Any]) -> WorkloadResult:
+    """Run preset-backed workload *name*; returns its outcome and records."""
     from repro.core.monitor import RabitOptions
     from repro.workflow import build_context, build_preset, execute_dag
 
@@ -110,7 +117,7 @@ def run_preset_workload(name: str, params: Dict[str, Any]) -> Dict[str, Any]:
         options=RabitOptions.modified(compiled_dispatch=_compiled(params), **overrides),
     )
     _bind_obs(ctx.rabit)
-    return _result_outcome(execute_dag(dag, ctx), len(ctx.trace))
+    return _result_outcome(execute_dag(dag, ctx), len(ctx.trace)), ctx.trace
 
 
 for _name in PRESET_WORKLOADS:
@@ -118,24 +125,24 @@ for _name in PRESET_WORKLOADS:
 
 
 @_workload("mutant")
-def _run_mutant(params: Dict[str, Any]) -> Dict[str, Any]:
+def _run_mutant(params: Dict[str, Any]) -> WorkloadResult:
     from repro.core.monitor import RabitOptions
     from repro.faults.montecarlo import run_mutant_monitored
 
     seed, index = int(params["seed"]), int(params["index"])
-    description, result = run_mutant_monitored(
+    description, result, records = run_mutant_monitored(
         seed, index,
         options=RabitOptions.modified(compiled_dispatch=_compiled(params)),
     )
     outcome = _result_outcome(result, len(result.executed_nodes))
     outcome["description"] = description
     outcome["detected"] = result.stopped_by_rabit
-    return outcome
+    return outcome, records
 
 
 @_workload("bug")
-def _run_bug(params: Dict[str, Any]) -> Dict[str, Any]:
-    from repro.faults.campaign import CAMPAIGN_BUGS, run_bug
+def _run_bug(params: Dict[str, Any]) -> WorkloadResult:
+    from repro.faults.campaign import CAMPAIGN_BUGS, run_bug_traced
 
     bug_id, config = str(params["bug_id"]), str(params["config"])
     by_id = {bug.bug_id: bug for bug in CAMPAIGN_BUGS}
@@ -145,7 +152,9 @@ def _run_bug(params: Dict[str, Any]) -> Dict[str, Any]:
         raise KeyError(
             f"unknown bug id {bug_id!r}; known: {sorted(by_id)}"
         ) from None
-    outcome = run_bug(bug, config, compiled_dispatch=_compiled(params))
+    outcome, records = run_bug_traced(
+        bug, config, compiled_dispatch=_compiled(params)
+    )
     return {
         "bug_id": bug_id,
         "config": config,
@@ -154,11 +163,11 @@ def _run_bug(params: Dict[str, Any]) -> Dict[str, Any]:
         "device_error": outcome.device_error,
         "completed": outcome.completed,
         "matches_paper": outcome.matches_paper,
-    }
+    }, records
 
 
 @_workload("workflow")
-def _workflow_workload(params: Dict[str, Any]) -> Dict[str, Any]:
+def _workflow_workload(params: Dict[str, Any]) -> WorkloadResult:
     """A declarative workflow run: a named preset (plus preset
     parameters), or ``spec`` = path to an exported spec file.  The
     footer carries the canonical journal digest, so replay equality
@@ -211,11 +220,11 @@ def _workflow_workload(params: Dict[str, Any]) -> Dict[str, Any]:
     outcome["workflow"] = dag.name
     outcome["recovered"] = result.recovered
     outcome["journal_digest"] = journal_digest(journal)
-    return outcome
+    return outcome, ctx.trace
 
 
 @_workload("fuzz")
-def _run_fuzz(params: Dict[str, Any]) -> Dict[str, Any]:
+def _run_fuzz(params: Dict[str, Any]) -> WorkloadResult:
     """The monitored leg of random-DAG fuzz case ``(seed, index)`` —
     pure in the pair, like the ``mutant`` workload."""
     from repro.core.monitor import RabitOptions
@@ -232,18 +241,19 @@ def _run_fuzz(params: Dict[str, Any]) -> Dict[str, Any]:
     outcome = _result_outcome(result, len(ctx.trace))
     outcome["workflow"] = dag.name
     outcome["detected"] = result.stopped_by_rabit
-    return outcome
+    return outcome, ctx.trace
 
 
 def record_workload(
     name: str, params: Optional[Dict[str, Any]] = None, obs: bool = False
 ) -> RunTrace:
-    """Run registered workload *name* with recording on; returns its trace.
+    """Run registered workload *name*; returns the trace of its records.
 
     With ``obs=True`` the observability layer is reset and enabled for
-    the duration of the run, so recorded events carry deterministic span
-    ids and the spans carry the trace id — the cross-link is stable
-    because span numbering restarts from 1 on every recorded run."""
+    the duration of the run, so span numbering restarts from 1 and the
+    recorded ``obs_span_id`` of every event is deterministic.  After the
+    run, each event's ``intercept.command`` span is stamped with the
+    trace id and the event's seq, so the link runs both ways."""
     try:
         fn = WORKLOADS[name]
     except KeyError:
@@ -256,78 +266,35 @@ def record_workload(
     if obs:
         OBS.reset()
         OBS.enable()
-    TRACE.begin(name, params, obs=obs)
     try:
-        outcome = fn(params)
-    except BaseException:
-        TRACE.abort()
-        raise
+        outcome, records = fn(params)
     finally:
         if obs:
             OBS.disable()
-    return TRACE.end(outcome)
+    trace = run_trace(name, params, obs, records, outcome)
+    spans = {span.span_id: span for span in OBS.collector.spans()}
+    for seq, record in enumerate(records):
+        span = spans.get(record.span_id)
+        if span is not None:
+            span.set(trace_id=trace.trace_id, trace_seq=seq)
+    return trace
 
 
-# ---------------------------------------------------------------------------
-# Auto-dump hooks for the fault-injection engines
-# ---------------------------------------------------------------------------
+def dump_traces(
+    runs: Iterable[Tuple[str, Dict[str, Any], str]], trace_dir: str
+) -> List[Path]:
+    """Record each ``(workload, params, file stem)`` run and write it to
+    ``<trace_dir>/<stem>.trace.jsonl``; returns the paths written.
 
-
-def dump_failed_mutant_traces(report: Any, seed: int, trace_dir: str) -> List[Path]:
-    """Record and persist a trace for every failed Monte Carlo mutant.
-
-    *Failed* means misclassified — a false negative (harm RABIT missed)
-    or a false positive (a benign mutant it flagged).  Each failure's
-    monitored leg is re-recorded in this process (pure in ``(seed,
-    index)``, so identical to what the sweep ran, sharded or not) and
-    written to ``mutant-s<seed>-i<index>.trace.jsonl``."""
+    The fault engines call this after a sweep for every case worth a
+    replayable trace; each case is a pure function of its parameters,
+    so the re-recorded run is exactly what the sweep executed, sharded
+    or not."""
     directory = Path(trace_dir)
     directory.mkdir(parents=True, exist_ok=True)
     written: List[Path] = []
-    for outcome in report.outcomes:
-        if outcome.classification not in ("false_negative", "false_positive"):
-            continue
-        if "harness_error" in outcome.damage_kinds:
-            continue  # the run itself crashed; there is nothing to replay
-        trace = record_workload("mutant", {"seed": seed, "index": outcome.seed})
-        path = directory / f"mutant-s{seed}-i{outcome.seed}.trace.jsonl"
-        trace.write_jsonl(path)
-        written.append(path)
-    return written
-
-
-def dump_failed_dag_traces(report: Any, seed: int, trace_dir: str) -> List[Path]:
-    """Record and persist a trace for every misclassified random-DAG
-    fuzz case (the ``generator="dag"`` analogue of
-    :func:`dump_failed_mutant_traces`); files are named
-    ``fuzz-s<seed>-i<index>.trace.jsonl``."""
-    directory = Path(trace_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    for outcome in report.outcomes:
-        if outcome.classification not in ("false_negative", "false_positive"):
-            continue
-        if "harness_error" in outcome.damage_kinds:
-            continue  # the run itself crashed; there is nothing to replay
-        trace = record_workload("fuzz", {"seed": seed, "index": outcome.seed})
-        path = directory / f"fuzz-s{seed}-i{outcome.seed}.trace.jsonl"
-        trace.write_jsonl(path)
-        written.append(path)
-    return written
-
-
-def dump_campaign_mismatch_traces(result: Any, trace_dir: str) -> List[Path]:
-    """Record and persist a trace for every campaign outcome that
-    deviates from the paper's reported detection; files are named
-    ``bug-<bug_id>-<config>.trace.jsonl``."""
-    directory = Path(trace_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    written: List[Path] = []
-    for outcome in result.mismatches():
-        trace = record_workload(
-            "bug", {"bug_id": outcome.bug.bug_id, "config": outcome.config}
-        )
-        path = directory / f"bug-{outcome.bug.bug_id}-{outcome.config}.trace.jsonl"
-        trace.write_jsonl(path)
+    for workload, params, stem in runs:
+        path = directory / f"{stem}.trace.jsonl"
+        record_workload(workload, params).write_jsonl(path)
         written.append(path)
     return written

@@ -182,7 +182,9 @@ class TestMutantCorpusDifferential:
         outcomes = {}
         for mode in (True, False):
             options = RabitOptions.modified(compiled_dispatch=mode)
-            description, result = run_mutant_monitored(2024, index, options=options)
+            description, result, _records = run_mutant_monitored(
+                2024, index, options=options
+            )
             outcomes[mode] = (
                 description,
                 result.completed,

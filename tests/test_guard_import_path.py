@@ -2,10 +2,10 @@
 
 The guard service child and the in-process guard import ``repro.serve``
 and a deck module; neither needs the campaign, the workflow engine, the
-sharded fault-injection runners, the stage pipeline, the scenarios or
-any deck it does not open.  Loading them anyway costs start-up time and
-resident memory in every service process, so this pins the boundary in
-a fresh interpreter.
+sharded fault-injection runners, the stage pipeline, the scenarios, the
+run-trace recorder and replay, or any deck it does not open.  Loading
+them anyway costs start-up time and resident memory in every service
+process, so this pins the boundary in a fresh interpreter.
 """
 
 import json
@@ -25,6 +25,10 @@ FORBIDDEN = (
     "repro.lab.two_door",
     "repro.lab.berlinguette",
     "repro.lab.scenarios",
+    "repro.trace.recorder",
+    "repro.trace.replay",
+    "repro.trace.schema",
+    "repro.trace.workloads",
 )
 
 

@@ -1,6 +1,6 @@
 """Differential suite: batched kinematics kernel vs the scalar reference.
 
-The batched FK/Jacobian/IK paths are hot-path twins of the scalar
+The batched FK/Jacobian paths are hot-path twins of the scalar
 textbook recurrences, exactly as the batch collision engine twins the
 scalar slab test.  This suite is the gate that makes the speedup safe:
 
@@ -9,8 +9,7 @@ scalar slab test.  This suite is the gate that makes the speedup safe:
 - the analytic position Jacobian matches central differences to <= 1e-6
   on every profile arm, prismatic joints included;
 - IK convergence verdicts are identical between the analytic and
-  numeric Jacobian modes, and between the batched multi-target solver
-  and the sequential scalar loop, on every profile arm;
+  numeric Jacobian modes on every profile arm;
 - the one-FK-per-iteration solver returns exactly the ``IKResult`` of
   the earlier two-FK iteration (kept below as a reference loop), and the
   spelled-out cross product equals ``np.cross`` bit for bit.
@@ -27,7 +26,6 @@ from repro.kinematics.ik import (
     analytic_position_jacobian,
     numeric_position_jacobian,
     solve_position_ik,
-    solve_position_ik_batch,
 )
 from repro.kinematics.profiles import N9, NED2, UR3E, UR5E, VIPERX_300
 from repro.kinematics.trajectory import plan_joint_trajectory
@@ -148,45 +146,6 @@ class TestIKVerdictParity:
                 for result in (analytic, numeric):
                     reached = chain.end_effector_position(result.q)
                     assert np.linalg.norm(reached - target) < 1e-4
-
-    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
-    def test_batch_solver_matches_sequential(self, profile):
-        chain = profile.chain()
-        targets = _targets(profile, 16, seed=37)
-        batch = solve_position_ik_batch(
-            chain, targets, q0=profile.home_q, joint_limits=profile.joint_limits
-        )
-        assert len(batch) == len(targets)
-        for target, b in zip(targets, batch):
-            s = solve_position_ik(
-                chain, target, q0=profile.home_q, joint_limits=profile.joint_limits
-            )
-            assert b.converged == s.converged
-            assert b.iterations == s.iterations
-            if b.converged:
-                assert np.allclose(b.q, s.q, atol=1e-9, rtol=0.0)
-            else:
-                # Non-converged iterate paths at the workspace boundary can
-                # amplify last-ulp differences; the residual, not the
-                # posture, is the contract.
-                assert b.error == pytest.approx(s.error, abs=1e-5)
-
-    def test_batch_solver_broadcast_and_per_target_seeds(self):
-        chain = UR3E.chain()
-        targets = _targets(UR3E, 8, seed=41)
-        seeds = np.tile(np.asarray(UR3E.home_q), (8, 1))
-        shared = solve_position_ik_batch(chain, targets, q0=UR3E.home_q)
-        rowwise = solve_position_ik_batch(chain, targets, q0=seeds)
-        assert [r.converged for r in shared] == [r.converged for r in rowwise]
-        assert [r.q for r in shared] == [r.q for r in rowwise]
-
-    def test_batch_solver_empty_and_bad_shapes(self):
-        chain = UR3E.chain()
-        assert solve_position_ik_batch(chain, np.zeros((0, 3)), q0=UR3E.home_q) == []
-        with pytest.raises(ValueError, match=r"\(T, 3\)"):
-            solve_position_ik_batch(chain, np.zeros((3, 2)), q0=UR3E.home_q)
-        with pytest.raises(ValueError, match="q0 must be"):
-            solve_position_ik_batch(chain, np.zeros((3, 3)), q0=np.zeros((2, 6)))
 
 
 def _np_cross_jacobian(frames, prismatic):

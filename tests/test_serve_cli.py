@@ -4,7 +4,8 @@
 an explicit spelling (``auto``) and non-positive or garbage counts are
 rejected at parse time with exit code 2 — across every subcommand that
 grew the knob (montecarlo, campaign) and the serve front-end's
-``--sessions``/``--port``.  ``--sessions`` is the service's only load
+``--sessions``/``--port``.  Seeds and counts that must not be negative
+(``--seed``, the ``mine`` counts, ``--top``) exit 2 the same way.  ``--sessions`` is the service's only load
 bound: the sweep-queue flags are gone, and passing one exits 2.
 """
 
@@ -56,6 +57,29 @@ def test_non_positive_montecarlo_samples_exit_2(capsys):
     code, err = _exit_code(["montecarlo", "--samples", "0"], capsys)
     assert code == 2
     assert "positive integer" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["montecarlo", "--samples", "2", "--seed", "-5"],
+        ["montecarlo", "--samples", "2", "--seed", "-5", "--generator", "dag"],
+        ["mine", "--hein", "-1"],
+        ["mine", "--berlinguette", "-1"],
+        ["mine", "--min-support", "-1"],
+        ["mine", "--top", "-2"],
+        ["metrics", "--top", "-2"],
+        ["mine", "--hein", "two"],
+    ],
+    ids=[
+        "montecarlo-seed", "montecarlo-dag-seed", "mine-hein", "mine-berlinguette",
+        "mine-min-support", "mine-top", "metrics-top", "mine-hein-garbage",
+    ],
+)
+def test_negative_seeds_and_counts_exit_2(argv, capsys):
+    code, err = _exit_code(argv, capsys)
+    assert code == 2
+    assert "non-negative integer" in err
 
 
 @pytest.mark.parametrize("flag", ["--sessions", "--port"])

@@ -67,13 +67,13 @@ async def _converse(server, path, frames):
     return replies, closed
 
 
-def _run(scenario):
+def _run(scenario, **server_kwargs):
     async def main():
         unhandled = []
         asyncio.get_running_loop().set_exception_handler(
             lambda _loop, context: unhandled.append(context)
         )
-        server = GuardServer()
+        server = GuardServer(**server_kwargs)
         path = os.path.join(tempfile.mkdtemp(prefix="rabit-serve-bad-"), "g.sock")
         await server.start_unix(path)
         try:

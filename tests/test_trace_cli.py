@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
-from repro.trace import SCHEMA_VERSION, RunTrace
+from repro.trace.recorder import RunTrace
+from repro.trace.schema import SCHEMA_VERSION
 
 FIXTURES = Path(__file__).parent / "fixtures" / "traces"
 GOLDEN = FIXTURES / "multi-door-2024.trace.jsonl"
@@ -58,6 +59,26 @@ class TestRecord:
             "--out", str(tmp_path / "x.jsonl"),
         ]) == 2
         assert "unknown workload" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "workload, params, message",
+        [
+            ("mutant", ["seed=-1", "index=0"], "non-negative"),
+            ("fuzz", ["seed=-1", "index=0"], "non-negative"),
+            ("bug", ["bug_id=nope", "config=modified"], "unknown bug id"),
+            ("multi_door", ["dispatch=jit"], "unknown dispatch mode"),
+        ],
+        ids=["mutant-seed", "fuzz-seed", "bug-id", "dispatch"],
+    )
+    def test_refused_workload_params_exit_two(
+        self, workload, params, message, tmp_path, capsys
+    ):
+        argv = ["record", "--workload", workload, "--out", str(tmp_path / "x.jsonl")]
+        for pair in params:
+            argv += ["--param", pair]
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.jsonl").exists()
 
     def test_malformed_param_exits_two(self, tmp_path):
         with pytest.raises(SystemExit):

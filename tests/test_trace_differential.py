@@ -1,12 +1,12 @@
 """Recording must be free: no verdict, outcome, or latency figure moves.
 
-The recorder's contract mirrors the observability layer's: default off
-(one attribute read per instrumentation site), and when on it observes
-without perturbing — it never touches the virtual clock and never
-changes a rule verdict.  This suite runs identical workloads with
-recording off and on and compares full canonical serializations, then
-covers the fault-engine auto-dump hooks end to end (a failed mutant and
-a paper-mismatched campaign outcome each leave a replayable trace).
+A run trace is projected from the command records a run keeps anyway,
+so recording has no mode to switch on and nothing to leave behind.
+This suite runs identical workloads before and after a
+``record_workload`` in the same process and compares full canonical
+serializations, then covers the fault-engine auto-dump hook end to end
+(a failed mutant and a paper-mismatched campaign outcome each leave a
+replayable trace).
 """
 
 import dataclasses
@@ -14,47 +14,40 @@ import dataclasses
 from repro.analysis.latency import measure_workflow_latency
 from repro.faults.campaign import CAMPAIGN_BUGS, run_bug, run_campaign
 from repro.faults.montecarlo import reference_line_ids, run_monte_carlo, score_mutant
-from repro.trace import TRACE, RunTrace
+from repro.trace.recorder import RunTrace
 from repro.trace.replay import replay_trace
+from repro.trace.workloads import record_workload
 
 BUG_H1 = next(bug for bug in CAMPAIGN_BUGS if bug.bug_id == "H1")
 
 
-def _with_recording(fn):
-    """Run *fn* with an active recording; returns (result, trace)."""
-    assert TRACE.active is False
-    TRACE.begin("differential", {})
-    try:
-        result = fn()
-    finally:
-        trace = TRACE.end({})
-    return result, trace
-
-
 def test_campaign_verdicts_unchanged_by_recording():
     baseline = run_bug(BUG_H1, "modified").as_dict()
-    recorded, trace = _with_recording(lambda: run_bug(BUG_H1, "modified").as_dict())
-    assert recorded == baseline
+    trace = record_workload("bug", {"bug_id": "H1", "config": "modified"})
     assert len(trace.events) > 0  # the run really was recorded
+    assert run_bug(BUG_H1, "modified").as_dict() == baseline
 
 
 def test_mutant_scores_unchanged_by_recording():
     line_ids = reference_line_ids()
     for index in range(3):
         baseline = score_mutant(index, 30, line_ids)
-        recorded, _ = _with_recording(lambda i=index: score_mutant(i, 30, line_ids))
-        assert dataclasses.asdict(recorded) == dataclasses.asdict(baseline)
+        record_workload("mutant", {"seed": 30, "index": index})
+        after = score_mutant(index, 30, line_ids)
+        assert dataclasses.asdict(after) == dataclasses.asdict(baseline)
 
 
 def test_latency_figures_unchanged_by_recording():
-    """The §II-C overhead table is identical with the recorder running —
-    recording charges nothing to the virtual clock."""
+    """The §II-C overhead table is identical after a recorded run, even
+    one with observability on — recording charges nothing to the virtual
+    clock and leaves no switch set."""
     baseline = measure_workflow_latency()
-    recorded, trace = _with_recording(measure_workflow_latency)
-    assert set(recorded) == set(baseline)
-    for name in baseline:
-        assert recorded[name].canonical_bytes() == baseline[name].canonical_bytes()
+    trace = record_workload("solubility", obs=True)
     assert len(trace.events) > 0
+    after = measure_workflow_latency()
+    assert set(after) == set(baseline)
+    for name in baseline:
+        assert after[name].canonical_bytes() == baseline[name].canonical_bytes()
 
 
 def test_montecarlo_trace_dir_dumps_replayable_failures(tmp_path):

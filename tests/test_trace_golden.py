@@ -14,8 +14,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.trace import TRACE, RunTrace, SCHEMA_VERSION
+from repro.core import interceptor, monitor
+from repro.simulator import extended
+from repro.trace.recorder import RunTrace
 from repro.trace.replay import replay_trace
+from repro.trace.schema import SCHEMA_VERSION
 
 FIXTURES = Path(__file__).parent / "fixtures" / "traces"
 
@@ -27,7 +30,16 @@ GOLDEN = [
 
 
 def test_recording_is_default_off():
-    assert TRACE.active is False
+    """Recording is not a mode of the guard: the interceptor, the monitor
+    and the Extended Simulator hold nothing from ``repro.trace``; a trace
+    is projected from the command records after the run."""
+    for module in (interceptor, monitor, extended):
+        leaked = [
+            name for name, value in vars(module).items()
+            if getattr(value, "__module__", "").startswith("repro.trace")
+            or getattr(value, "__name__", "").startswith("repro.trace")
+        ]
+        assert leaked == [], f"{module.__name__} holds {leaked}"
 
 
 @pytest.mark.parametrize("filename,workload,events", GOLDEN)

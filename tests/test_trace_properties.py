@@ -16,8 +16,9 @@ guarded workflow runs.
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.trace import TRACE, RunTrace, record_workload
+from repro.trace.recorder import RunTrace
 from repro.trace.replay import replay_trace
+from repro.trace.workloads import record_workload
 
 #: Workloads cheap enough to sample repeatedly (no Extended Simulator).
 FAST_WORKLOADS = ["testbed", "multi_door", "centrifuge"]
@@ -40,7 +41,6 @@ def _record_twice(name, params, obs=False):
 def test_rerecording_a_workload_is_byte_identical(name):
     first, second = _record_twice(name, {})
     assert first.canonical_bytes() == second.canonical_bytes()
-    assert TRACE.active is False
 
 
 @RELAXED
