@@ -15,6 +15,11 @@ Two gates:
   solubility workflow;
 - **wall clock** (machine-dependent, conservatively floored): the
   cold-verdict kernel must be measurably faster compiled.
+
+The gated kernel guards ``OPEN_DOOR``, which has no geometry.  A robot
+move pays for G3's target probes as well, so the table and the trend
+record also carry a report-only row: the same cold kernel on the
+ur3e's ``move_to_location`` to a hein location, through both dispatches.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import time
 
 from repro.analysis.report import format_table
 from repro.core.actions import ActionCall, ActionLabel
+from repro.core.interceptor import resolve_action
 from repro.core.monitor import RabitOptions
 from repro.lab.decks import make_rabit
 from repro.lab.hein import build_hein_deck
@@ -40,18 +46,28 @@ def _workflow_visit_stats(compiled: bool):
     return engine.rules_considered, engine.checks_invoked, commands
 
 
-def _cold_verdict_kernel(compiled: bool, iterations: int = 400, repeats: int = 5):
+#: The robot-move row's command: a free hein location above the grid.
+MOVE_LOCATION = "grid_a1_safe"
+
+
+def _cold_verdict_kernel(
+    compiled: bool, iterations: int = 400, repeats: int = 5, move: bool = False
+):
     """Median seconds for *iterations* cold rule verdicts.
 
     The state is mutated between calls, so every verdict misses the
     cache and pays the full cold path: cache-key construction (token vs
     content-tuple rebuild) plus the rule scan (decision list vs the
-    full applies_to walk)."""
+    full applies_to walk).  The call is ``OPEN_DOOR``, or with *move*
+    the ur3e's ``move_to_location`` to :data:`MOVE_LOCATION`."""
     deck = build_hein_deck()
     options = RabitOptions.modified(compiled_dispatch=compiled)
     rabit, proxies, _ = make_rabit(deck, options=options)
     rabit.initialize()
-    call = ActionCall(ActionLabel.OPEN_DOOR, "dosing_device")
+    if move:
+        call = resolve_action(deck.ur3e, "move_to_location", (MOVE_LOCATION,))
+    else:
+        call = ActionCall(ActionLabel.OPEN_DOOR, "dosing_device")
 
     def run() -> float:
         started = time.perf_counter()
@@ -82,6 +98,9 @@ def test_cold_guard_latency(emit, trend, benchmark):
     interpreted_s = _cold_verdict_kernel(compiled=False, iterations=iterations)
     compiled_s = _cold_verdict_kernel(compiled=True, iterations=iterations)
     speedup = interpreted_s / compiled_s
+    move_interpreted_s = _cold_verdict_kernel(compiled=False, iterations=iterations, move=True)
+    move_compiled_s = _cold_verdict_kernel(compiled=True, iterations=iterations, move=True)
+    move_speedup = move_interpreted_s / move_compiled_s
 
     rows = [
         [
@@ -98,13 +117,28 @@ def test_cold_guard_latency(emit, trend, benchmark):
             f"{compiled_s / iterations * 1e6:.1f} us",
             f"{speedup:.2f}x",
         ],
+        [
+            "interpreted, robot move",
+            "-",
+            "-",
+            f"{move_interpreted_s / iterations * 1e6:.1f} us",
+            "1.00x",
+        ],
+        [
+            "compiled, robot move",
+            "-",
+            "-",
+            f"{move_compiled_s / iterations * 1e6:.1f} us",
+            f"{move_speedup:.2f}x",
+        ],
     ]
     rendered = format_table(
         ["dispatch", "rules visited/cmd", "checks/cmd", "cold verdict", "speedup"],
         rows,
         title=(
             "Cold-path guard latency (solubility workflow, "
-            f"{int_commands} commands; kernel {iterations} cold verdicts)"
+            f"{int_commands} commands; kernel {iterations} cold verdicts of "
+            f"open_door; report-only robot-move rows: {MOVE_LOCATION})"
         ),
     )
     emit("cold_guard_latency", rendered)
@@ -117,6 +151,9 @@ def test_cold_guard_latency(emit, trend, benchmark):
             "cold_verdict_us_interpreted": round(interpreted_s / iterations * 1e6, 2),
             "cold_verdict_us_compiled": round(compiled_s / iterations * 1e6, 2),
             "speedup": round(speedup, 3),
+            "cold_move_verdict_us_interpreted": round(move_interpreted_s / iterations * 1e6, 2),
+            "cold_move_verdict_us_compiled": round(move_compiled_s / iterations * 1e6, 2),
+            "move_speedup": round(move_speedup, 3),
         },
     )
 

@@ -40,13 +40,14 @@ fi
 echo "==> golden-trace replay gate (byte-identical record/replay)"
 python -m repro replay --diff tests/fixtures/traces/*.trace.jsonl
 
-echo "==> benchmark gates (throughput, latency, observability, cold guard path, serve)"
+echo "==> benchmark gates (throughput, latency, observability, cold guard path, plan cache, serve)"
 python -m pytest -q \
     benchmarks/test_collision_throughput.py \
     benchmarks/test_fk_throughput.py \
     benchmarks/test_latency_overhead.py \
     benchmarks/test_obs_overhead.py \
     benchmarks/test_cold_guard_latency.py \
+    benchmarks/test_plan_cache.py \
     benchmarks/test_montecarlo_throughput.py \
     benchmarks/test_serve_throughput.py \
     benchmarks/test_shard_throughput.py

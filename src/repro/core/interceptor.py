@@ -126,9 +126,10 @@ class Interception:
     """One intercepted command, from its clock charge to its record.
 
     A context manager around the guard.  Entering charges the command's
-    baseline duration to the virtual clock; leaving appends the
-    :class:`CommandRecord` to *trace*, with the alert the guard raised
-    (if any) and the monitor's :class:`~repro.core.monitor.GuardFacts`.
+    baseline duration to the virtual clock; leaving builds the
+    :class:`CommandRecord`, with the alert the guard raised (if any) and
+    the monitor's :class:`~repro.core.monitor.GuardFacts`, and appends it
+    to *trace* unless that is ``None``.
     :class:`DeviceProxy` and the guard service's sessions both guard
     through it, so their records agree field for field.  Set
     :attr:`span` inside the block to link the record to a span.
@@ -147,7 +148,7 @@ class Interception:
         method: str,
         args: Tuple[Any, ...],
         call: ActionCall,
-        trace: List[CommandRecord],
+        trace: Optional[List[CommandRecord]],
     ) -> None:
         self._rabit = rabit
         self._clock = clock
@@ -195,7 +196,8 @@ class Interception:
             state_after=facts.state_after,
             span_id=self.span.span_id if self.span is not None else None,
         )
-        self._trace.append(self.record)
+        if self._trace is not None:
+            self._trace.append(self.record)
         return False
 
 

@@ -102,9 +102,19 @@ class Cuboid:
         return Cuboid(self.min_corner, self.max_corner, name=name)
 
     def contains(self, point: Sequence[float], tol: float = 0.0) -> bool:
-        """Whether *point* lies inside (or within *tol* of) this cuboid."""
-        p = as_vec3(point)
-        return bool(np.all(p >= self.lo - tol) and np.all(p <= self.hi + tol))
+        """Whether *point* lies inside (or within *tol* of) this cuboid.
+
+        Compares plain floats against the stored corners: the same IEEE
+        double comparisons as the vector form ``all(p >= lo - tol) and
+        all(p <= hi + tol)``, without building an array per operand.
+        """
+        x, y, z = as_vec3(point).tolist()
+        lo, hi, t = self.min_corner, self.max_corner, float(tol)
+        return (
+            lo[0] - t <= x <= hi[0] + t
+            and lo[1] - t <= y <= hi[1] + t
+            and lo[2] - t <= z <= hi[2] + t
+        )
 
     def closest_point(self, point: Sequence[float]) -> Vec3:
         """The point of this cuboid closest to *point*."""

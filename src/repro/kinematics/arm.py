@@ -13,8 +13,10 @@ failure modes are reproduced here:
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -62,16 +64,59 @@ class TrajectoryPlan:
         return not self.skipped
 
 
+#: What :meth:`ArmKinematics.plan_move` caches for one move: the plan
+#: (silent-skip plans included), or for a raising arm the IK residual of
+#: the unreachable target.
+PlanOutcome = Union[TrajectoryPlan, float]
+
+#: Plans kept per mounted chain, least recently used evicted first.  A
+#: cached UR3e plan retains about 1.1 KB, so a full cache is about 1.1 MB.
+PLAN_CACHE_SIZE = 1024
+
+
+class _Mount:
+    """One mounted chain: an arm profile at one base transform.
+
+    Holds the chain every :class:`ArmKinematics` of that mount shares and
+    the bounded LRU of its :meth:`~ArmKinematics.plan_move` outcomes,
+    keyed on the exact bytes of (start posture, target, speed).  An
+    outcome depends on nothing else, so any arm of the mount may replay
+    it; the plans are frozen and reference only the chain.
+    """
+
+    __slots__ = ("chain", "plans")
+
+    def __init__(self, chain: DHChain) -> None:
+        self.chain = chain
+        self.plans: "OrderedDict[bytes, PlanOutcome]" = OrderedDict()
+
+
+#: Every mount in the process, keyed on (profile, base matrix bytes).
+_MOUNTS: Dict[Tuple[ArmProfile, bytes], _Mount] = {}
+#: Guards :data:`_MOUNTS` and every mount's plans: any thread may plan.
+_LOCK = threading.Lock()
+
+
+def _mount(profile: ArmProfile, base: Transform) -> _Mount:
+    key = (profile, base.matrix.tobytes())
+    with _LOCK:
+        mount = _MOUNTS.get(key)
+        if mount is None:
+            mount = _MOUNTS[key] = _Mount(profile.chain().with_base(base))
+    return mount
+
+
 class ArmKinematics:
     """Kinematic state and planning for one mounted six-axis arm.
 
     Kinematics is computed once per posture.  The end-effector position
     is cached with the posture (:meth:`set_posture` and :meth:`execute`
-    drop it), and :meth:`plan_move` remembers its last plan, keyed on the
-    exact bytes of (posture, target, speed).  The Extended Simulator
-    plans each move from the posture it polls, and the device then plans
-    the same move from the same posture: the second call returns the
-    plan the simulator swept instead of re-running IK.
+    drop it), and :meth:`plan_move` plans each move once per mount: every
+    arm with an equal profile and base transform (every deck, session
+    and simulator in the process) shares one bounded cache of plans.
+    The Extended Simulator plans each move from the posture it polls and
+    the device then plans the same move from the same posture; a fresh
+    deck replays the moves an earlier deck planned.
     """
 
     #: Cartesian tolerance for declaring a target reachable (2 mm).
@@ -84,7 +129,8 @@ class ArmKinematics:
         ik_seed: Optional[Sequence[float]] = None,
     ) -> None:
         self.profile = profile
-        self._chain: DHChain = profile.chain().with_base(base or Transform())
+        self._mount = _mount(profile, base or Transform())
+        self._chain: DHChain = self._mount.chain
         # A copy, as in set_posture: a caller mutating its seed array later
         # must not move the arm behind the posture-keyed caches.
         self._q: np.ndarray = np.array(
@@ -94,7 +140,6 @@ class ArmKinematics:
             raise ValueError("ik_seed must match the arm's degrees of freedom")
         self._limits_lo, self._limits_hi = profile.limit_arrays()
         self._position: Optional[Vec3] = None  # end effector at _q, once computed
-        self._last_plan: Optional[Tuple[bytes, TrajectoryPlan]] = None
 
     # -- state ---------------------------------------------------------------
 
@@ -155,18 +200,28 @@ class ArmKinematics:
 
         Applies the profile's unreachable-target behaviour; see the module
         docstring.  A reachable target yields a joint-space trajectory from
-        the current posture to the IK solution.  Planning the move the last
-        call planned, from the same posture, returns that same plan.
+        the current posture to the IK solution.  A move any arm of this
+        mount planned before, from the same posture, replays its outcome:
+        the same plan, or a fresh :class:`UnreachableTargetError` with the
+        same message.
         """
         tgt = as_vec3(target)
         key = self._q.tobytes() + tgt.tobytes() + np.float64(speed).tobytes()
-        if self._last_plan is not None and self._last_plan[0] == key:
-            return self._last_plan[1]
-        plan = self._plan_move(tgt, speed)
-        self._last_plan = (key, plan)
-        return plan
+        plans = self._mount.plans
+        with _LOCK:
+            outcome = plans.get(key)
+            if outcome is None:
+                outcome = plans[key] = self._plan_move(tgt, speed)
+                if len(plans) > PLAN_CACHE_SIZE:
+                    plans.popitem(last=False)
+            else:
+                plans.move_to_end(key)
+        if isinstance(outcome, TrajectoryPlan):
+            return outcome
+        raise UnreachableTargetError(self.profile.name, tgt, outcome)
 
-    def _plan_move(self, tgt: Vec3, speed: float) -> TrajectoryPlan:
+    def _plan_move(self, tgt: Vec3, speed: float) -> PlanOutcome:
+        """Solve one move; the residual when a raising arm cannot reach it."""
         result = None
         for seed in self._ik_seeds():
             candidate = solve_position_ik(
@@ -190,7 +245,7 @@ class ArmKinematics:
                     skipped=True,
                     residual=result.error,
                 )
-            raise UnreachableTargetError(self.profile.name, tgt, result.error)
+            return result.error
 
         trajectory = plan_joint_trajectory(self._chain, self._q, result.q, speed=speed)
         return TrajectoryPlan(

@@ -1,10 +1,10 @@
 """The per-session verdict journal — the serve differential witness.
 
-A session journals each guarded command as the interceptor's
-:class:`~repro.core.interceptor.CommandRecord`; :func:`journal_entry`
-projects one onto the wire fields: sequence number,
-device/method/label/location, the virtual time after the command, the
-alert (if any), and the rule-verdict-cache disposition.
+A session journals each guarded command as :func:`journal_entry`'s
+projection of the interceptor's
+:class:`~repro.core.interceptor.CommandRecord` onto the wire fields:
+sequence number, device/method/label/location, the virtual time after
+the command, the alert (if any), and the rule-verdict-cache disposition.
 :func:`run_inprocess_journal` drives the same script through a deck's
 :class:`~repro.core.interceptor.DeviceProxy` objects — the in-process
 path — and projects their records the same way, so "service and

@@ -51,7 +51,6 @@ from repro.core.monitor import RabitOptions
 from repro.core.rulebase import Rule, RuleBase, build_default_rulebase
 from repro.obs import OBS
 from repro.serve.batcher import SweepBatcher
-from repro.serve.journal import journal_entry
 from repro.serve.protocol import (
     MAX_MESSAGE_BYTES,
     ProtocolError,
@@ -302,8 +301,7 @@ class GuardServer:
         if op == "journal":
             if session is None:
                 return {"ok": False, "error": "no session open"}, None, True
-            journal = [journal_entry(seq, r) for seq, r in enumerate(session.journal)]
-            return {"ok": True, "journal": journal}, session, True
+            return {"ok": True, "journal": session.journal}, session, True
         if op == "stats":
             return {"ok": True, "stats": self.snapshot()}, session, True
         if op == "close":

@@ -21,12 +21,13 @@ win comes from.
 
 The deck executes *inside the service* here; a production deployment
 would swap the device call for the remote lab driver's awaitable.  The
-session journals every guarded command as the interceptor's
-:class:`~repro.core.interceptor.CommandRecord`, projected onto the wire
-by :func:`repro.serve.journal.journal_entry`, byte-identical to the
-in-process path.  A command that raises once its guard has started ends
-the session with :class:`DeviceError`, as the same exception stops an
-in-process script.
+session journals every guarded command as the wire projection
+(:func:`repro.serve.journal.journal_entry`) of the interceptor's
+:class:`~repro.core.interceptor.CommandRecord`, byte-identical to the
+in-process path.  It keeps no record, so a long session does not hold
+one :class:`~repro.core.state.LabState` per command.  A command that
+raises once its guard has started ends the session with
+:class:`DeviceError`, as the same exception stops an in-process script.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Any, Callable, Dict, Hashable, List, Optional, Tuple
 from repro.core.actions import ActionCall
 from repro.core.clock import VirtualClock
 from repro.core.errors import SafetyViolation
-from repro.core.interceptor import CommandRecord, Interception, resolve_action
+from repro.core.interceptor import Interception, resolve_action
 from repro.core.monitor import Rabit, RabitOptions, Sweep
 from repro.core.rulebase import RuleBase
 from repro.lab.decks import build_deck, make_rabit
@@ -117,7 +118,8 @@ class GuardSession:
         self.deck, self.rabit = build_guarded_deck(
             deck_name, self.deck_params, rulebase, self.options
         )
-        self.journal: List[CommandRecord] = []
+        #: The journal entry of every guarded command, in order.
+        self.journal: List[Dict[str, Any]] = []
         #: Sessions opened on the same deck+params share a signature, so
         #: their sweep jobs land in the same batcher geometry group …
         self._deck_signature = content_digest(
@@ -214,9 +216,7 @@ class GuardSession:
                 rabit.facts.sweep = Sweep("batch", len(job.samples), problem)
                 return problem
 
-        command = Interception(
-            rabit, rabit.clock, device, method, args, call, self.journal
-        )
+        command = Interception(rabit, rabit.clock, device, method, args, call, trace=None)
         try:
             with command:
                 await rabit.guard_async(call, execute, trajectory=trajectory)
@@ -224,7 +224,10 @@ class GuardSession:
             # Only reachable with preemptive_stop=True options; a service
             # session still answers with the verdict the record carries.
             pass
-        entry = journal_entry(len(self.journal) - 1, command.record)
+        finally:
+            if command.record is not None:
+                self.journal.append(journal_entry(len(self.journal), command.record))
+        entry = self.journal[-1]
         return {
             "ok": entry["alert"] is None,
             "traced": True,

@@ -11,6 +11,8 @@ zero-length segments, axis-parallel segments, segments grazing a face or
 ending exactly on one, and nonzero margins.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from repro.geometry.collision import (
     segment_intersects_cuboid,
 )
 from repro.geometry.shapes import Cuboid
+from repro.geometry.vec import as_vec3
 
 
 def random_scene(rng, n_cuboids, with_margins=False):
@@ -308,6 +311,87 @@ class TestContainment:
         idx = engine.first_containing([[1.0, 1.0, 1.0], [5, 5, 5]])
         assert idx[0] == 0  # lowest index wins, like the scalar loop
         assert idx[1] == -1
+
+
+def _numpy_contains(box, point, tol=0.0):
+    """The vector form ``Cuboid.contains`` replaced: the oracle."""
+    p = as_vec3(point)
+    with np.errstate(all="ignore"):  # inf - inf in lo - tol is NaN, as in IEEE
+        return bool(np.all(p >= box.lo - tol) and np.all(p <= box.hi + tol))
+
+
+_EDGES = [0.0, -0.0, 1.0, -1.0, 5e-324, -5e-324, 1e308, np.nan, np.inf, -np.inf]
+_COORD = st.one_of(st.floats(), st.sampled_from(_EDGES))
+_CORNER = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6), st.sampled_from([0.0, -0.0, np.inf, -np.inf])
+)
+_TOL = st.one_of(
+    st.just(0.0),
+    st.just(0),
+    st.floats(min_value=-0.5, max_value=0.5),
+    st.floats(),
+    st.integers(-2, 2),
+    st.floats(min_value=-0.5, max_value=0.5).map(np.float32),
+    st.floats(min_value=-0.5, max_value=0.5).map(np.float64),
+)
+
+
+def _as_input(coords, kind):
+    if kind == "tuple":
+        return tuple(coords)
+    if kind == "float64":
+        return np.array(coords, dtype=np.float64)
+    if kind == "float32":
+        with np.errstate(over="ignore"):
+            return np.array(coords, dtype=np.float32)
+    if kind == "int":
+        return [int(c) if math.isfinite(c) and abs(c) < 1e15 else c for c in coords]
+    return list(coords)
+
+
+class TestPointInBoxDifferential:
+    """``Cuboid.contains`` on plain floats agrees with the numpy form on
+    every input: faces, every sign of ``tol``, NaN, infinities, -0.0,
+    and int, float32, list, tuple and ndarray points."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(data=st.data())
+    def test_plain_floats_match_the_numpy_form(self, data):
+        a = data.draw(st.tuples(_CORNER, _CORNER, _CORNER))
+        b = data.draw(st.tuples(_CORNER, _CORNER, _CORNER))
+        box = Cuboid(tuple(map(min, a, b)), tuple(map(max, a, b)))
+        tol = data.draw(_TOL)
+        coords = []
+        for axis in range(3):
+            lo, hi = box.min_corner[axis], box.max_corner[axis]
+            face = [lo, hi, lo - float(tol), hi + float(tol), (lo + hi) / 2]
+            coords.append(data.draw(st.one_of(_COORD, st.sampled_from(face))))
+        point = _as_input(coords, data.draw(st.sampled_from(
+            ["list", "tuple", "float64", "float32", "int"]
+        )))
+        assert box.contains(point, tol) is _numpy_contains(box, point, tol)
+        assert box.contains(point) is _numpy_contains(box, point)
+
+    def test_points_on_faces_and_signed_zero(self):
+        box = Cuboid((-0.0, 0.0, -1.0), (1.0, 2.0, 0.0))
+        for point in ([0.0, 0.0, -1.0], [-0.0, -0.0, -0.0], [1.0, 2.0, 0.0],
+                      [1.0, 2.0, 5e-324], [np.nextafter(1.0, 2.0), 1.0, -0.5]):
+            for tol in (0.0, -0.0, 1e-9, -1e-9, np.inf, -np.inf, np.nan):
+                assert box.contains(point, tol) is _numpy_contains(box, point, tol)
+
+    @pytest.mark.parametrize(
+        "point",
+        [[1.0, 2.0], [1.0, 2.0, 3.0, 4.0], [[0.5, 0.5, 0.5]], [], 0.5, None,
+         "abc", ["a", "b", "c"], np.zeros(4), np.zeros((1, 3))],
+        ids=repr,
+    )
+    def test_wrong_arity_and_non_numeric_points_raise_value_error(self, point):
+        box = Cuboid((0, 0, 0), (1, 1, 1))
+        with pytest.raises(ValueError) as expected:
+            _numpy_contains(box, point)
+        with pytest.raises(ValueError) as got:
+            box.contains(point)
+        assert str(got.value) == str(expected.value)
 
 
 class TestExtendedSimulatorDifferential:

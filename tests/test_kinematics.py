@@ -1,11 +1,15 @@
 """Unit tests for the kinematics substrate: DH chains, IK, trajectories,
 and the per-vendor arm facade."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+import repro.kinematics.arm as arm_module
 from repro.geometry.transforms import translation
 from repro.kinematics.arm import ArmKinematics, UnreachableTargetError
 from repro.kinematics.dh import DHChain, DHLink
@@ -210,8 +214,9 @@ class TestArmFacade:
 
 
 class TestPostureCaches:
-    """Kinematics once per posture: the cached end-effector position and
-    the one-entry plan memo stay tied to the arm's current posture."""
+    """Kinematics once per posture: the cached end-effector position stays
+    tied to the arm's current posture, and every arm of one mount shares
+    the plans of its moves."""
 
     TARGET = (0.3, -0.05, 0.28)
 
@@ -243,16 +248,25 @@ class TestPostureCaches:
         assert np.array_equal(arm.execute(arm.plan_home()), home)
         assert np.array_equal(arm.current_position(), home)
 
-    def test_same_move_from_same_posture_reuses_the_plan(self):
+    def test_same_move_from_same_posture_reuses_the_plan(self, cold_plan_cache, ik_solves):
         arm = ArmKinematics(UR3E)
         plan = arm.plan_move(self.TARGET)
         assert arm.plan_move(np.array(self.TARGET)) is plan
         assert arm.plan_move(self.TARGET, speed=0.5) is not plan
-        # One entry: after another move is planned, the first is planned
-        # afresh, to an equal plan.
+        # The cache is shared, not one entry per arm: after another move
+        # is planned, a second arm of the same mount (the identity base
+        # given explicitly) replays the first plan without IK.
         arm.plan_move([0.38, -0.05, 0.26])
-        again = arm.plan_move(self.TARGET)
-        assert again is not plan and again == plan
+        ik_solves.clear()
+        twin = ArmKinematics(UR3E, base=translation([0.0, 0.0, 0.0]))
+        assert twin.plan_move(self.TARGET) is plan
+        assert twin.chain is arm.chain
+        assert ik_solves == []
+        # An arm mounted elsewhere plans its own move.
+        moved = ArmKinematics(UR3E, base=translation([0.02, 0.0, 0.0]))
+        own = moved.plan_move(self.TARGET)
+        assert own is not plan and own.trajectory.q_end != plan.trajectory.q_end
+        assert len(ik_solves) >= 1
 
     def test_execute_and_set_posture_replan_from_the_new_posture(self):
         arm = ArmKinematics(UR3E)
@@ -265,6 +279,102 @@ class TestPostureCaches:
         after_teleport = arm.plan_move(self.TARGET)
         assert after_teleport is not after_execute
         assert np.array_equal(after_teleport.trajectory.q_start, UR3E.sleep_q)
+
+
+class TestSharedPlanCache:
+    """One bounded LRU of ``plan_move`` outcomes per mounted chain."""
+
+    UNREACHABLE = (0.0, 0.0, 5.0)
+
+    def test_lru_evicts_the_oldest_plan_at_the_bound(
+        self, monkeypatch, cold_plan_cache, ik_solves
+    ):
+        monkeypatch.setattr(arm_module, "PLAN_CACHE_SIZE", 2)
+        arm = ArmKinematics(UR3E)
+        first = arm.plan_move([0.3, -0.05, 0.28])
+        second = arm.plan_move([0.38, -0.05, 0.26])
+        assert arm.plan_move([0.3, -0.05, 0.28]) is first  # now the newest
+        arm.plan_move([0.25, 0.1, 0.2])  # a third move evicts the oldest
+        ik_solves.clear()
+        assert arm.plan_move([0.3, -0.05, 0.28]) is first
+        assert ik_solves == []
+        again = arm.plan_move([0.38, -0.05, 0.26])
+        assert again is not second and again == second
+        assert len(ik_solves) >= 1
+        assert len(arm_module._MOUNTS[(UR3E, np.eye(4).tobytes())].plans) == 2
+
+    def test_raise_arm_replays_a_fresh_exception(self, cold_plan_cache, ik_solves):
+        with pytest.raises(UnreachableTargetError) as first:
+            ArmKinematics(NED2).plan_move(self.UNREACHABLE)
+        ik_solves.clear()
+        with pytest.raises(UnreachableTargetError) as second:
+            ArmKinematics(NED2).plan_move(self.UNREACHABLE)
+        assert ik_solves == []
+        assert second.value is not first.value
+        assert str(second.value) == str(first.value)
+        assert second.value.arm == "ned2"
+        assert second.value.target == first.value.target
+        assert second.value.residual == first.value.residual
+
+    def test_silent_skip_arm_replays_the_skip(self, cold_plan_cache, ik_solves):
+        skip = ArmKinematics(VIPERX_300).plan_move(self.UNREACHABLE)
+        assert skip.skipped
+        ik_solves.clear()
+        twin = ArmKinematics(VIPERX_300)
+        assert twin.plan_move(self.UNREACHABLE) is skip
+        assert ik_solves == []
+        twin.execute(skip)
+        assert twin.q == VIPERX_300.home_q
+
+    def test_threads_share_one_plan_per_move(self, monkeypatch, cold_plan_cache):
+        # Eight threads plan the same six moves in different orders, with
+        # a tiny switch interval so they interleave inside plan_move: each
+        # move is solved once, and every thread gets that one plan.
+        targets = [(0.3, -0.05, 0.28), (0.38, -0.05, 0.26), (0.25, 0.1, 0.2),
+                   (0.2, -0.2, 0.3), (0.3, 0.15, 0.15), (0.35, 0.0, 0.2)]
+        solves = []
+        solve = arm_module.ArmKinematics._plan_move
+
+        def counted(self, *args):
+            solves.append(1)
+            return solve(self, *args)
+
+        monkeypatch.setattr(arm_module.ArmKinematics, "_plan_move", counted)
+        got = [[None] * len(targets) for _ in range(8)]
+        errors = []
+
+        def plan(n):
+            try:
+                for i in range(len(targets)):
+                    index = (n + i) % len(targets)
+                    got[n][index] = ArmKinematics(UR3E).plan_move(targets[index])
+            except Exception as exc:  # reported below, with its type
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=plan, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(solves) == len(targets)
+        for index, target in enumerate(targets):
+            assert all(plans[index] is got[0][index] for plans in got)
+            assert got[0][index].target == target
+
+    def test_cached_plans_are_frozen(self):
+        plan = ArmKinematics(UR3E).plan_move(TestPostureCaches.TARGET)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.skipped = True
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.trajectory.q_end = plan.trajectory.q_start
+        assert isinstance(plan.trajectory.q_end, tuple)
 
 
 class TestPrismaticJointsAndN9:

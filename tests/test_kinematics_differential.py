@@ -12,13 +12,17 @@ scalar slab test.  This suite is the gate that makes the speedup safe:
   numeric Jacobian modes on every profile arm;
 - the one-FK-per-iteration solver returns exactly the ``IKResult`` of
   the earlier two-FK iteration (kept below as a reference loop), and the
-  spelled-out cross product equals ``np.cross`` bit for bit.
+  spelled-out cross product equals ``np.cross`` bit for bit;
+- every outcome the shared plan cache replays after the hein and testbed
+  preset matrix equals a fresh, uncached solve bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from repro.geometry.transforms import rotation_z, translation
+from repro.geometry.transforms import Transform, rotation_z, translation
+from repro.kinematics import arm as arm_module
+from repro.kinematics.arm import ArmKinematics, TrajectoryPlan, UnreachableTargetError
 from repro.kinematics.dh import DHChain, DHLink
 from repro.kinematics.ik import (
     IKResult,
@@ -30,6 +34,8 @@ from repro.kinematics.ik import (
 from repro.kinematics.profiles import N9, NED2, UR3E, UR5E, VIPERX_300
 from repro.kinematics.trajectory import plan_joint_trajectory
 from repro.obs import OBS
+from repro.serve.session import default_serve_options
+from repro.workflow.presets import build_preset, preset_matrix, run_preset
 
 ALL_PROFILES = (UR3E, UR5E, VIPERX_300, NED2, N9)
 
@@ -261,3 +267,56 @@ class TestTrajectoryArrays:
         assert packed.shape == (31, 3)
         for row, point in zip(packed, scalar):
             assert np.allclose(row, point, atol=FK_ATOL, rtol=0.0)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+class TestSharedPlanCache:
+    """The shared per-mount plan cache replays exactly what IK would solve.
+
+    A cached outcome is keyed on the bytes of (start posture, target,
+    speed) and shared by every arm of the mount, so each one must be
+    what a fresh arm at that posture computes with the cache bypassed.
+    """
+
+    def test_cached_outcomes_equal_fresh_solves(self, cold_plan_cache):
+        for name, params in preset_matrix():
+            if build_preset(name, params).deck in ("hein", "testbed"):
+                run_preset(name, params, options=default_serve_options())
+        for profile in (UR3E, NED2, VIPERX_300):  # the unreachable outcomes
+            try:
+                ArmKinematics(profile).plan_move((0.0, 0.0, 5.0))
+            except UnreachableTargetError:
+                pass
+
+        seen = {"plan": 0, "skip": 0, "unreachable": 0}
+        for (profile, base), mount in arm_module._MOUNTS.items():
+            dof = profile.dof
+            for key, cached in list(mount.plans.items()):
+                q = np.frombuffer(key[: 8 * dof])
+                target = np.frombuffer(key[8 * dof : 8 * dof + 24])
+                (speed,) = np.frombuffer(key[8 * dof + 24 :])
+                arm = ArmKinematics(
+                    profile, Transform(np.frombuffer(base).reshape(4, 4)), ik_seed=q
+                )
+                fresh = arm._plan_move(target, float(speed))
+                if isinstance(cached, TrajectoryPlan):
+                    seen["skip" if cached.skipped else "plan"] += 1
+                    assert isinstance(fresh, TrajectoryPlan)
+                    for field in ("q_start", "q_end", "duration"):
+                        assert _bits(getattr(cached.trajectory, field)) == _bits(
+                            getattr(fresh.trajectory, field)
+                        ), (profile.name, field)
+                    assert _bits(cached.target) == _bits(fresh.target)
+                    assert cached.skipped is fresh.skipped
+                    assert _bits(cached.residual) == _bits(fresh.residual)
+                else:
+                    seen["unreachable"] += 1
+                    assert _bits(cached) == _bits(fresh)
+                    with pytest.raises(UnreachableTargetError) as replayed:
+                        arm.plan_move(target, float(speed))
+                    solved = UnreachableTargetError(profile.name, target, fresh)
+                    assert str(replayed.value) == str(solved)
+        assert seen["plan"] > 40 and seen["skip"] >= 1 and seen["unreachable"] >= 2, seen

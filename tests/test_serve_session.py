@@ -10,8 +10,10 @@ tenant (with overlays biting only their own tenant's sessions).
 """
 
 import asyncio
+import gc
 import os
 import tempfile
+import tracemalloc
 
 import pytest
 
@@ -20,6 +22,7 @@ from repro.core.rulebase import Rule, RuleScope
 from repro.serve.client import ServeClient, ServeError, ServeSessionLost
 from repro.serve.protocol import encode_message, read_message
 from repro.serve.server import GuardServer
+from repro.serve.session import GuardSession
 
 
 def serve_test(coro_fn, **server_kwargs):
@@ -322,6 +325,41 @@ def test_a_500_command_session_reads_back_its_whole_journal():
         await client.close()
 
     serve_test(scenario)
+
+
+def test_a_session_retains_under_a_kilobyte_per_command():
+    # The journal keeps each command's wire projection, not the command
+    # record, which pins a LabState (about 3.6 KB a command on hein_lean).
+    script = [
+        ("dosing_device", "open_door", ()),
+        ("dosing_device", "close_door", ()),
+        ("ur3e", "move_to_location", ("grid_a1_safe",)),
+        ("ur3e", "go_to_home_pose", ()),
+        ("centrifuge", "open_door", ()),
+        ("centrifuge", "close_door", ()),
+    ]
+    commands = 60
+
+    async def play(session):
+        for i in range(commands):
+            device, method, args = script[i % len(script)]
+            assert (await session.run_command(device, method, args))["ok"]
+
+    # Warm the process-wide caches (plans, imports) on a first session.
+    asyncio.run(play(GuardSession(0, "hein_lean")))
+    gc.collect()
+    tracemalloc.start()
+    try:
+        session = GuardSession(1, "hein_lean")
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        asyncio.run(play(session))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(session.journal) == commands
+    assert retained / commands < 1024, f"{retained / commands:.0f} B per command"
 
 
 def test_a_reply_past_the_frame_limit_is_refused_on_the_live_connection():

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-import repro.kinematics.arm as arm_module
 from repro.core.actions import ActionCall, ActionLabel
 from repro.core.errors import AlertKind, SafetyViolation
 from repro.core.monitor import RabitOptions
@@ -208,7 +207,8 @@ class TestPlanSharing:
 
     The simulator plans each move from the arm's polled posture; a
     noise-free arm then plans the same move from the same posture, and
-    gets the same plan back instead of a second IK cascade."""
+    gets the same plan back instead of a second IK cascade.  A fresh
+    deck's arm shares the cache, so it replays the move as well."""
 
     LOCATION = "grid_a1_safe"
 
@@ -218,18 +218,6 @@ class TestPlanSharing:
         options = RabitOptions.modified(use_extended_simulator=True, bypass_gui=True)
         rabit, proxies, _ = make_rabit(deck, options=options)
         return deck, rabit, proxies
-
-    @staticmethod
-    def _count_ik(monkeypatch):
-        calls = []
-        solve = arm_module.solve_position_ik
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(arm_module, "solve_position_ik", counting)
-        return calls
 
     @staticmethod
     def _record(monkeypatch, kin):
@@ -248,20 +236,29 @@ class TestPlanSharing:
         monkeypatch.setattr(kin, "execute", recording_execute)
         return planned, executed
 
-    def test_guarded_move_runs_one_ik_cascade(self, monkeypatch):
-        calls = self._count_ik(monkeypatch)
+    def test_guarded_move_runs_one_ik_cascade(self, cold_plan_cache, ik_solves):
         deck, rabit, proxies = self._guarded_hein()
         target, _ = deck.ur3e.resolve_location(self.LOCATION)
-        # One cascade from this posture, planned on an unguarded twin arm.
+        # The length of one cascade from this posture, on an unguarded
+        # twin arm; then the cache is emptied again.
         ArmKinematics(UR3E, ik_seed=deck.ur3e.kinematics.q).plan_move(target)
-        cascade = len(calls)
+        cascade = len(ik_solves)
         assert cascade >= 1
-        calls.clear()
+        cold_plan_cache()
+        ik_solves.clear()
 
         proxies["ur3e"].move_to_location(self.LOCATION)
         assert rabit.alert_count == 0
-        assert len(calls) == cascade
+        assert len(ik_solves) == cascade
         assert np.linalg.norm(deck.ur3e.kinematics.current_position() - target) < 0.005
+
+        # A second deck's sweep and execution both replay the plan.
+        ik_solves.clear()
+        again, rabit_again, proxies_again = self._guarded_hein()
+        proxies_again["ur3e"].move_to_location(self.LOCATION)
+        assert rabit_again.alert_count == 0
+        assert ik_solves == []
+        assert again.ur3e.kinematics.q == deck.ur3e.kinematics.q
 
     def test_device_executes_the_swept_plan(self, monkeypatch):
         deck, rabit, proxies = self._guarded_hein()
