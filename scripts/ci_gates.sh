@@ -26,6 +26,7 @@ python -m pytest -q \
     tests/test_kinematics_differential.py \
     tests/test_stateful_no_false_positives.py \
     tests/test_obs_differential.py \
+    tests/test_obs_record_projection.py \
     tests/test_compiled_differential.py \
     tests/test_serve_differential.py
 

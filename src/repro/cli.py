@@ -309,13 +309,10 @@ def _run_observed_campaign() -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
+    import json
+
     from repro.analysis.report import format_table
     from repro.obs import OBS
-    from repro.obs.export import (
-        export_metrics_json,
-        export_metrics_prometheus,
-        export_trace_jsonl,
-    )
 
     workloads = {
         "solubility": _run_observed_solubility,
@@ -375,12 +372,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
             title=f"Hottest spans (top {len(span_rows)})",
         ))
 
-    spans = export_trace_jsonl(OBS, args.trace_out)
-    size = export_metrics_prometheus(OBS, args.prom_out)
+    spans = OBS.collector.write_jsonl(args.trace_out)
+    prometheus = OBS.registry.to_prometheus().encode("utf-8")
+    Path(args.prom_out).write_bytes(prometheus)
     print(f"\nwrote {spans} spans to {args.trace_out}")
-    print(f"wrote {size} bytes of Prometheus metrics to {args.prom_out}")
+    print(f"wrote {len(prometheus)} bytes of Prometheus metrics to {args.prom_out}")
     if args.json_out:
-        export_metrics_json(OBS, args.json_out)
+        snapshot = json.dumps(OBS.registry.snapshot(), indent=2, sort_keys=True)
+        Path(args.json_out).write_text(snapshot + "\n", encoding="utf-8")
         print(f"wrote metrics JSON snapshot to {args.json_out}")
     OBS.reset()
     return 0

@@ -26,6 +26,7 @@ percentage overhead with and without the monitor in the loop.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -33,7 +34,7 @@ import numpy as np
 
 from repro.core.actions import ActionCall, ActionLabel
 from repro.core.clock import VirtualClock
-from repro.core.errors import Alert, SafetyViolation
+from repro.core.errors import Alert, AlertKind, SafetyViolation
 from repro.core.monitor import GuardFacts, Rabit, Sweep
 from repro.core.state import LabState
 from repro.devices.base import Device
@@ -45,6 +46,8 @@ from repro.devices.locations import LocationKind
 from repro.devices.robot import RobotArmDevice
 from repro.obs import OBS
 
+# The command-level families: each is a projection of the finished
+# CommandRecord (see _count), so both front-ends count alike.
 _OBS_COMMANDS = OBS.registry.counter(
     "rabit_commands_intercepted_total",
     "Commands resolved and intercepted by the tracing proxy.",
@@ -54,6 +57,45 @@ _OBS_VERDICTS = OBS.registry.counter(
     "rabit_command_verdicts_total",
     "Interception outcomes: allowed, or the alert kind that fired.",
     labels=("outcome",),
+)
+_OBS_ALERTS = OBS.registry.counter(
+    "rabit_alerts_total",
+    "Alerts raised, by alertAndStop site (Fig. 2).",
+    labels=("kind",),
+)
+_OBS_GUARD_SECONDS = OBS.registry.histogram(
+    "rabit_guard_wall_seconds",
+    "Real CPU seconds per guarded command (full Fig. 2 round-trip).",
+    buckets=(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0),
+)
+_OBS_STATE_COMPARISONS = OBS.registry.counter(
+    "rabit_state_comparisons_total",
+    "Expected-vs-actual state comparisons, by outcome.",
+    labels=("outcome",),
+)
+_OBS_RULE_CACHE_LOOKUPS = OBS.registry.counter(
+    "rabit_rule_cache_lookups_total",
+    "Rule-verdict cache lookups by result.",
+    labels=("result",),
+)
+_OBS_SWEEP_CHECKS = OBS.registry.counter(
+    "es_trajectory_checks_total",
+    "Extended Simulator trajectory validations, by sweep path.",
+    labels=("path",),
+)
+_OBS_SWEEP_VERDICTS = OBS.registry.counter(
+    "es_trajectory_verdicts_total",
+    "Extended Simulator sweep verdicts.",
+    labels=("verdict",),
+)
+_OBS_SWEEP_SEGMENTS = OBS.registry.counter(
+    "es_segments_swept_total",
+    "Trajectory samples swept against the deck geometry.",
+)
+_OBS_SWEEP_SAMPLES = OBS.registry.histogram(
+    "es_sweep_samples",
+    "Samples per trajectory sweep.",
+    buckets=(8, 16, 31, 64, 128, 256),
 )
 
 #: Nominal execution time per action, in virtual seconds.  Robot moves
@@ -131,13 +173,18 @@ class Interception:
     the monitor's :class:`~repro.core.monitor.GuardFacts`, and appends it
     to *trace* unless that is ``None``.
     :class:`DeviceProxy` and the guard service's sessions both guard
-    through it, so their records agree field for field.  Set
-    :attr:`span` inside the block to link the record to a span.
+    through it, so their records agree field for field.
+
+    It is also the guard path's one command-level instrumentation site.
+    With observability on, the block runs inside an ``intercept.command``
+    span and, when a monitor guards, a ``rabit.guard`` span whose wall
+    time lands in ``rabit_guard_wall_seconds``; on exit the finished
+    record is counted into the command-level metric families.
     """
 
     __slots__ = (
         "_rabit", "_clock", "_device", "_method", "_args", "_call", "_trace",
-        "_alerts_before", "span", "record",
+        "_alerts_before", "_spans", "record",
     )
 
     def __init__(
@@ -158,7 +205,7 @@ class Interception:
         self._call = call
         self._trace = trace
         self._alerts_before = 0
-        self.span: Any = None
+        self._spans: Optional[_CommandSpans] = None
         #: The appended record, once the block has exited.
         self.record: Optional[CommandRecord] = None
 
@@ -170,6 +217,10 @@ class Interception:
         )
         if self._rabit is not None:
             self._alerts_before = self._rabit.alert_count
+        if OBS.enabled:
+            self._spans = _CommandSpans(
+                self._device.name, self._method, self._call, self._rabit is not None
+            )
         return self
 
     def __exit__(self, exc_type: Any, exc: Any, tb: Any) -> bool:
@@ -180,6 +231,9 @@ class Interception:
         elif rabit is not None and rabit.alert_count > self._alerts_before:
             alert = rabit.last_alert()
         facts = rabit.facts if rabit is not None else _NO_FACTS
+        spans = self._spans
+        if spans is not None:
+            spans.close(exc_type, exc, tb)
         call = self._call
         self.record = CommandRecord(
             time=self._clock.now,
@@ -194,11 +248,70 @@ class Interception:
             sweep=facts.sweep,
             state_before=facts.state_before,
             state_after=facts.state_after,
-            span_id=self.span.span_id if self.span is not None else None,
+            span_id=spans.span_id if spans is not None else None,
         )
         if self._trace is not None:
             self._trace.append(self.record)
+        if spans is not None:
+            _count(self.record)
         return False
+
+
+class _CommandSpans:
+    """The spans and guard timer of one command while observability is on.
+
+    Opens ``intercept.command`` and, for a guarded command, ``rabit.guard``
+    inside it, so every stage span the monitor opens nests under both."""
+
+    __slots__ = ("_command", "span_id", "_guard", "_guard_span", "_started")
+
+    def __init__(
+        self, device: str, method: str, call: ActionCall, guarded: bool
+    ) -> None:
+        label = call.label.value
+        self._command = OBS.span(
+            "intercept.command", device=device, method=method, label=label
+        )
+        #: Id of the ``intercept.command`` span, for the record.
+        self.span_id: int = self._command.__enter__().span_id
+        self._guard = None
+        if guarded:
+            self._started = time.perf_counter()
+            self._guard = OBS.span("rabit.guard", label=label, device=call.device)
+            self._guard_span = self._guard.__enter__()
+
+    def close(self, exc_type: Any, exc: Any, tb: Any) -> None:
+        """Close both spans; a guard stopped by an alert says so."""
+        if self._guard is not None:
+            if isinstance(exc, SafetyViolation):
+                self._guard_span.set(outcome="stopped", alert=str(exc.alert))
+            elif exc_type is None:
+                self._guard_span.set(outcome="completed")
+            _OBS_GUARD_SECONDS.observe(time.perf_counter() - self._started)
+            self._guard.__exit__(exc_type, exc, tb)
+        self._command.__exit__(exc_type, exc, tb)
+
+
+def _count(record: CommandRecord) -> None:
+    """Count one finished record into the command-level metric families."""
+    alert = record.alert
+    _OBS_COMMANDS.inc(1, device=record.device, label=record.label.value)
+    _OBS_VERDICTS.inc(1, outcome=alert.kind.value if alert else "allowed")
+    if alert is not None:
+        _OBS_ALERTS.inc(1, kind=alert.kind.value)
+    if record.rule_cache in ("hit", "miss"):
+        _OBS_RULE_CACHE_LOOKUPS.inc(1, result=record.rule_cache)
+    sweep = record.sweep
+    if sweep is not None:
+        _OBS_SWEEP_CHECKS.inc(1, path=sweep.path)
+        _OBS_SWEEP_SEGMENTS.inc(float(sweep.samples))
+        _OBS_SWEEP_SAMPLES.observe(float(sweep.samples))
+        _OBS_SWEEP_VERDICTS.inc(1, verdict="collision" if sweep.verdict else "clear")
+    # FetchState ran, so the monitor compared expected and actual state;
+    # a mismatch is exactly what raises "Device malfunction!".
+    if record.state_after is not None:
+        mismatch = alert is not None and alert.kind is AlertKind.DEVICE_MALFUNCTION
+        _OBS_STATE_COMPARISONS.inc(1, outcome="mismatch" if mismatch else "match")
 
 
 class DeviceProxy:
@@ -241,32 +354,12 @@ class DeviceProxy:
 
         def traced(*args: Any, **kwargs: Any) -> Any:
             call = resolver(self._device, args, kwargs)
-            if OBS.enabled:
-                _OBS_COMMANDS.inc(
-                    1, device=self._device.name, label=call.label.value
-                )
-            command = Interception(
+            with Interception(
                 self._rabit, self._clock, self._device, attr, args, call, self._trace
-            )
-            try:
-                with command, OBS.span(
-                    "intercept.command",
-                    device=self._device.name,
-                    method=attr,
-                    label=call.label.value,
-                ) as span:
-                    command.span = span
-                    if self._rabit is None:
-                        return attr_callable(*args, **kwargs)
-                    return self._rabit.guard(
-                        call, lambda: attr_callable(*args, **kwargs)
-                    )
-            finally:
-                if OBS.enabled:
-                    alert = command.record.alert if command.record else None
-                    _OBS_VERDICTS.inc(
-                        1, outcome=alert.kind.value if alert else "allowed"
-                    )
+            ):
+                if self._rabit is None:
+                    return attr_callable(*args, **kwargs)
+                return self._rabit.guard(call, lambda: attr_callable(*args, **kwargs))
 
         return traced
 

@@ -28,7 +28,6 @@ capacity enforcement, and workspace bounds (12/16); pairing either with
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Protocol
 
@@ -42,25 +41,10 @@ from repro.core.state import LabState
 from repro.devices.base import Device
 from repro.obs import OBS
 
-_OBS_ALERTS = OBS.registry.counter(
-    "rabit_alerts_total",
-    "Alerts raised, by alertAndStop site (Fig. 2).",
-    labels=("kind",),
-)
-_OBS_GUARD_SECONDS = OBS.registry.histogram(
-    "rabit_guard_wall_seconds",
-    "Real CPU seconds per guarded command (full Fig. 2 round-trip).",
-    buckets=(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0),
-)
 _OBS_STATUS_REQUESTS = OBS.registry.counter(
     "device_status_requests_total",
     "FetchState status round-trips, by device.",
     labels=("device",),
-)
-_OBS_MALFUNCTION_CHECKS = OBS.registry.counter(
-    "rabit_state_comparisons_total",
-    "Expected-vs-actual state comparisons, by outcome.",
-    labels=("outcome",),
 )
 
 #: Action labels that move a robot arm (Fig. 2's ``isRobotCommand``).
@@ -234,30 +218,7 @@ class Rabit:
         Raises :class:`SafetyViolation` on any alert when
         ``preemptive_stop`` is set; otherwise records the alert and, for
         precondition/trajectory alerts, still skips the unsafe command.
-
-        With observability enabled the round-trip is wrapped in a
-        ``rabit.guard`` span (validate / execute / fetch_state children)
-        and its real CPU cost lands in ``rabit_guard_wall_seconds``;
-        disabled, the guard runs the bare Fig. 2 algorithm.
         """
-        if not OBS.enabled:
-            return self._guard_impl(call, execute)
-        started = time.perf_counter()
-        with OBS.span(
-            "rabit.guard", label=call.label.value, device=call.device
-        ) as span:
-            try:
-                result = self._guard_impl(call, execute)
-            except SafetyViolation as violation:
-                span.set(outcome="stopped", alert=str(violation.alert))
-                raise
-            finally:
-                _OBS_GUARD_SECONDS.observe(time.perf_counter() - started)
-            span.set(outcome="completed")
-            return result
-
-    def _guard_impl(self, call: ActionCall, execute: Callable[[], Any]) -> Any:
-        """The Fig. 2 lines 4-16 algorithm (shared by both guard paths)."""
         reason = self._guard_prelude(call)
         if reason is not None:
             return self._precondition_alert(call, reason)
@@ -277,7 +238,7 @@ class Rabit:
         expected = self._guard_expected(call)
 
         # Line 12: execute the (now believed-safe) command.
-        with OBS.span("rabit.execute", device=call.device):
+        with self._execute_span(call):
             result = execute()
 
         self._guard_postlude(call, expected)
@@ -304,28 +265,6 @@ class Rabit:
         ``contextvars`` variable, so concurrent sessions awaiting inside
         ``rabit.execute`` nest their spans per-task.
         """
-        if not OBS.enabled:
-            return await self._guard_async_impl(call, execute, trajectory)
-        started = time.perf_counter()
-        with OBS.span(
-            "rabit.guard", label=call.label.value, device=call.device
-        ) as span:
-            try:
-                result = await self._guard_async_impl(call, execute, trajectory)
-            except SafetyViolation as violation:
-                span.set(outcome="stopped", alert=str(violation.alert))
-                raise
-            finally:
-                _OBS_GUARD_SECONDS.observe(time.perf_counter() - started)
-            span.set(outcome="completed")
-            return result
-
-    async def _guard_async_impl(
-        self,
-        call: ActionCall,
-        execute: Callable[[], Any],
-        trajectory: Optional[Callable[[ActionCall], Any]],
-    ) -> Any:
         reason = self._guard_prelude(call)
         if reason is not None:
             return self._precondition_alert(call, reason)
@@ -346,7 +285,7 @@ class Rabit:
 
         expected = self._guard_expected(call)
 
-        with OBS.span("rabit.execute", device=call.device):
+        with self._execute_span(call):
             result = await execute()
 
         self._guard_postlude(call, expected)
@@ -376,6 +315,10 @@ class Rabit:
         # Lines 6-7: precondition validation.
         with OBS.span("rabit.validate", label=call.label.value):
             return self._validate(call)
+
+    def _execute_span(self, call: ActionCall) -> Any:
+        """Line 12's ``rabit.execute`` span (a no-op while observability is off)."""
+        return OBS.span("rabit.execute", device=call.device)
 
     def _wants_trajectory(self, call: ActionCall) -> bool:
         """Fig. 2 line 8: is this a robot command with a simulator attached?"""
@@ -415,10 +358,6 @@ class Rabit:
         """Lines 13-16: fetch actual state, compare, adopt, notify."""
         observed = self._fetch_state()
         mismatches = expected.diff_observable(observed)
-        if OBS.enabled:
-            _OBS_MALFUNCTION_CHECKS.inc(
-                1, outcome="mismatch" if mismatches else "match"
-            )
         # Line 16: adopt the actual state (observed over expected).
         previous = self.state
         self.state = expected.merge_observed(observed)
@@ -515,8 +454,6 @@ class Rabit:
 
     def _alert(self, alert: Alert) -> None:
         self.alerts.append(alert)
-        if OBS.enabled:
-            _OBS_ALERTS.inc(1, kind=alert.kind.value)
         if self.options.preemptive_stop:
             raise SafetyViolation(alert)
         return None

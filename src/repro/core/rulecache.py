@@ -33,11 +33,6 @@ from repro.obs import OBS
 
 __all__ = ["RuleVerdictCache", "MISS"]
 
-_OBS_LOOKUPS = OBS.registry.counter(
-    "rabit_rule_cache_lookups_total",
-    "Rule-verdict cache lookups by result.",
-    labels=("result",),
-)
 _OBS_ENTRIES = OBS.registry.gauge(
     "rabit_rule_cache_entries", "Rule-verdict cache occupancy."
 )
@@ -79,13 +74,9 @@ class RuleVerdictCache:
             value = self._entries[key]
         except KeyError:
             self.misses += 1
-            if OBS.enabled:
-                _OBS_LOOKUPS.inc(1, result="miss")
             return MISS
         self._entries.move_to_end(key)
         self.hits += 1
-        if OBS.enabled:
-            _OBS_LOOKUPS.inc(1, result="hit")
         return value
 
     def store(self, key: Hashable, verdict: Optional[Tuple[Any, str]]) -> None:

@@ -53,7 +53,7 @@ class ActionDeviceBase(Device):
 
     def set_door(self, prop: str, state: str) -> None:
         """Drive the lid/door, with the same arm-crush physics as dosers."""
-        self._record(f"set_door({prop!r}, {state!r})")
+        self._record()
         if self.door is None:
             raise AttributeError(f"{self.name} has no door")
         if prop != "state":
@@ -88,14 +88,14 @@ class ActionDeviceBase(Device):
 
     def set_action_value(self, value: float) -> None:
         """Set the action setpoint (temperature, speed, ...)."""
-        self._record(f"set_action_value({value})")
+        self._record()
         self._action_value = float(value)
         if self._active:
             self._physical_effects()
 
     def start_action(self, value: Optional[float] = None) -> None:
         """Activate the device, optionally setting the setpoint first."""
-        self._record(f"start_action({'' if value is None else value})")
+        self._record()
         if value is not None:
             self._action_value = float(value)
         self._active = True
@@ -103,7 +103,7 @@ class ActionDeviceBase(Device):
 
     def stop_action(self, delay: float = 0.0) -> None:
         """Deactivate the device."""
-        self._record(f"stop_action(delay={delay})")
+        self._record()
         self._active = False
 
     # -- physical consequences ----------------------------------------------------------
@@ -185,7 +185,7 @@ class Hotplate(ActionDeviceBase):
 
     def stir_solution(self, temperature: float) -> None:
         """Fig. 1(b)'s ``stirSolution(temperature)``."""
-        self._record(f"stir_solution({temperature})")
+        self._record()
         self.start_action(temperature)
 
 
@@ -199,7 +199,7 @@ class Thermoshaker(ActionDeviceBase):
 
     def shake(self, speed_rpm: float) -> None:
         """Start shaking at *speed_rpm*."""
-        self._record(f"shake({speed_rpm})")
+        self._record()
         self.start_action(speed_rpm)
 
 
@@ -229,7 +229,7 @@ class Centrifuge(ActionDeviceBase):
 
     def rotate_rotor(self, direction: str) -> None:
         """Index the rotor so the red dot faces *direction* (N/E/S/W)."""
-        self._record(f"rotate_rotor({direction!r})")
+        self._record()
         if direction not in self.COMPASS:
             raise ValueError(f"invalid compass direction {direction!r}")
         self._red_dot = direction
@@ -290,7 +290,7 @@ class Decapper(ActionDeviceBase):
 
     def decap(self) -> None:
         """Remove the stopper from the loaded vial."""
-        self._record("decap()")
+        self._record()
         self.start_action()
         vial = self._loaded_vial()
         if vial is not None:
@@ -299,7 +299,7 @@ class Decapper(ActionDeviceBase):
 
     def cap(self) -> None:
         """Put the stopper on the loaded vial."""
-        self._record("cap()")
+        self._record()
         self.start_action()
         vial = self._loaded_vial()
         if vial is not None:

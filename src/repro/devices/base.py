@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 from repro.obs import OBS
 
@@ -132,7 +132,6 @@ class Device:
         #: World-space cuboid this device occupies; assigned at deck layout
         #: time.  ``None`` for devices with no meaningful footprint.
         self.footprint = None  # type: Optional[Any]
-        self._command_log: List[str] = []
 
     # -- observability -------------------------------------------------------
 
@@ -149,15 +148,10 @@ class Device:
 
     # -- bookkeeping -----------------------------------------------------------
 
-    def _record(self, command: str) -> None:
-        self._command_log.append(command)
+    def _record(self) -> None:
+        """Count one executed command (``device_commands_total``)."""
         if OBS.enabled:
             _OBS_DEVICE_COMMANDS.inc(1, device=self.name)
-
-    @property
-    def command_log(self) -> List[str]:
-        """Commands executed on this device, in order (used by RAD traces)."""
-        return list(self._command_log)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}({self.name!r})"

@@ -93,12 +93,12 @@ class Vial(Device):
 
     def cap_vial(self) -> None:
         """Put the stopper on."""
-        self._record("cap_vial")
+        self._record()
         self._stoppered = True
 
     def decap_vial(self) -> None:
         """Take the stopper off."""
-        self._record("decap_vial")
+        self._record()
         self._stoppered = False
 
     # -- physical effects --------------------------------------------------------

@@ -55,7 +55,7 @@ class SolidDosingDevice(Device):
 
     def set_door(self, prop: str, state: str) -> None:
         """Drive the door; Fig. 5's ``dosing_device.set_door("state", "open")``."""
-        self._record(f"set_door({prop!r}, {state!r})")
+        self._record()
         if prop != "state":
             raise ValueError(f"unknown door property {prop!r}")
         target = DoorState(state)
@@ -103,19 +103,19 @@ class SolidDosingDevice(Device):
 
     def run_action(self, delay: float = 0.0, quantity: float = 0.0) -> None:
         """Start dosing *quantity* mg of solid (Fig. 5's ``run_action``)."""
-        self._record(f"run_action(delay={delay}, quantity={quantity})")
+        self._record()
         self._active = True
         self._dose(quantity)
 
     def dose_solid(self, amount_mg: float) -> None:
         """Dose solid directly (Fig. 1(b)'s ``start_dosing(amount)``)."""
-        self._record(f"dose_solid({amount_mg})")
+        self._record()
         self._active = True
         self._dose(amount_mg)
 
     def stop_action(self, delay: float = 0.0) -> None:
         """Stop dosing."""
-        self._record(f"stop_action(delay={delay})")
+        self._record()
         self._active = False
 
     def miscalibrate(self, factor: float) -> None:
@@ -208,17 +208,17 @@ class SyringePump(Device):
 
     def dose_initial_solvent(self, volume_ml: float) -> None:
         """Dose the first solvent aliquot (Fig. 1(b) line 6)."""
-        self._record(f"dose_initial_solvent({volume_ml})")
+        self._record()
         self._dose(volume_ml)
 
     def dose_solvent(self, volume_ml: float) -> None:
         """Dose a follow-up solvent aliquot (Fig. 1(b) line 12)."""
-        self._record(f"dose_solvent({volume_ml})")
+        self._record()
         self._dose(volume_ml)
 
     def stop(self) -> None:
         """Abort dispensing."""
-        self._record("stop()")
+        self._record()
         self._active = False
 
     def _dose(self, volume_ml: float) -> None:

@@ -61,7 +61,7 @@ class MultiDoorDosingDevice(Device):
 
     def set_door(self, door_name: str, state: str) -> None:
         """Drive one named door, with the arm-crush interlock physics."""
-        self._record(f"set_door({door_name!r}, {state!r})")
+        self._record()
         door = self.door_for(door_name)
         target = DoorState(state)
         if target is DoorState.CLOSED:
@@ -99,7 +99,7 @@ class MultiDoorDosingDevice(Device):
         """Dose solid into the loaded vial (same semantics as the
         single-door device; physically requires all doors shut to avoid
         spills, which rule G9 enforces preemptively)."""
-        self._record(f"dose_solid({amount_mg})")
+        self._record()
         self._active = True
         vial = self.world.vial_inside_device(self.name)
         self._dispensed_mg += amount_mg
@@ -142,7 +142,7 @@ class MultiDoorDosingDevice(Device):
 
     def stop_action(self, delay: float = 0.0) -> None:
         """Stop dosing."""
-        self._record(f"stop_action(delay={delay})")
+        self._record()
         self._active = False
 
     # -- observability ----------------------------------------------------------------

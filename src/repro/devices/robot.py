@@ -142,23 +142,23 @@ class RobotArmDevice(Device):
     def move_to_location(self, ref: LocationRef) -> None:
         """Move the end effector to a named location or raw coordinates."""
         target, location = self.resolve_location(ref)
-        self._record(f"move_to_location({ref!r})")
+        self._record()
         self._execute_move(target, location)
 
     def move_pose(self, ref: LocationRef) -> None:
         """Alias used by the Ned2 wrapper in Fig. 5 (``ned2.move_pose``)."""
         target, location = self.resolve_location(ref)
-        self._record(f"move_pose({ref!r})")
+        self._record()
         self._execute_move(target, location)
 
     def go_to_home_pose(self) -> None:
         """Move to the vendor home posture."""
-        self._record("go_to_home_pose()")
+        self._record()
         self._execute_posture_move(self.profile.home_q)
 
     def go_to_sleep_pose(self) -> None:
         """Move to the vendor sleep posture (arm folded over its base)."""
-        self._record("go_to_sleep_pose()")
+        self._record()
         self._execute_posture_move(self.profile.sleep_q)
 
     # ------------------------------------------------------------------
@@ -167,7 +167,7 @@ class RobotArmDevice(Device):
 
     def open_gripper(self) -> None:
         """Open the jaws; releases a held vial at the current position."""
-        self._record("open_gripper()")
+        self._record()
         if self._gripper is GripperState.OPEN:
             return
         self._gripper = GripperState.OPEN
@@ -176,7 +176,7 @@ class RobotArmDevice(Device):
 
     def close_gripper(self) -> None:
         """Close the jaws; grasps a vial if one is within reach."""
-        self._record("close_gripper()")
+        self._record()
         if self._gripper is GripperState.CLOSED:
             return
         self._gripper = GripperState.CLOSED
@@ -189,7 +189,7 @@ class RobotArmDevice(Device):
         comes from the location itself; the caller is expected to already
         be at a safe approach point.
         """
-        self._record(f"pick_up_vial({ref!r})")
+        self._record()
         target, location = self.resolve_location(ref)
         self._execute_move(target, location)
         self.open_gripper()
@@ -197,7 +197,7 @@ class RobotArmDevice(Device):
 
     def place_vial(self, ref: LocationRef) -> None:
         """Place the held vial at a location: descend, open, stay."""
-        self._record(f"place_vial({ref!r})")
+        self._record()
         target, location = self.resolve_location(ref)
         self._execute_move(target, location)
         self.open_gripper()

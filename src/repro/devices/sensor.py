@@ -51,12 +51,12 @@ class ProximitySensor(Device):
 
     def person_enters(self) -> None:
         """Someone steps into the watched zone."""
-        self._record("person_enters()")
+        self._record()
         self._occupied = True
 
     def person_leaves(self) -> None:
         """The zone is vacated."""
-        self._record("person_leaves()")
+        self._record()
         self._occupied = False
 
     @property

@@ -115,4 +115,6 @@ def plan_joint_trajectory(
     q1 = np.asarray(q_end, dtype=np.float64)
     excursion = float(np.max(np.abs(q1 - q0))) if q0.size else 0.0
     duration = max(excursion / speed, 0.05)
-    return JointTrajectory(chain, tuple(q0), tuple(q1), duration=duration)
+    return JointTrajectory(
+        chain, tuple(q0.tolist()), tuple(q1.tolist()), duration=duration
+    )

@@ -11,7 +11,7 @@ Everything hangs off the process-wide :data:`OBS` singleton, which is
 **disabled by default**: every instrumentation site in the hot path
 guards on ``OBS.enabled`` (a single attribute read), so the §II-C latency
 reproduction and the collision-throughput gate are unaffected unless a
-caller opts in via :func:`enable` (the ``python -m repro metrics``
+caller opts in via ``OBS.enable()`` (the ``python -m repro metrics``
 subcommand does).
 
 This package imports nothing from the rest of :mod:`repro` — the core
@@ -19,7 +19,7 @@ modules import *it*, never the reverse.
 """
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.runtime import OBS, Observability, disable, enable, enabled, span
+from repro.obs.runtime import OBS, Observability
 from repro.obs.spans import Span, SpanCollector
 
 __all__ = [
@@ -31,8 +31,4 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "SpanCollector",
-    "enable",
-    "disable",
-    "enabled",
-    "span",
 ]

@@ -24,14 +24,13 @@ Typical use (what ``python -m repro metrics`` does)::
 from __future__ import annotations
 
 import contextvars
-import functools
 import time
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Optional, Tuple
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanCollector
 
-__all__ = ["OBS", "Observability", "enable", "disable", "enabled", "span"]
+__all__ = ["OBS", "Observability"]
 
 
 class _NullSpan:
@@ -137,25 +136,6 @@ class Observability:
             return _NULL_SPAN
         return _SpanContext(self, name, attributes)
 
-    def traced(
-        self, name: Optional[str] = None, **attributes: Any
-    ) -> Callable[[Callable], Callable]:
-        """Decorator form of :meth:`span` (span per call)."""
-
-        def decorate(fn: Callable) -> Callable:
-            span_name = name or f"{fn.__module__}.{fn.__qualname__}"
-
-            @functools.wraps(fn)
-            def wrapper(*args: Any, **kwargs: Any) -> Any:
-                if not self.enabled:
-                    return fn(*args, **kwargs)
-                with self.span(span_name, **attributes):
-                    return fn(*args, **kwargs)
-
-            return wrapper
-
-        return decorate
-
     def _virtual_now(self) -> Optional[float]:
         clock = self._clock
         return clock.now if clock is not None else None
@@ -233,23 +213,3 @@ def _by_label(registry: MetricsRegistry, name: str) -> dict:
 
 #: The process-wide runtime every instrumented module imports.
 OBS = Observability()
-
-
-def enable() -> Observability:
-    """Enable the global runtime; returns it."""
-    return OBS.enable()
-
-
-def disable() -> Observability:
-    """Disable the global runtime; returns it."""
-    return OBS.disable()
-
-
-def enabled() -> bool:
-    """Whether the global runtime is currently enabled."""
-    return OBS.enabled
-
-
-def span(name: str, **attributes: Any):
-    """Module-level shorthand for ``OBS.span``."""
-    return OBS.span(name, **attributes)

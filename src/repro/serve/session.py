@@ -10,7 +10,7 @@ memoized compiled dispatch snapshot) and the
 Command handling is :class:`~repro.core.interceptor.DeviceProxy`'s —
 the same action resolution, and the same
 :class:`~repro.core.interceptor.Interception` for the virtual-clock
-charge, the alert and the record — but guards through
+charge, the alert, the record and its spans and metrics — but guards through
 :meth:`Rabit.guard_async` so the event loop can overlap many sessions'
 device I/O, and routes trajectory sweeps through the shared batcher.
 ``io_latency`` models the wall-clock the physical lab spends per command

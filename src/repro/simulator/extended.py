@@ -61,25 +61,6 @@ from repro.geometry.shapes import Cuboid
 from repro.kinematics.arm import TrajectoryPlan, UnreachableTargetError
 from repro.obs import OBS
 
-_OBS_CHECKS = OBS.registry.counter(
-    "es_trajectory_checks_total",
-    "Extended Simulator trajectory validations, by sweep path.",
-    labels=("path",),
-)
-_OBS_VERDICTS = OBS.registry.counter(
-    "es_trajectory_verdicts_total",
-    "Extended Simulator sweep verdicts.",
-    labels=("verdict",),
-)
-_OBS_SEGMENTS = OBS.registry.counter(
-    "es_segments_swept_total",
-    "Trajectory samples swept against the deck geometry.",
-)
-_OBS_SWEEP_SAMPLES = OBS.registry.histogram(
-    "es_sweep_samples",
-    "Samples per trajectory sweep.",
-    buckets=(8, 16, 31, 64, 128, 256),
-)
 _OBS_ENGINE_CACHE = OBS.registry.counter(
     "es_engine_cache_total",
     "Per-(frame, exclusions) packed-engine cache outcomes.",
@@ -274,10 +255,6 @@ class ExtendedSimulator:
         samples = len(job.samples)
         path = "batch" if self.use_batch else "scalar"
         sweep = self._sweep_batch if self.use_batch else self._sweep_scalar
-        if OBS.enabled:
-            _OBS_CHECKS.inc(1, path=path)
-            _OBS_SEGMENTS.inc(float(samples))
-            _OBS_SWEEP_SAMPLES.observe(float(samples))
         with OBS.span(
             "es.validate_trajectory", robot=call.robot, label=call.label.value,
             path=path, samples=samples,
@@ -290,7 +267,6 @@ class ExtendedSimulator:
                     call, model, frame, exclude, job.robot, job.plan
                 )
             if span is not None:
-                _OBS_VERDICTS.inc(1, verdict="collision" if problem else "clear")
                 span.set(verdict=problem or "clear")
         if facts is not None:
             facts.sweep = Sweep(path, samples, problem)

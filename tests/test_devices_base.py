@@ -36,12 +36,6 @@ class TestSimulatedConnection:
 
 
 class TestDeviceBase:
-    def test_command_log_records_in_order(self):
-        device = Device("thing")
-        device._record("a()")
-        device._record("b()")
-        assert device.command_log == ["a()", "b()"]
-
     def test_default_status_is_empty(self):
         assert Device("thing").status() == {}
 

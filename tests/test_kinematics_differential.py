@@ -305,6 +305,10 @@ class TestSharedPlanCache:
                 if isinstance(cached, TrajectoryPlan):
                     seen["skip" if cached.skipped else "plan"] += 1
                     assert isinstance(fresh, TrajectoryPlan)
+                    # Builtin floats, not numpy scalars: a shared plan is
+                    # plain data that prints and serializes as such.
+                    postures = cached.trajectory.q_start + cached.trajectory.q_end
+                    assert all(type(q) is float for q in postures), profile.name
                     for field in ("q_start", "q_end", "duration"):
                         assert _bits(getattr(cached.trajectory, field)) == _bits(
                             getattr(fresh.trajectory, field)

@@ -13,11 +13,6 @@ import pytest
 
 from repro.core.clock import VirtualClock
 from repro.obs import OBS, Observability
-from repro.obs.export import (
-    export_metrics_json,
-    export_metrics_prometheus,
-    export_trace_jsonl,
-)
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.spans import Span, SpanCollector
 
@@ -101,21 +96,6 @@ class TestSpans:
         assert span.attributes["device"] == "d1"
         assert span.attributes["error"] == "ValueError"
 
-    def test_traced_decorator(self):
-        obs = Observability().enable()
-
-        @obs.traced("my.func", flavor="test")
-        def add(a, b):
-            return a + b
-
-        assert add(2, 3) == 5
-        (span,) = obs.collector.spans()
-        assert span.name == "my.func"
-        assert span.attributes["flavor"] == "test"
-        obs.disable()
-        assert add(1, 1) == 2  # no new spans while disabled
-        assert obs.collector.recorded == 1
-
     def test_ring_buffer_drops_oldest(self):
         collector = SpanCollector(capacity=3)
         for i in range(5):
@@ -132,7 +112,7 @@ class TestSpans:
             with obs.span("inner"):
                 pass
         path = tmp_path / "trace.jsonl"
-        count = export_trace_jsonl(obs, path)
+        count = obs.collector.write_jsonl(path)
         lines = path.read_text().strip().splitlines()
         assert count == 2 and len(lines) == 2
         docs = [json.loads(line) for line in lines]
@@ -293,12 +273,13 @@ class TestPrometheusFormat:
             assert name_re.match(name), name
 
     def test_export_files(self, tmp_path):
-        obs = Observability()
-        obs.registry.counter("a_total", "a").inc(4)
+        registry = MetricsRegistry()
+        registry.counter("a_total", "a").inc(4)
         prom = tmp_path / "m.prom"
         js = tmp_path / "m.json"
-        export_metrics_prometheus(obs, prom)
-        snapshot = export_metrics_json(obs, js)
+        prom.write_text(registry.to_prometheus(), encoding="utf-8")
+        snapshot = registry.snapshot()
+        js.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
         assert "a_total 4" in prom.read_text()
         on_disk = json.loads(js.read_text())
         assert on_disk == snapshot

@@ -107,6 +107,8 @@ def test_interleaved_sessions_parent_guard_spans_correctly():
     guards = [s for s in spans if s.name == "rabit.guard"]
     assert len(guards) == 8
     for guard in guards:
+        # Service commands are intercepted like proxied ones.
+        assert by_id[guard.parent_id].name == "intercept.command"
         expected = "session.a" if guard.attributes["label"] == "move_robot" else "session.b"
         roots = [a.name for a in _ancestors(guard, by_id) if a.name.startswith("session.")]
         assert roots == [expected], (

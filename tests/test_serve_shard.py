@@ -370,8 +370,14 @@ def test_metrics_and_healthz_endpoints():
             assert "shard_workers 2" in text
             assert "shard_workers_alive 2" in text
             assert "shard_commands 1" in text
-            # Worker-side obs metrics survive the merge into the scrape.
+            # Worker-side obs metrics survive the merge into the scrape,
+            # the command-level families of service commands included.
             assert 'serve_commands_total{outcome="allowed"} 1' in text
+            assert (
+                'rabit_commands_intercepted_total{device="ur3e",label="go_home"} 1'
+                in text
+            )
+            assert 'es_trajectory_checks_total{path="batch"} 1' in text
 
             status, body = await _http_get(port, "/healthz")
             assert status == 200
