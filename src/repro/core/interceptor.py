@@ -65,7 +65,8 @@ _OBS_ALERTS = OBS.registry.counter(
 )
 _OBS_GUARD_SECONDS = OBS.registry.histogram(
     "rabit_guard_wall_seconds",
-    "Real CPU seconds per guarded command (full Fig. 2 round-trip).",
+    "Wall-clock seconds (perf_counter) per guarded command: the whole "
+    "Fig. 2 round-trip, device execution included.",
     buckets=(0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 1.0),
 )
 _OBS_STATE_COMPARISONS = OBS.registry.counter(

@@ -212,6 +212,27 @@ class RabitLabModel:
         loc = self._locations[location_name]
         return loc.device if loc.kind == "device_interior" else None
 
+    def collision_exclusions(self, call: ActionCall, state: LabState) -> List[str]:
+        """Devices whose cuboids the collision probes of *call* ignore.
+
+        The interior owner whose door RABIT believes open (the arm is
+        meant to reach in), the device the arm is inside, and a grid
+        slot's owning structure (which tolerates the gripper dipping to
+        its slots).  G3's target check and the Extended Simulator's sweep
+        both exclude exactly these."""
+        exclude: List[str] = []
+        owner = self.interior_owner(call.location)
+        if owner is not None and state.get("door_status", owner, "open") == "open":
+            exclude.append(owner)
+        currently_inside = state.get("robot_inside", call.robot)
+        if currently_inside is not None:
+            exclude.append(currently_inside)
+        if call.location is not None:
+            loc = self.location(call.location)
+            if loc.kind == "grid_slot" and loc.device:
+                exclude.append(loc.device)
+        return exclude
+
     def load_location(self, device_name: str) -> Optional[str]:
         """Where *device_name*'s container sits (load or dispense point)."""
         if device_name not in self._devices:

@@ -464,6 +464,8 @@ class Rabit:
             return self._fetch_state_impl()
 
     def _fetch_state_impl(self) -> LabState:
+        # Compared and merged by value, never keyed on, so the snapshot is
+        # filled without fingerprint-token upkeep.
         observed = LabState()
         for name, device in self.devices.items():
             self.clock.advance(device.connection.status_latency, "rabit_fetch_state")
@@ -474,13 +476,13 @@ class Rabit:
                 if status_key.startswith("door:"):
                     # Multi-door devices report one state per named door
                     # under the compound key "<device>:<door>" (§V-C).
-                    observed.set(
+                    observed.fill(
                         "door_status", f"{name}:{status_key[len('door:'):]}", value
                     )
                     continue
                 var = _STATUS_KEY_TO_VAR.get(status_key)
                 if var is not None:
-                    observed.set(var, name, value)
+                    observed.fill(var, name, value)
         return observed
 
     @property

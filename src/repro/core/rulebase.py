@@ -358,20 +358,7 @@ def _g3_target_collision(ctx: CheckContext) -> Optional[str]:
     frame = robot_model.frame or call.robot
     target = np.asarray(call.target, dtype=np.float64)
 
-    exclude: List[str] = []
-    owner = ctx.model.interior_owner(call.location)
-    if owner is not None and ctx.state.get("door_status", owner, "open") == "open":
-        exclude.append(owner)
-    currently_inside = ctx.state.get("robot_inside", call.robot)
-    if currently_inside is not None:
-        exclude.append(currently_inside)
-    if call.location is not None:
-        # The owning structure of a grid slot (the grid itself) tolerates
-        # the gripper dipping to its slots.
-        loc = ctx.model.location(call.location)
-        if loc.kind == "grid_slot" and loc.device:
-            exclude.append(loc.device)
-
+    exclude = ctx.model.collision_exclusions(call, ctx.state)
     obstacles = ctx.model.obstacles_for_frame(frame, exclude=exclude)
     surfaces = ctx.model.surfaces_for_frame(frame, exclude=exclude)
 

@@ -67,6 +67,13 @@ FLOAT_TOLERANCE = 1e-6
 #: maintaining the incremental fingerprint token.
 _ABSENT = object()
 
+#: Value types whose equal values are interchangeable: no float inside
+#: (``-0.0 == 0.0`` and ``nan != nan``), no mutable or container state.
+#: :meth:`LabState.merge_observed` keeps a stored entry only when the
+#: observed one is the same object, or equal and of the same one of
+#: these types.
+_PLAIN_TYPES = frozenset({str, int, bool})
+
 
 class LabState:
     """One snapshot of every state variable of every device."""
@@ -78,8 +85,9 @@ class LabState:
         #: Incrementally maintained content token (see
         #: :meth:`fingerprint_token`): the XOR of ``hash((var, key,
         #: value))`` over every populated entry, updated in O(1) on each
-        #: mutation instead of rebuilt from the full state.
-        self._fp_token: int = 0
+        #: mutation instead of rebuilt from the full state.  ``None``
+        #: after :meth:`fill`: rebuilt from the entries when next read.
+        self._fp_token: Optional[int] = 0
 
     # -- access ----------------------------------------------------------------
 
@@ -100,11 +108,21 @@ class LabState:
         sorted, or even touched beyond the entry itself — which is what
         keeps cache-key construction off the guarded hot path."""
         entries = self._vars[var]
-        old = entries.get(key, _ABSENT)
-        if old is not _ABSENT:
-            self._fp_token ^= hash((var, key, old))
+        if self._fp_token is not None:
+            old = entries.get(key, _ABSENT)
+            if old is not _ABSENT:
+                self._fp_token ^= hash((var, key, old))
+            self._fp_token ^= hash((var, key, value))
         entries[key] = value
-        self._fp_token ^= hash((var, key, value))
+        self._fingerprint = None
+
+    def fill(self, var: str, key: str, value: Any) -> None:
+        """Set an entry with no token upkeep, for a snapshot built once
+        and read by value (FetchState's observations).  The token is
+        rebuilt from the entries if it is ever read; *var* must be a
+        known variable."""
+        self._vars[var][key] = value
+        self._fp_token = None
         self._fingerprint = None
 
     def entries(self, var: str) -> Dict[str, Any]:
@@ -144,7 +162,19 @@ class LabState:
         forward unchanged (nothing can refresh them)."""
         merged = self.copy()
         for var in OBSERVABLE_VARS:
+            stored = merged._vars[var]
             for key, value in observed._vars[var].items():
+                old = stored.get(key, _ABSENT)
+                # An unchanged entry keeps its stored value: the same
+                # object, or an equal one of the same plain type, so the
+                # entries, value types and token are what writing it
+                # would give.  Floats are always written.
+                if old is value or (
+                    type(old) is type(value)
+                    and type(value) in _PLAIN_TYPES
+                    and old == value
+                ):
+                    continue
                 merged._write(var, key, value)
         return merged
 
@@ -209,6 +239,12 @@ class LabState:
         tuple and the differential suite pins both paths to identical
         verdicts.
         """
+        if self._fp_token is None:
+            token = 0
+            for var, entries in self._vars.items():
+                for key, value in entries.items():
+                    token ^= hash((var, key, value))
+            self._fp_token = token
         return self._fp_token
 
     # -- comparison ---------------------------------------------------------------

@@ -290,7 +290,7 @@ class RobotArmDevice(Device):
         # and reality consistent.  Joint angles are interpolated alongside
         # only to freeze a plausible stall posture on contact.
         ee_start_own = self.kinematics.current_position()
-        ee_end_own = plan.trajectory.chain.end_effector_position(plan.trajectory.q_end)
+        ee_end_own = np.array(plan.end_position, dtype=np.float64)
         count = len(samples)
         ee_path_world = [
             to_world.apply(ee_start_own + (ee_end_own - ee_start_own) * (i / (count - 1)))

@@ -51,12 +51,18 @@ class TrajectoryPlan:
     target: the trajectory is then a zero-length stay-in-place motion and
     ``target_reached`` is False.  Callers that ignore ``skipped`` reproduce
     the unsafe continue-without-moving behaviour the paper observed.
+
+    ``end_position`` is the end-effector position at the trajectory's
+    ``q_end``, computed once when the plan is built; the simulator's
+    sweep, the device's ground truth and :meth:`ArmKinematics.execute`
+    read it instead of running forward kinematics again.
     """
 
     trajectory: JointTrajectory
     target: Tuple[float, float, float]
     skipped: bool
     residual: float
+    end_position: Tuple[float, float, float]
 
     @property
     def target_reached(self) -> bool:
@@ -70,7 +76,7 @@ class TrajectoryPlan:
 PlanOutcome = Union[TrajectoryPlan, float]
 
 #: Plans kept per mounted chain, least recently used evicted first.  A
-#: cached UR3e plan retains about 1.1 KB, so a full cache is about 1.1 MB.
+#: cached UR3e plan retains about 1.2 KB, so a full cache is about 1.26 MB.
 PLAN_CACHE_SIZE = 1024
 
 
@@ -110,8 +116,9 @@ class ArmKinematics:
     """Kinematic state and planning for one mounted six-axis arm.
 
     Kinematics is computed once per posture.  The end-effector position
-    is cached with the posture (:meth:`set_posture` and :meth:`execute`
-    drop it), and :meth:`plan_move` plans each move once per mount: every
+    is cached with the posture (:meth:`set_posture` drops it and
+    :meth:`execute` takes the plan's ``end_position``), and
+    :meth:`plan_move` plans each move once per mount: every
     arm with an equal profile and base transform (every deck, session
     and simulator in the process) shares one bounded cache of plans.
     The Extended Simulator plans each move from the posture it polls and
@@ -244,6 +251,7 @@ class ArmKinematics:
                     target=tuple(float(x) for x in tgt),
                     skipped=True,
                     residual=result.error,
+                    end_position=self._end_position(stay),
                 )
             return result.error
 
@@ -253,17 +261,23 @@ class ArmKinematics:
             target=tuple(float(x) for x in tgt),
             skipped=False,
             residual=result.error,
+            end_position=self._end_position(trajectory),
         )
+
+    def _end_position(self, trajectory: JointTrajectory) -> Tuple[float, float, float]:
+        """End-effector position at *trajectory*'s end, as builtin floats."""
+        return tuple(self._chain.end_effector_position(trajectory.q_end).tolist())
 
     def plan_posture(self, q_end: Sequence[float], speed: float = 1.0) -> TrajectoryPlan:
         """Plan a move to an explicit joint posture (home/sleep poses)."""
         trajectory = plan_joint_trajectory(self._chain, self._q, q_end, speed=speed)
-        end_position = self._chain.end_effector_position(q_end)
+        end_position = self._end_position(trajectory)
         return TrajectoryPlan(
             trajectory=trajectory,
-            target=tuple(float(x) for x in end_position),
+            target=end_position,
             skipped=False,
             residual=0.0,
+            end_position=end_position,
         )
 
     def plan_home(self) -> TrajectoryPlan:
@@ -277,12 +291,13 @@ class ArmKinematics:
     def execute(self, plan: TrajectoryPlan) -> Vec3:
         """Commit the plan: advance the joint state to the trajectory's end.
 
-        Returns the resulting end-effector position.  For a skipped plan the
-        posture is unchanged — the silent-skip semantics.
+        Returns the resulting end-effector position, the plan's
+        ``end_position``.  For a skipped plan the posture is unchanged —
+        the silent-skip semantics.
         """
         self._q = np.asarray(plan.trajectory.q_end, dtype=np.float64)
-        self._position = None
-        return self.current_position()
+        self._position = np.array(plan.end_position, dtype=np.float64)
+        return self._position.copy()
 
     # -- geometry ----------------------------------------------------------------
 

@@ -10,7 +10,8 @@ kernel's fixed costs once per batch instead of once per command.
 :class:`~repro.simulator.extended.SweepJob` s into one
 :class:`asyncio.Queue`; a drainer task takes everything that has
 accumulated, groups it by geometry key, runs one stacked pass per
-(group, probe family), and resolves each job's future with the verdict
+group (every job's three probe families at once), and resolves each
+job's future with the verdict
 :func:`~repro.simulator.extended.finish_sweep` derives.  Because every
 per-job result is bit-identical to evaluating that job alone, batching
 is invisible to verdicts — the differential suite pins this.
@@ -30,7 +31,13 @@ from typing import Dict, Hashable, List, Optional, Tuple
 
 from repro.geometry.batch import BatchCollisionEngine
 from repro.obs import OBS
-from repro.simulator.extended import SweepJob, build_sweep_engines, finish_sweep
+from repro.simulator.extended import (
+    SweepJob,
+    build_sweep_engines,
+    finish_sweep,
+    split_probe_hits,
+    stack_probes,
+)
 
 __all__ = ["SweepBatcher"]
 
@@ -157,31 +164,31 @@ class SweepBatcher:
                         future.set_exception(exc)
 
     def _run_group(self, geom_key: Hashable, items: List[tuple]) -> None:
-        """Evaluate one geometry-homogeneous group in stacked passes."""
+        """Evaluate one geometry-homogeneous group in one stacked pass."""
         obst_engine, full_engine = self._engines_for(geom_key, items[0][0])
 
-        jobs = [item[0] for item in items]
-        probe_sets = [job.probe_points() for job in jobs]
-        arm_hits = obst_engine.first_containing_many([p[0] for p in probe_sets])
-        # Gripper tips for every job, then vial tips for the jobs that
-        # hold something — one stacked pass against the full engine.
-        full_arrays = [p[1] for p in probe_sets]
-        vial_jobs = [i for i, p in enumerate(probe_sets) if p[2] is not None]
-        full_arrays.extend(probe_sets[i][2] for i in vial_jobs)
-        full_hits = full_engine.first_containing_many(full_arrays)
-        tip_hits = full_hits[: len(jobs)]
-        vial_hits = dict(zip(vial_jobs, full_hits[len(jobs) :]))
-
-        for i, (job, _key, future) in enumerate(items):
+        # Every job's tool points, gripper tips and vial tips, against the
+        # obstacles+surfaces engine in one pass.
+        hits = full_engine.first_containing_many(
+            [
+                stack_probes(job.samples, job.robot_model, job.held)
+                for job, _key, _future in items
+            ]
+        )
+        obstacle_count = len(obst_engine)
+        for (job, _key, future), job_hits in zip(items, hits):
+            arm_hit, tip_hit, held_hit = split_probe_hits(
+                job_hits, len(job.samples), obstacle_count, job.held
+            )
             problem = finish_sweep(
                 job.call,
                 job.samples,
                 job.model.walls.get(job.frame, []),
                 job.model.workspace_bounds.get(job.frame),
                 job.held,
-                arm_hits[i],
-                tip_hits[i],
-                vial_hits.get(i),
+                arm_hit,
+                tip_hit,
+                held_hit,
                 obst_engine.names,
                 full_engine.names,
             )

@@ -74,12 +74,13 @@ class SweepJob:
 
     :meth:`ExtendedSimulator.prepare_sweep` derives one of these from a
     command (plan the motion, resolve exclusions, sample the tool line);
-    the probe arrays it yields can then be evaluated inline (the classic
-    path) or concatenated with other sessions' jobs and run through one
-    stacked :class:`BatchCollisionEngine` pass (the serve batcher).  The
-    hit arrays go back through :func:`finish_sweep`, which owns the
-    walls/bounds checks and the reference message derivation — so every
-    evaluation route produces byte-identical verdict strings.
+    its probes (:func:`stack_probes`) can then be evaluated inline (the
+    classic path) or concatenated with other sessions' jobs and run
+    through one stacked :class:`BatchCollisionEngine` pass (the serve
+    batcher).  The hit arrays go back through :func:`finish_sweep`,
+    which owns the walls/bounds checks and the reference message
+    derivation — so every evaluation route produces byte-identical
+    verdict strings.
     """
 
     call: ActionCall
@@ -92,22 +93,36 @@ class SweepJob:
     plan: TrajectoryPlan
     robot: RobotArmDevice
 
-    def probe_points(
-        self,
-    ) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-        """The three probe families: tool points, gripper tips, vial tips.
 
-        The offsets match the inline sweep exactly; the vial array is
-        ``None`` when RABIT does not believe the arm holds anything."""
-        tips = self.samples - np.array(
-            [0.0, 0.0, self.robot_model.gripper_clearance]
-        )
-        vial_tips = None
-        if self.held is not None:
-            vial_tips = self.samples - np.array(
-                [0.0, 0.0, self.robot_model.held_drop]
-            )
-        return self.samples, tips, vial_tips
+def stack_probes(samples: np.ndarray, robot_model: Any, held: Optional[str]) -> np.ndarray:
+    """The sweep's probes as one array: tool points, gripper tips, then
+    vial tips when RABIT believes the arm holds something.
+
+    All three go through one ``first_containing`` pass on the
+    obstacles+surfaces engine; :func:`split_probe_hits` takes the result
+    apart again.  The offsets are the scalar reference loop's."""
+    tips = samples - np.array([0.0, 0.0, robot_model.gripper_clearance])
+    if held is None:
+        return np.concatenate((samples, tips))
+    vial_tips = samples - np.array([0.0, 0.0, robot_model.held_drop])
+    return np.concatenate((samples, tips, vial_tips))
+
+
+def split_probe_hits(
+    hits: np.ndarray, count: int, obstacle_count: int, held: Optional[str]
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Per-family hits of a stacked :func:`stack_probes` pass.
+
+    *hits* is ``first_containing`` of the stacked array on the
+    obstacles+surfaces engine, whose first *obstacle_count* rows are the
+    obstacles-only engine's, in its order.  A tool point hits an obstacle
+    exactly when its lowest containing row is one of those, so its hits
+    are what the obstacles-only engine returns: the arm, gripper-tip and
+    held-vial arrays :func:`finish_sweep` takes."""
+    tool = hits[:count]
+    arm_hit = np.where(tool < obstacle_count, tool, -1)
+    held_hit = hits[2 * count :] if held is not None else None
+    return arm_hit, hits[count : 2 * count], held_hit
 
 
 def finish_sweep(
@@ -136,7 +151,11 @@ def finish_sweep(
     wall_bad = np.zeros((len(samples), len(walls)), dtype=bool)
     for j, wall in enumerate(walls):
         n = np.asarray(wall.normal, dtype=np.float64)
-        wall_bad[:, j] = samples @ n > wall.offset + 1e-9
+        # One 3-vector dot product per sample, like SoftwareWall.allows's
+        # np.dot: ``samples @ n`` may round differently in the last bit
+        # on an oblique wall.  Negated ``<=`` blocks NaN as allows does.
+        dots = np.matmul(samples[:, None, :], n[:, None])[:, 0, 0]
+        wall_bad[:, j] = ~(dots <= wall.offset + 1e-9)
     if walls:
         bad = bad | wall_bad.any(axis=1)
     if bounds is not None:
@@ -295,18 +314,7 @@ class ExtendedSimulator:
         if plan is None:
             return None
 
-        exclude: List[str] = []
-        owner = model.interior_owner(call.location)
-        if owner is not None and state.get("door_status", owner, "open") == "open":
-            exclude.append(owner)
-        currently_inside = state.get("robot_inside", call.robot)
-        if currently_inside is not None:
-            exclude.append(currently_inside)
-        if call.location is not None:
-            loc = model.location(call.location)
-            if loc.kind == "grid_slot" and loc.device:
-                exclude.append(loc.device)
-
+        exclude = model.collision_exclusions(call, state)
         held = (
             state.get("robot_holding", call.robot)
             if account_held_objects
@@ -320,11 +328,8 @@ class ExtendedSimulator:
         # (RESOLUTION + 1, 3) array; element i is exactly
         # ``start + (end - start) * (i / RESOLUTION)``, bit-identical to
         # the scalar loop's arithmetic.
-        ee_start = np.asarray(robot.kinematics.current_position(), dtype=np.float64)
-        ee_end = np.asarray(
-            plan.trajectory.chain.end_effector_position(plan.trajectory.q_end),
-            dtype=np.float64,
-        )
+        ee_start = robot.kinematics.current_position()
+        ee_end = np.array(plan.end_position, dtype=np.float64)
         steps = np.arange(self.RESOLUTION + 1, dtype=np.float64) / self.RESOLUTION
         samples = ee_start[None, :] + (ee_end - ee_start)[None, :] * steps[:, None]
 
@@ -356,15 +361,11 @@ class ExtendedSimulator:
     ) -> Optional[str]:
         obst_engine, full_engine = self._engines_for(model, frame, exclude)
 
-        # One containment matrix per probe family, all samples at once.
-        arm_hit = obst_engine.first_containing(samples)
-        tips = samples - np.array([0.0, 0.0, robot_model.gripper_clearance])
-        tip_hit = full_engine.first_containing(tips)
-        held_hit = None
-        if held is not None:
-            vial_tips = samples - np.array([0.0, 0.0, robot_model.held_drop])
-            held_hit = full_engine.first_containing(vial_tips)
-
+        # One containment matrix for every probe family and sample.
+        hits = full_engine.first_containing(stack_probes(samples, robot_model, held))
+        arm_hit, tip_hit, held_hit = split_probe_hits(
+            hits, len(samples), len(obst_engine), held
+        )
         return finish_sweep(
             call,
             samples,
