@@ -31,7 +31,8 @@ python -m pytest -q \
     tests/test_serve_differential.py \
     tests/test_plan_end_pose.py \
     tests/test_sweep_one_pass.py \
-    tests/test_state_merge_once.py
+    tests/test_state_merge_once.py \
+    tests/test_fetch_state_one_pass.py
 
 if [ "${CI_GATES_FULL:-0}" = "1" ]; then
     echo "==> parallel-vs-sequential differential (full, incl. 4-worker pool)"

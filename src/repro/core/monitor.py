@@ -19,6 +19,10 @@
     ``alertAndStop("Device malfunction!")`` (lines 14-15).
 7.  ``S_current <- S_actual`` (line 16).
 
+Steps 5-7 are one pass: each reported entry is compared with
+``S_expected`` and written into it, so ``S_expected`` becomes
+``S_current`` with no observed snapshot in between.
+
 :class:`RabitOptions` captures the paper's two deployed revisions:
 ``RabitOptions.initial()`` is RABIT as first evaluated (detects 8/16
 campaign bugs); ``RabitOptions.modified()`` adds held-object geometry,
@@ -197,8 +201,9 @@ class Rabit:
 
     def initialize(self) -> None:
         """Acquire ``S_initial`` from status commands and set ``S_current``."""
-        observed = self._fetch_state()
-        self.state = self.state.merge_observed(observed)
+        state = self.state.copy()
+        self._fetch_and_adopt(state)
+        self.state = state
         self._initialized = True
 
     def seed_tracked(self, var: str, key: str, value: Any) -> None:
@@ -355,20 +360,21 @@ class Rabit:
         )
 
     def _guard_postlude(self, call: ActionCall, expected: LabState) -> None:
-        """Lines 13-16: fetch actual state, compare, adopt, notify."""
-        observed = self._fetch_state()
-        mismatches = expected.diff_observable(observed)
-        # Line 16: adopt the actual state (observed over expected).
+        """Lines 13-16: fetch actual state, compare, adopt, notify.
+
+        *expected* is the private copy :meth:`_guard_expected` built; the
+        pass turns it into ``S_current`` (observed over expected)."""
+        mismatch = self._fetch_and_adopt(expected)
         previous = self.state
-        self.state = expected.merge_observed(observed)
+        self.state = expected
         for observer in self.observers:
             observer(call)
         # Taken after the observers, so multiplexing-driven state edits
         # land in the record of the command that caused them.
         self.facts.state_before = previous
         self.facts.state_after = self.state
-        if mismatches:
-            var, key, want, got = mismatches[0]
+        if mismatch is not None:
+            var, key, want, got = mismatch
             self._alert(
                 Alert(
                     kind=AlertKind.DEVICE_MALFUNCTION,
@@ -458,32 +464,39 @@ class Rabit:
             raise SafetyViolation(alert)
         return None
 
-    def _fetch_state(self) -> LabState:
-        """Fig. 2's ``FetchState()``: one status round-trip per device."""
-        with OBS.span("rabit.fetch_state", devices=len(self.devices)):
-            return self._fetch_state_impl()
+    def _fetch_and_adopt(self, state: LabState) -> Optional[tuple]:
+        """Fig. 2 lines 13-16 in one pass: ``FetchState()``, one status
+        round-trip per device, with every reported entry compared with
+        *state* and written into it (:meth:`LabState.adopt_observed`).
 
-    def _fetch_state_impl(self) -> LabState:
-        # Compared and merged by value, never keyed on, so the snapshot is
-        # filled without fingerprint-token upkeep.
-        observed = LabState()
-        for name, device in self.devices.items():
-            self.clock.advance(device.connection.status_latency, "rabit_fetch_state")
-            report = device.status()
-            if OBS.enabled:
-                _OBS_STATUS_REQUESTS.inc(1, device=name)
-            for status_key, value in report.items():
-                if status_key.startswith("door:"):
-                    # Multi-door devices report one state per named door
-                    # under the compound key "<device>:<door>" (§V-C).
-                    observed.fill(
-                        "door_status", f"{name}:{status_key[len('door:'):]}", value
-                    )
-                    continue
-                var = _STATUS_KEY_TO_VAR.get(status_key)
-                if var is not None:
-                    observed.fill(var, name, value)
-        return observed
+        Returns the mismatch with the smallest ``(var, key)`` as
+        ``(var, key, expected, actual)`` — the first one
+        ``LabState.diff_observable`` would list — or ``None``.  That
+        holds because no two entries of one pass share a ``(var, key)``:
+        device names are unique and contain no colon, which separates a
+        compound door key."""
+        first = None
+        with OBS.span("rabit.fetch_state", devices=len(self.devices)):
+            for name, device in self.devices.items():
+                self.clock.advance(device.connection.status_latency, "rabit_fetch_state")
+                report = device.status()
+                if OBS.enabled:
+                    _OBS_STATUS_REQUESTS.inc(1, device=name)
+                for status_key, value in report.items():
+                    if status_key.startswith("door:"):
+                        # Multi-door devices report one state per named door
+                        # under the compound key "<device>:<door>" (§V-C).
+                        var, key = "door_status", f"{name}:{status_key[len('door:'):]}"
+                    else:
+                        var, key = _STATUS_KEY_TO_VAR.get(status_key), name
+                        if var is None:
+                            continue
+                    mismatch = state.adopt_observed(var, key, value)
+                    if mismatch is not None and (
+                        first is None or mismatch[:2] < first[:2]
+                    ):
+                        first = mismatch
+        return first
 
     @property
     def alert_count(self) -> int:

@@ -63,15 +63,14 @@ ALL_VARS = OBSERVABLE_VARS | TRACKED_VARS
 #: Absolute tolerance when comparing float-valued observables.
 FLOAT_TOLERANCE = 1e-6
 
-#: Sentinel distinguishing "no entry" from a stored ``None`` value when
-#: maintaining the incremental fingerprint token.
+#: Sentinel distinguishing "no entry" from a stored ``None`` value.
 _ABSENT = object()
 
 #: Value types whose equal values are interchangeable: no float inside
 #: (``-0.0 == 0.0`` and ``nan != nan``), no mutable or container state.
-#: :meth:`LabState.merge_observed` keeps a stored entry only when the
-#: observed one is the same object, or equal and of the same one of
-#: these types.
+#: :meth:`LabState.merge_observed` and :meth:`LabState.adopt_observed`
+#: keep a stored entry only when the observed one is the same object, or
+#: equal and of the same one of these types.
 _PLAIN_TYPES = frozenset({str, int, bool})
 
 
@@ -85,9 +84,8 @@ class LabState:
         #: Incrementally maintained content token (see
         #: :meth:`fingerprint_token`): the XOR of ``hash((var, key,
         #: value))`` over every populated entry, updated in O(1) on each
-        #: mutation instead of rebuilt from the full state.  ``None``
-        #: after :meth:`fill`: rebuilt from the entries when next read.
-        self._fp_token: Optional[int] = 0
+        #: mutation instead of rebuilt from the full state.
+        self._fp_token: int = 0
 
     # -- access ----------------------------------------------------------------
 
@@ -108,21 +106,11 @@ class LabState:
         sorted, or even touched beyond the entry itself — which is what
         keeps cache-key construction off the guarded hot path."""
         entries = self._vars[var]
-        if self._fp_token is not None:
-            old = entries.get(key, _ABSENT)
-            if old is not _ABSENT:
-                self._fp_token ^= hash((var, key, old))
-            self._fp_token ^= hash((var, key, value))
+        old = entries.get(key, _ABSENT)
+        if old is not _ABSENT:
+            self._fp_token ^= hash((var, key, old))
+        self._fp_token ^= hash((var, key, value))
         entries[key] = value
-        self._fingerprint = None
-
-    def fill(self, var: str, key: str, value: Any) -> None:
-        """Set an entry with no token upkeep, for a snapshot built once
-        and read by value (FetchState's observations).  The token is
-        rebuilt from the entries if it is ever read; *var* must be a
-        known variable."""
-        self._vars[var][key] = value
-        self._fp_token = None
         self._fingerprint = None
 
     def entries(self, var: str) -> Dict[str, Any]:
@@ -178,6 +166,42 @@ class LabState:
                 merged._write(var, key, value)
         return merged
 
+    def adopt_observed(
+        self, var: str, key: str, value: Any
+    ) -> Optional[Tuple[str, str, Any, Any]]:
+        """Compare one reported entry with this snapshot, then adopt it.
+
+        FetchState calls this on ``S_expected`` for every mapped status
+        entry, which turns ``S_expected`` into ``S_current`` in place
+        (Fig. 2 lines 13-16) with no observed snapshot in between: one
+        pass over the reports leaves the entries, value types and token
+        that :meth:`merge_observed` leaves, and the smallest ``(var,
+        key)`` among the returned mismatches is the first one
+        :meth:`diff_observable` reports.
+
+        Returns ``(var, key, expected, actual)`` when *key* has an entry
+        that differs by :meth:`diff_observable`'s predicate (volatile
+        variables never do), else ``None``.  The value is written unless
+        the stored one is the same object, or an equal one of the same
+        plain type, as in :meth:`merge_observed`.  *var* must be an
+        observable variable.
+        """
+        entries = self._vars[var]
+        old = entries.get(key, _ABSENT)
+        cls = type(value)
+        if type(old) is cls and cls in _PLAIN_TYPES and old == value:
+            return None
+        mismatch = None
+        if old is not _ABSENT and var not in VOLATILE_VARS:
+            if isinstance(old, float) or isinstance(value, float):
+                if abs(float(old) - float(value)) > FLOAT_TOLERANCE:
+                    mismatch = (var, key, old, value)
+            elif old != value:
+                mismatch = (var, key, old, value)
+        if old is not value:
+            self._write(var, key, value)
+        return mismatch
+
     def as_dict(self) -> Dict[str, Dict[str, Any]]:
         """Populated variables as plain nested dicts (JSON-safe when the
         stored values are; the trace recorder canonicalizes this)."""
@@ -210,7 +234,7 @@ class LabState:
         """A stable, hashable digest of the full state contents.
 
         Two snapshots with equal contents produce equal fingerprints, and
-        any mutation through :meth:`set` / :meth:`merge_observed`
+        any mutation through :meth:`set` / :meth:`adopt_observed`
         invalidates the cached value.  The rule-verdict cache keys on this
         (plus the action call), so a verdict computed under one state can
         never be served under a different one — the digest is the actual
@@ -239,12 +263,6 @@ class LabState:
         tuple and the differential suite pins both paths to identical
         verdicts.
         """
-        if self._fp_token is None:
-            token = 0
-            for var, entries in self._vars.items():
-                for key, value in entries.items():
-                    token ^= hash((var, key, value))
-            self._fp_token = token
         return self._fp_token
 
     # -- comparison ---------------------------------------------------------------

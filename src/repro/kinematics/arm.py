@@ -16,7 +16,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -79,15 +79,23 @@ PlanOutcome = Union[TrajectoryPlan, float]
 #: cached UR3e plan retains about 1.2 KB, so a full cache is about 1.26 MB.
 PLAN_CACHE_SIZE = 1024
 
+#: Leads every :meth:`ArmKinematics.plan_posture` key.  A
+#: :meth:`~ArmKinematics.plan_move` key is whole float64s, a multiple of
+#: 8 bytes long; a 7-byte tag makes every posture key a different length,
+#: so no posture key equals a move key, whatever the arm's joint count.
+_POSTURE_KEY = b"posture"
+
 
 class _Mount:
     """One mounted chain: an arm profile at one base transform.
 
     Holds the chain every :class:`ArmKinematics` of that mount shares and
     the bounded LRU of its :meth:`~ArmKinematics.plan_move` outcomes,
-    keyed on the exact bytes of (start posture, target, speed).  An
-    outcome depends on nothing else, so any arm of the mount may replay
-    it; the plans are frozen and reference only the chain.
+    keyed on the exact bytes of (start posture, target, speed), and of
+    its :meth:`~ArmKinematics.plan_posture` plans, keyed on a tag and the
+    exact bytes of (start posture, end posture, speed).  An outcome
+    depends on nothing else, so any arm of the mount may replay it; the
+    plans are frozen and reference only the chain.
     """
 
     __slots__ = ("chain", "plans")
@@ -118,12 +126,12 @@ class ArmKinematics:
     Kinematics is computed once per posture.  The end-effector position
     is cached with the posture (:meth:`set_posture` drops it and
     :meth:`execute` takes the plan's ``end_position``), and
-    :meth:`plan_move` plans each move once per mount: every
-    arm with an equal profile and base transform (every deck, session
-    and simulator in the process) shares one bounded cache of plans.
-    The Extended Simulator plans each move from the posture it polls and
-    the device then plans the same move from the same posture; a fresh
-    deck replays the moves an earlier deck planned.
+    :meth:`plan_move` and :meth:`plan_posture` plan each move once per
+    mount: every arm with an equal profile and base transform (every
+    deck, session and simulator in the process) shares one bounded cache
+    of plans.  The Extended Simulator plans each move from the posture it
+    polls and the device then executes the plan the simulator swept; a
+    fresh deck replays the moves an earlier deck planned.
     """
 
     #: Cartesian tolerance for declaring a target reachable (2 mm).
@@ -214,18 +222,23 @@ class ArmKinematics:
         """
         tgt = as_vec3(target)
         key = self._q.tobytes() + tgt.tobytes() + np.float64(speed).tobytes()
+        outcome = self._cached(key, lambda: self._plan_move(tgt, speed))
+        if isinstance(outcome, TrajectoryPlan):
+            return outcome
+        raise UnreachableTargetError(self.profile.name, tgt, outcome)
+
+    def _cached(self, key: bytes, plan: Callable[[], PlanOutcome]) -> PlanOutcome:
+        """The mount's outcome for *key*, from ``plan()`` on a miss."""
         plans = self._mount.plans
         with _LOCK:
             outcome = plans.get(key)
             if outcome is None:
-                outcome = plans[key] = self._plan_move(tgt, speed)
+                outcome = plans[key] = plan()
                 if len(plans) > PLAN_CACHE_SIZE:
                     plans.popitem(last=False)
             else:
                 plans.move_to_end(key)
-        if isinstance(outcome, TrajectoryPlan):
-            return outcome
-        raise UnreachableTargetError(self.profile.name, tgt, outcome)
+        return outcome
 
     def _plan_move(self, tgt: Vec3, speed: float) -> PlanOutcome:
         """Solve one move; the residual when a raising arm cannot reach it."""
@@ -269,7 +282,19 @@ class ArmKinematics:
         return tuple(self._chain.end_effector_position(trajectory.q_end).tolist())
 
     def plan_posture(self, q_end: Sequence[float], speed: float = 1.0) -> TrajectoryPlan:
-        """Plan a move to an explicit joint posture (home/sleep poses)."""
+        """Plan a move to an explicit joint posture (home/sleep poses).
+
+        Like :meth:`plan_move`, a posture move any arm of this mount
+        planned before, from the same posture, replays the same plan."""
+        end = np.asarray(q_end, dtype=np.float64)
+        key = (
+            _POSTURE_KEY + self._q.tobytes() + end.tobytes()
+            + np.float64(speed).tobytes()
+        )
+        return self._cached(key, lambda: self._plan_posture(end, speed))
+
+    def _plan_posture(self, q_end: np.ndarray, speed: float) -> TrajectoryPlan:
+        """The joint-space move from the current posture to *q_end*."""
         trajectory = plan_joint_trajectory(self._chain, self._q, q_end, speed=speed)
         end_position = self._end_position(trajectory)
         return TrajectoryPlan(

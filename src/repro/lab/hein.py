@@ -100,12 +100,13 @@ def build_hein_deck(
 
     ``world_geometry=False`` builds the same deck minus the ground-truth
     collision geometry (no surfaces, footprints, or passive obstacles in
-    the *world* — RABIT's configuration/model keep the full cuboid set).
-    The devices then execute without per-sample physics, which is the
-    serve throughput benchmark's stand-in for a remote lab whose real
-    physics happen on the other side of an I/O boundary.  Guard verdicts
-    are unaffected: the monitor and Extended Simulator only ever read
-    the config-derived model.
+    the *world* — RABIT's configuration/model keep the full cuboid set),
+    the serve throughput benchmark's stand-in for a remote lab whose real
+    physics happen on the other side of an I/O boundary.  The arm still
+    walks every sample of each move (``RobotArmDevice._run_plan``), but
+    with no obstacle or surface to probe, so only the room bounds can
+    stop it.  Guard verdicts are unaffected: the monitor and Extended
+    Simulator only ever read the config-derived model.
     """
     room = Workspace(
         bounds=Cuboid((-0.8, -0.8, -0.05), (0.8, 0.8, 1.2), name="lab_room")

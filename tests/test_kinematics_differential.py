@@ -277,8 +277,10 @@ class TestSharedPlanCache:
     """The shared per-mount plan cache replays exactly what IK would solve.
 
     A cached outcome is keyed on the bytes of (start posture, target,
-    speed) and shared by every arm of the mount, so each one must be
-    what a fresh arm at that posture computes with the cache bypassed.
+    speed), or for a home or sleep plan on a tag and (start posture, end
+    posture, speed), and shared by every arm of the mount, so each one
+    must be what a fresh arm at that posture computes with the cache
+    bypassed.
     """
 
     def test_cached_outcomes_equal_fresh_solves(self, cold_plan_cache):
@@ -291,19 +293,30 @@ class TestSharedPlanCache:
             except UnreachableTargetError:
                 pass
 
-        seen = {"plan": 0, "skip": 0, "unreachable": 0}
+        seen = {"plan": 0, "skip": 0, "unreachable": 0, "posture": 0}
+        tag = arm_module._POSTURE_KEY
         for (profile, base), mount in arm_module._MOUNTS.items():
             dof = profile.dof
             for key, cached in list(mount.plans.items()):
+                posture = key.startswith(tag)
+                if posture:
+                    key = key[len(tag):]
                 q = np.frombuffer(key[: 8 * dof])
-                target = np.frombuffer(key[8 * dof : 8 * dof + 24])
-                (speed,) = np.frombuffer(key[8 * dof + 24 :])
+                end = 8 * dof + (8 * dof if posture else 24)
+                target = np.frombuffer(key[8 * dof : end])
+                (speed,) = np.frombuffer(key[end:])
                 arm = ArmKinematics(
                     profile, Transform(np.frombuffer(base).reshape(4, 4)), ik_seed=q
                 )
-                fresh = arm._plan_move(target, float(speed))
+                if posture:
+                    seen["posture"] += 1
+                    fresh = arm._plan_posture(target, float(speed))
+                    assert cached.trajectory.q_end == tuple(target.tolist())
+                else:
+                    fresh = arm._plan_move(target, float(speed))
                 if isinstance(cached, TrajectoryPlan):
-                    seen["skip" if cached.skipped else "plan"] += 1
+                    if not posture:
+                        seen["skip" if cached.skipped else "plan"] += 1
                     assert isinstance(fresh, TrajectoryPlan)
                     # Builtin floats, not numpy scalars: a shared plan is
                     # plain data that prints and serializes as such.
@@ -324,3 +337,4 @@ class TestSharedPlanCache:
                     solved = UnreachableTargetError(profile.name, target, fresh)
                     assert str(replayed.value) == str(solved)
         assert seen["plan"] > 40 and seen["skip"] >= 1 and seen["unreachable"] >= 2, seen
+        assert seen["posture"] >= 2, seen

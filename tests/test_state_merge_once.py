@@ -1,13 +1,12 @@
 """FetchState writes once: merging skips only what writing would not change.
 
-``Rabit._fetch_state_impl`` fills its observed snapshot with
-``LabState.fill`` (no fingerprint-token upkeep), and
 ``LabState.merge_observed`` keeps a stored entry only when the observed
 value is the same object, or an equal value of the same plain type.
 These tests pin that the merged entries, value types, zero signs and
 ``fingerprint_token()`` are exactly what writing every observed entry
-through ``set`` gives, and that no filled snapshot reports a token that
-differs from the same entries written through ``set``.
+through ``set`` gives, and that the state FetchState's one pass adopts
+on a real deck reports the token of the same entries written through
+``set``.
 """
 
 import math
@@ -43,13 +42,6 @@ def _written(pairs):
     state = LabState()
     for var, key, value in pairs:
         state.set(var, key, value)
-    return state
-
-
-def _filled(pairs):
-    state = LabState()
-    for var, key, value in pairs:
-        state.fill(var, key, value)
     return state
 
 
@@ -92,11 +84,11 @@ def _same_objects_or_equal(a, b):
 
 
 class TestMergeObserved:
-    @given(before=entries, report=entries, filled=st.booleans())
+    @given(before=entries, report=entries)
     @settings(max_examples=400, deadline=None)
-    def test_merge_equals_writing_every_entry(self, before, report, filled):
+    def test_merge_equals_writing_every_entry(self, before, report):
         expected = _written(before)
-        observed = _filled(report) if filled else _written(report)
+        observed = _written(report)
         merged = expected.merge_observed(observed)
         reference = _merge_writing_everything(expected, observed)
 
@@ -109,7 +101,7 @@ class TestMergeObserved:
 
     def test_zero_signs_and_types_are_written(self):
         expected = _written([("action_value", "dev_a", 0.0), ("device_active", "dev_a", 1)])
-        observed = _filled([("action_value", "dev_a", -0.0), ("device_active", "dev_a", True)])
+        observed = _written([("action_value", "dev_a", -0.0), ("device_active", "dev_a", True)])
         merged = expected.merge_observed(observed)
         assert math.copysign(1.0, merged.get("action_value", "dev_a")) == -1.0
         assert merged.get("device_active", "dev_a") is True
@@ -117,42 +109,32 @@ class TestMergeObserved:
     def test_unchanged_plain_entries_keep_the_stored_value(self):
         door = "".join(["op", "en"])  # equal to "open", a distinct object
         expected = _written([("door_status", "dev_a", "open")])
-        merged = expected.merge_observed(_filled([("door_status", "dev_a", door)]))
+        merged = expected.merge_observed(_written([("door_status", "dev_a", door)]))
         assert merged.get("door_status", "dev_a") == "open"
         assert merged.fingerprint_token() == expected.fingerprint_token()
 
 
-class TestFilledToken:
-    @given(pairs=entries)
-    @settings(max_examples=400, deadline=None)
-    def test_filled_snapshot_token_equals_set(self, pairs):
-        filled, written = _filled(pairs), _written(pairs)
-        assert filled.fingerprint_token() == written.fingerprint_token()
-        assert filled.fingerprint() == written.fingerprint()
-        # Writing on top of a filled snapshot keeps the token honest.
-        filled.set("gripper", "dev_a", "closed")
-        written.set("gripper", "dev_a", "closed")
-        assert filled.fingerprint_token() == written.fingerprint_token()
-        assert filled.copy().fingerprint_token() == written.fingerprint_token()
-
+class TestFetchStateToken:
     def test_fetch_state_snapshots_report_the_set_token(self):
         checked = 0
         for deck_name in ("hein", "testbed", "two_door"):
             deck = build_deck(deck_name)
             rabit, proxies, _ = make_rabit(deck, options=default_serve_options())
-            snapshots = [rabit._fetch_state()]
+            rabit.initialize()
+            snapshots = [rabit.state]
             # Open every single-door device in turn (a multi-door
             # device's report already carries its "door:<name>" keys).
             for name, proxy in proxies.items():
                 if getattr(deck.devices[name], "door", None) is not None:
                     proxy.open_door()
-                    assert rabit.state.fingerprint_token() == _rewritten(
-                        rabit.state
-                    ).fingerprint_token()
-                    snapshots.append(rabit._fetch_state())
-            for observed in snapshots:
-                written = _rewritten(observed)
-                assert observed.fingerprint_token() == written.fingerprint_token()
-                assert observed.fingerprint() == written.fingerprint()
+                    snapshots.append(rabit.state)
+            # The pass run once more over a copy of the adopted state.
+            again = rabit.state.copy()
+            assert rabit._fetch_and_adopt(again) is None
+            snapshots.append(again)
+            for state in snapshots:
+                written = _rewritten(state)
+                assert state.fingerprint_token() == written.fingerprint_token()
+                assert state.fingerprint() == written.fingerprint()
                 checked += 1
-        assert checked >= 6
+        assert checked >= 9
