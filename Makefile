@@ -1,6 +1,6 @@
 # Convenience targets for the RABIT reproduction.
 
-.PHONY: install lint test bench fk-bench serve-bench shard-bench shard-soak examples campaign latency metrics montecarlo replay docs-check check clean
+.PHONY: install lint test bench serve-bench shard-bench shard-soak examples campaign latency metrics montecarlo replay docs-check check clean
 
 install:
 	pip install -e .[dev]
@@ -20,9 +20,6 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-fk-bench:
-	PYTHONPATH=src python -m pytest benchmarks/test_fk_throughput.py
 
 # Multi-session guard-service throughput (K=8 vs sequential, hard 3x gate).
 serve-bench:

@@ -9,6 +9,12 @@ reports), and gates the speedup at ≥ 1.8x on CI-class hardware (4+
 cores).  On smaller machines the numbers are still measured, emitted,
 and appended to the perf trend, but a pool cannot beat one core with
 pure-Python workers, so the gate would only measure the host.
+
+Both phases start from cold plan caches.  Every mount's shared plan
+cache lives for the process, and forked workers inherit it, so a pool
+timed after the sequential phase (or after earlier benchmarks) would
+replay plans the sequential phase had to solve and report cache reuse as
+parallelism.
 """
 
 import os
@@ -16,6 +22,7 @@ import time
 
 from repro.analysis.report import format_table
 from repro.faults.montecarlo import run_monte_carlo
+from repro.kinematics import arm
 
 SAMPLES = 8
 SEED = 2024
@@ -25,11 +32,18 @@ MIN_SPEEDUP = 1.8
 GATE_MIN_CPUS = 4
 
 
+def _empty_plan_caches():
+    for mount in arm._MOUNTS.values():
+        mount.plans.clear()
+
+
 def test_montecarlo_throughput(emit, trend, benchmark):
+    _empty_plan_caches()
     t0 = time.perf_counter()
     sequential = run_monte_carlo(samples=SAMPLES, seed=SEED, workers=1)
     t_seq = time.perf_counter() - t0
 
+    _empty_plan_caches()
     t0 = time.perf_counter()
     parallel = run_monte_carlo(samples=SAMPLES, seed=SEED, workers=WORKERS)
     t_par = time.perf_counter() - t0
@@ -55,7 +69,7 @@ def test_montecarlo_throughput(emit, trend, benchmark):
         rows,
         title=(
             f"Monte Carlo sweep throughput ({SAMPLES} mutants, seed {SEED}, "
-            f"{cpus} CPUs, identical reports; "
+            f"{cpus} CPUs, cold plan caches, identical reports; "
             f"gate {'ON' if gated else 'off: <' + str(GATE_MIN_CPUS) + ' cores'})"
         ),
     )
@@ -71,6 +85,7 @@ def test_montecarlo_throughput(emit, trend, benchmark):
             "speedup": round(speedup, 2),
             "mutants_per_second_parallel": round(SAMPLES / t_par, 3),
             "gated": gated,
+            "cold_plan_caches": True,
         },
     )
 

@@ -48,7 +48,6 @@ python -m repro replay --diff tests/fixtures/traces/*.trace.jsonl
 echo "==> benchmark gates (throughput, latency, observability, cold guard path, plan cache, serve)"
 python -m pytest -q \
     benchmarks/test_collision_throughput.py \
-    benchmarks/test_fk_throughput.py \
     benchmarks/test_latency_overhead.py \
     benchmarks/test_obs_overhead.py \
     benchmarks/test_cold_guard_latency.py \

@@ -67,7 +67,9 @@ ROBOT_MOVE_LABELS = frozenset(
 class Sweep(NamedTuple):
     """One trajectory sweep: which path ran, how many samples, the verdict."""
 
-    #: ``"batch"`` (the packed engine) or ``"scalar"`` (the reference loop).
+    #: Always ``"batch"``, the packed engine: the only sweep the guard
+    #: runs.  Kept so run traces and the ``path`` metric label keep their
+    #: shape until the next trace schema version.
     path: str
     samples: int
     #: The collision message, or ``None`` when the trajectory is clear.

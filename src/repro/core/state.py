@@ -23,6 +23,7 @@ State variables fall into two classes:
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Variables a status command can refresh.
@@ -72,6 +73,24 @@ _ABSENT = object()
 #: keep a stored entry only when the observed one is the same object, or
 #: equal and of the same one of these types.
 _PLAIN_TYPES = frozenset({str, int, bool})
+
+
+def _observed_differs(expected: Any, actual: Any) -> bool:
+    """Whether a device report *actual* contradicts *expected*.
+
+    When either side is a float, the two are compared as floats within
+    :data:`FLOAT_TOLERANCE`; a value ``float()`` refuses (``None``, a
+    word, a tuple) or a NaN on either side is a mismatch, so a
+    wrong-typed report fails closed as a malfunction.  Anything else is
+    compared with ``!=``.
+    """
+    if isinstance(expected, float) or isinstance(actual, float):
+        try:
+            a, b = float(expected), float(actual)
+        except (TypeError, ValueError, OverflowError):
+            return True
+        return math.isnan(a) or math.isnan(b) or abs(a - b) > FLOAT_TOLERANCE
+    return expected != actual
 
 
 class LabState:
@@ -180,8 +199,9 @@ class LabState:
         :meth:`diff_observable` reports.
 
         Returns ``(var, key, expected, actual)`` when *key* has an entry
-        that differs by :meth:`diff_observable`'s predicate (volatile
-        variables never do), else ``None``.  The value is written unless
+        that the report contradicts (:func:`_observed_differs`, the
+        predicate :meth:`diff_observable` uses; volatile variables never
+        do), else ``None``.  The value is written unless
         the stored one is the same object, or an equal one of the same
         plain type, as in :meth:`merge_observed`.  *var* must be an
         observable variable.
@@ -192,12 +212,12 @@ class LabState:
         if type(old) is cls and cls in _PLAIN_TYPES and old == value:
             return None
         mismatch = None
-        if old is not _ABSENT and var not in VOLATILE_VARS:
-            if isinstance(old, float) or isinstance(value, float):
-                if abs(float(old) - float(value)) > FLOAT_TOLERANCE:
-                    mismatch = (var, key, old, value)
-            elif old != value:
-                mismatch = (var, key, old, value)
+        if (
+            old is not _ABSENT
+            and var not in VOLATILE_VARS
+            and _observed_differs(old, value)
+        ):
+            mismatch = (var, key, old, value)
         if old is not value:
             self._write(var, key, value)
         return mismatch
@@ -272,8 +292,8 @@ class LabState:
 
         Compares only keys present in *both* snapshots — a device that
         reports an extra field is not a malfunction; a device whose
-        expected value differs from its report is.  Returns tuples of
-        ``(var, key, expected, actual)``.
+        expected value differs from its report (:func:`_observed_differs`)
+        is.  Returns tuples of ``(var, key, expected, actual)``.
         """
         mismatches: List[Tuple[str, str, Any, Any]] = []
         for var in sorted(OBSERVABLE_VARS - VOLATILE_VARS):
@@ -281,10 +301,7 @@ class LabState:
             theirs = other._vars[var]
             for key in sorted(set(mine) & set(theirs)):
                 a, b = mine[key], theirs[key]
-                if isinstance(a, float) or isinstance(b, float):
-                    if abs(float(a) - float(b)) > FLOAT_TOLERANCE:
-                        mismatches.append((var, key, a, b))
-                elif a != b:
+                if _observed_differs(a, b):
                     mismatches.append((var, key, a, b))
         return mismatches
 

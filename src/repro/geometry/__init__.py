@@ -8,13 +8,12 @@ This package is the lowest layer of the stack.  It provides:
 - :mod:`repro.geometry.shapes` -- axis-aligned cuboids, the shape the paper's
   Extended Simulator uses to model every automation device ("we model each
   device on the experiment deck as a 3D cuboid object").
-- :mod:`repro.geometry.collision` -- point/segment/box intersection tests used
-  by both the target-location precondition check and the full trajectory
-  sweep of the Extended Simulator.  These scalar functions are the
-  *reference implementation*; the batch engine must agree with them exactly.
+- :mod:`repro.geometry.collision` -- the segment/box slab test the
+  proximity-sensor rule uses.
 - :mod:`repro.geometry.batch` -- :class:`BatchCollisionEngine`, the
-  vectorized fast path: all deck cuboids packed into ``(N, 3)`` arrays,
-  all trajectory segments swept in one broadcasted slab-method pass.
+  Extended Simulator's sweep kernel: all deck cuboids packed into
+  ``(N, 3)`` arrays, every polled point probed in one broadcasted pass.
+  It must agree exactly with a scalar :meth:`Cuboid.contains` loop.
 - :mod:`repro.geometry.walls` -- software-defined walls used for space
   multiplexing of multiple robot arms.
 """
@@ -38,15 +37,7 @@ from repro.geometry.richshapes import (
     VerticalCylinder,
     shape_from_spec,
 )
-from repro.geometry.collision import (
-    point_in_cuboid,
-    segment_intersects_cuboid,
-    cuboids_overlap,
-    segment_cuboid_entry_time,
-    polyline_intersects_cuboid,
-    CollisionHit,
-    first_collision,
-)
+from repro.geometry.collision import segment_cuboid_entry_time
 from repro.geometry.batch import BatchCollisionEngine
 from repro.geometry.walls import SoftwareWall, Workspace
 
@@ -71,13 +62,7 @@ __all__ = [
     "Shape",
     "VerticalCylinder",
     "shape_from_spec",
-    "point_in_cuboid",
-    "segment_intersects_cuboid",
-    "cuboids_overlap",
     "segment_cuboid_entry_time",
-    "polyline_intersects_cuboid",
-    "CollisionHit",
-    "first_collision",
     "BatchCollisionEngine",
     "SoftwareWall",
     "Workspace",

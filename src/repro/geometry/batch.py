@@ -1,36 +1,25 @@
-"""Vectorized batch collision queries — the Extended Simulator fast path.
+"""Vectorized point containment — the Extended Simulator's sweep kernel.
 
-The scalar functions in :mod:`repro.geometry.collision` are the *reference
-implementation*: one segment against one cuboid, in plain Python.  They are
-what the paper describes, and what the differential test suite trusts.  But
-the Extended Simulator is RABIT's dominant cost (§II-C: ~2 s, 112 %
-overhead per command), and a deck sweep is S trajectory segments × N device
-cuboids — a pure-Python double loop on the hot path of *every* robot
-command.
+A deck sweep probes every polled tool point, gripper tip and held-vial tip
+of a move against every configured device cuboid: P points × N cuboids, a
+pure-Python double loop of :meth:`Cuboid.contains` calls on the hot path of
+*every* robot command.
 
 :class:`BatchCollisionEngine` packs all deck cuboids into ``(N, 3)``
-``lo``/``hi`` arrays once and evaluates all S segments against all N
-cuboids in a single broadcasted slab-method pass, producing the full
-``(S, N)`` matrix of entry times.  Per-cuboid safety margins are applied by
-pre-inflating the packed arrays (the same ``Cuboid.inflated`` arithmetic,
-done once at pack time instead of per query).  The arithmetic is kept
-operation-for-operation identical to the scalar reference so results agree
-*exactly* — both use float64 division of the same operands and the same
-closed-boundary convention — which is what lets the differential suite
-assert bit-equality rather than tolerances.
-
-For decks whose cuboids move (a robot arm holding a vial, a sleeping arm
-swapped in by time multiplexing), the engine is incremental: single rows
-can be replaced, added, or removed without re-packing the rest.
+``lo``/``hi`` arrays once and evaluates all P points against all N cuboids
+in a single broadcasted comparison, producing the ``(P, N)`` containment
+matrix.  The comparison is the scalar test's, with the same closed-boundary
+convention, so results agree *exactly* with a ``for box in cuboids: if
+box.contains(p)`` loop — which is what lets the differential suite assert
+equality rather than tolerances.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Sequence
 
 import numpy as np
 
-from repro.geometry.collision import CollisionHit
 from repro.geometry.shapes import Cuboid
 from repro.obs import OBS
 
@@ -43,7 +32,7 @@ _OBS_QUERIES = OBS.registry.counter(
 )
 _OBS_PAIR_CHECKS = OBS.registry.counter(
     "geometry_pair_checks_total",
-    "Segment/point x cuboid pairs evaluated by the batch engine.",
+    "Point x cuboid pairs evaluated by the batch engine.",
 )
 
 
@@ -58,41 +47,19 @@ def _as_points(points: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 class BatchCollisionEngine:
-    """All deck cuboids packed for broadcasted collision queries.
+    """All deck cuboids packed for broadcasted containment queries.
 
-    Parameters
-    ----------
-    cuboids:
-        The obstacle set, in a fixed order (query results reference
-        cuboids by this index; ties in :meth:`polyline_first_hit` resolve
-        to the lowest index, matching the scalar ``first_collision``
-        iteration order).
-    margin:
-        A scalar margin applied to every cuboid, or one margin per cuboid.
-        Margins are baked into the packed ``lo``/``hi`` arrays exactly as
-        :meth:`Cuboid.inflated` would grow each box.
+    *cuboids* is the obstacle set, in a fixed order: query results
+    reference cuboids by this index, and ties resolve to the lowest index,
+    matching a scalar loop's iteration order.
     """
 
-    def __init__(
-        self,
-        cuboids: Sequence[Cuboid] = (),
-        margin: Union[float, Sequence[float]] = 0.0,
-    ) -> None:
+    def __init__(self, cuboids: Sequence[Cuboid] = ()) -> None:
         cuboids = list(cuboids)
         n = len(cuboids)
-        margins = np.broadcast_to(
-            np.asarray(margin, dtype=np.float64), (n,)
-        ).copy()
         self._names: List[str] = [c.name for c in cuboids]
-        self._margins = margins
-        self._base_lo = np.array(
-            [c.lo for c in cuboids], dtype=np.float64
-        ).reshape(n, 3)
-        self._base_hi = np.array(
-            [c.hi for c in cuboids], dtype=np.float64
-        ).reshape(n, 3)
-        self._lo = self._base_lo - margins[:, None]
-        self._hi = self._base_hi + margins[:, None]
+        self._lo = np.array([c.lo for c in cuboids], dtype=np.float64).reshape(n, 3)
+        self._hi = np.array([c.hi for c in cuboids], dtype=np.float64).reshape(n, 3)
 
     # -- introspection ------------------------------------------------------
 
@@ -104,115 +71,11 @@ class BatchCollisionEngine:
         """Cuboid names in packed order."""
         return list(self._names)
 
-    def index_of(self, name: str) -> int:
-        """Packed index of the cuboid named *name*."""
-        return self._names.index(name)
-
-    # -- incremental updates ------------------------------------------------
-
-    def add(self, cuboid: Cuboid, margin: float = 0.0) -> int:
-        """Append one cuboid; returns its packed index."""
-        self._names.append(cuboid.name)
-        self._margins = np.append(self._margins, float(margin))
-        self._base_lo = np.vstack([self._base_lo.reshape(-1, 3), cuboid.lo])
-        self._base_hi = np.vstack([self._base_hi.reshape(-1, 3), cuboid.hi])
-        self._lo = self._base_lo - self._margins[:, None]
-        self._hi = self._base_hi + self._margins[:, None]
-        return len(self._names) - 1
-
-    def update(
-        self, index: int, cuboid: Cuboid, margin: Optional[float] = None
-    ) -> None:
-        """Replace the cuboid at *index* in place (a moved held object).
-
-        Only the affected row is re-packed; pass *margin* to change the
-        row's margin as well, otherwise the existing margin is kept.
-        """
-        if margin is not None:
-            self._margins[index] = float(margin)
-        self._names[index] = cuboid.name
-        self._base_lo[index] = cuboid.lo
-        self._base_hi[index] = cuboid.hi
-        m = self._margins[index]
-        self._lo[index] = self._base_lo[index] - m
-        self._hi[index] = self._base_hi[index] + m
-
-    def remove(self, index: int) -> None:
-        """Drop the cuboid at *index* (later indices shift down by one)."""
-        del self._names[index]
-        keep = np.arange(len(self._margins)) != index
-        self._margins = self._margins[keep]
-        self._base_lo = self._base_lo[keep]
-        self._base_hi = self._base_hi[keep]
-        self._lo = self._lo[keep]
-        self._hi = self._hi[keep]
-
     # -- batch queries ------------------------------------------------------
 
-    def segment_entry_times(
-        self,
-        starts: Sequence[Sequence[float]],
-        ends: Sequence[Sequence[float]],
-    ) -> np.ndarray:
-        """Entry times of S segments against all N cuboids at once.
-
-        Returns an ``(S, N)`` float array: element ``[s, n]`` is the
-        parameter ``t in [0, 1]`` at which segment *s* enters cuboid *n*,
-        or ``NaN`` when it misses — exactly
-        :func:`~repro.geometry.collision.segment_cuboid_entry_time`
-        evaluated on every pair, including its closed-boundary convention
-        (grazes count; a zero displacement component falls back to a
-        point-in-slab test on the start coordinate).
-
-        When observability is enabled the query and its S x N pair count
-        are metered; disabled, the only cost over the raw kernel
-        (:meth:`_segment_entry_times_impl`, which the overhead benchmark
-        gates against) is one attribute check.
-        """
-        result = self._segment_entry_times_impl(starts, ends)
-        if OBS.enabled:
-            _OBS_QUERIES.inc(1, kind="segment_entry_times")
-            _OBS_PAIR_CHECKS.inc(float(result.size))
-        return result
-
-    def _segment_entry_times_impl(
-        self,
-        starts: Sequence[Sequence[float]],
-        ends: Sequence[Sequence[float]],
-    ) -> np.ndarray:
-        """The uninstrumented sweep kernel (seed behaviour, verbatim)."""
-        p0 = _as_points(starts)[:, None, :]  # (S, 1, 3)
-        p1 = _as_points(ends)[:, None, :]
-        d = p1 - p0
-        lo = self._lo[None, :, :]  # (1, N, 3)
-        hi = self._hi[None, :, :]
-
-        parallel = d == 0.0  # (S, 1, 3), broadcast over N below
-        # divide: d == 0 slots are overwritten below; invalid: 0/0 on those
-        # same slots; over: a denormal d legitimately overflows to ±inf,
-        # exactly as the scalar reference's float division does.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            ta = (lo - p0) / d  # (S, N, 3)
-            tb = (hi - p0) / d
-        t0 = np.minimum(ta, tb)
-        t1 = np.maximum(ta, tb)
-
-        # Parallel components contribute the full line when the start
-        # coordinate sits inside the (closed) slab, nothing otherwise —
-        # the same check the scalar reference makes.
-        inside = (p0 >= lo) & (p0 <= hi)  # (S, N, 3)
-        par = np.broadcast_to(parallel, inside.shape)
-        t0 = np.where(par, np.where(inside, -np.inf, np.inf), t0)
-        t1 = np.where(par, np.where(inside, np.inf, -np.inf), t1)
-
-        t_enter = np.maximum(t0.max(axis=2), 0.0)  # (S, N)
-        t_exit = np.minimum(t1.min(axis=2), 1.0)
-        return np.where(t_enter <= t_exit, t_enter, np.nan)
-
     def contains_points(self, points: Sequence[Sequence[float]]) -> np.ndarray:
-        """``(P, N)`` boolean matrix: point *p* inside (margin-inflated)
-        cuboid *n*, boundaries included — :meth:`Cuboid.contains` for every
-        pair."""
+        """``(P, N)`` boolean matrix: point *p* inside cuboid *n*,
+        boundaries included — :meth:`Cuboid.contains` for every pair."""
         p = _as_points(points)[:, None, :]  # (P, 1, 3)
         result = np.all(
             (p >= self._lo[None, :, :]) & (p <= self._hi[None, :, :]), axis=2
@@ -258,70 +121,3 @@ class BatchCollisionEngine:
             out.append(hit[offset : offset + len(a)])
             offset += len(a)
         return out
-
-    def polylines_hit_indices(
-        self, paths: Sequence[Sequence[Sequence[float]]]
-    ) -> np.ndarray:
-        """First-hit cuboid per polyline of an ``(S, P, 3)`` stacked sweep.
-
-        *paths* packs S polylines of P points each — the Extended
-        Simulator's per-sample arm polylines from
-        :meth:`~repro.kinematics.dh.DHChain.joint_positions_batch`.  All
-        ``S x (P - 1)`` segments are slab-tested against all N cuboids in
-        one pass; the result is an ``(S,)`` int array whose element ``s``
-        is the index of the cuboid hit first along polyline *s* (ordered
-        by segment, then entry time, ties to the lowest cuboid index —
-        :meth:`polyline_first_hit`'s convention), or ``-1`` when polyline
-        *s* is clear.
-        """
-        arr = np.asarray(paths, dtype=np.float64)
-        if arr.ndim != 3 or arr.shape[2] != 3:
-            raise ValueError(
-                f"expected an (S, P, 3) polyline stack, got shape {arr.shape}"
-            )
-        s, p, _ = arr.shape
-        out = np.full(s, -1, dtype=np.int64)
-        if p < 2 or not self._names:
-            return out
-        times = self.segment_entry_times(
-            arr[:, :-1].reshape(-1, 3), arr[:, 1:].reshape(-1, 3)
-        ).reshape(s, p - 1, len(self._names))
-        seg_any = (~np.isnan(times)).any(axis=2)  # (S, P-1)
-        hit_samples = np.nonzero(seg_any.any(axis=1))[0]
-        if hit_samples.size == 0:
-            return out
-        first_seg = np.argmax(seg_any[hit_samples], axis=1)
-        rows = times[hit_samples, first_seg]  # (H, N)
-        t = np.nanmin(rows, axis=1)
-        out[hit_samples] = np.argmax(rows == t[:, None], axis=1)
-        return out
-
-    def polyline_first_hit(
-        self, waypoints: Sequence[Sequence[float]]
-    ) -> Optional[CollisionHit]:
-        """Earliest collision of a polyline sweep, batched.
-
-        Equivalent to :func:`~repro.geometry.collision.first_collision`
-        over this engine's cuboids (with their packed margins): ordered by
-        ``(segment index, within-segment parameter)``, ties broken by the
-        lowest cuboid index.
-        """
-        pts = _as_points(waypoints)
-        if len(pts) < 2 or len(self._names) == 0:
-            return None
-        times = self.segment_entry_times(pts[:-1], pts[1:])  # (S, N)
-        hit_mask = ~np.isnan(times)
-        seg_any = hit_mask.any(axis=1)
-        if not seg_any.any():
-            return None
-        seg = int(np.argmax(seg_any))  # first segment with any hit
-        row = times[seg]
-        t = float(np.nanmin(row))
-        cuboid_index = int(np.argmax(row == t))  # lowest index at the min
-        contact = pts[seg] + (pts[seg + 1] - pts[seg]) * t
-        return CollisionHit(
-            obstacle=self._names[cuboid_index],
-            point=(float(contact[0]), float(contact[1]), float(contact[2])),
-            waypoint_index=seg,
-            t=t,
-        )

@@ -1,34 +1,19 @@
-"""Collision queries between trajectories and device cuboids.
+"""Segment/cuboid intersection: the slab test the sensor rule runs.
 
-Two levels of fidelity mirror the paper:
-
-- *Without* the Extended Simulator, RABIT "only the target location is
-  checked for potential collisions" — that is :func:`point_in_cuboid`
-  against every device.
-- *With* the Extended Simulator, the full polled trajectory is swept against
-  every cuboid — :func:`polyline_intersects_cuboid` / :func:`first_collision`
-  using the slab method for segment/AABB intersection.
+The Extended Simulator probes polled points with :meth:`Cuboid.contains`
+(or its packed form, :class:`~repro.geometry.batch.BatchCollisionEngine`);
+the §V-B proximity-sensor rule instead asks whether the straight move
+from the arm's position to its target enters a sensor's zone —
+:func:`segment_cuboid_entry_time`, the slab method for segment/AABB
+intersection.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.geometry.shapes import Cuboid
-from repro.geometry.vec import Vec3, as_vec3
-
-
-def point_in_cuboid(point: Sequence[float], cuboid: Cuboid, tol: float = 0.0) -> bool:
-    """Whether *point* lies inside *cuboid* (within *tol*)."""
-    return cuboid.contains(point, tol=tol)
-
-
-def cuboids_overlap(a: Cuboid, b: Cuboid) -> bool:
-    """Whether two cuboids intersect (shared boundary counts as overlap)."""
-    return bool(np.all(a.lo <= b.hi) and np.all(b.lo <= a.hi))
+from repro.geometry.vec import as_vec3
 
 
 def segment_cuboid_entry_time(
@@ -41,12 +26,11 @@ def segment_cuboid_entry_time(
     overlap of the three parameter intervals.
 
     Boundary convention: cuboids are **closed**, matching
-    :meth:`Cuboid.contains` and :func:`cuboids_overlap` — a segment that
-    merely grazes a face, edge, or corner counts as entering.  The parallel
-    branch therefore triggers only on an exactly zero displacement component
-    (``d == 0.0``); a tiny-but-nonzero component goes through the division
-    path, so a segment ending exactly on a face is a hit no matter how short
-    it is.  (An earlier revision used an epsilon threshold here, which
+    :meth:`Cuboid.contains` — a segment that merely grazes a face, edge,
+    or corner counts as entering.  The parallel branch therefore triggers
+    only on an exactly zero displacement component (``d == 0.0``); a
+    tiny-but-nonzero component goes through the division path, so a
+    segment ending exactly on a face is a hit no matter how short it is.  (An earlier revision used an epsilon threshold here, which
     rejected sub-epsilon segments whose endpoint lay exactly on a face even
     though ``contains`` accepted that endpoint.)
     """
@@ -73,79 +57,3 @@ def segment_cuboid_entry_time(
         if t_enter > t_exit:
             return None
     return t_enter
-
-
-def segment_intersects_cuboid(
-    start: Sequence[float], end: Sequence[float], cuboid: Cuboid, margin: float = 0.0
-) -> bool:
-    """Whether segment *start*→*end* passes within *margin* of *cuboid*.
-
-    The margin models the sweep radius of the moving body (gripper width,
-    held vial, link thickness): sweeping a sphere of radius ``margin`` along
-    the segment is approximated by testing the raw segment against the
-    cuboid inflated by ``margin``.
-    """
-    box = cuboid.inflated(margin) if margin > 0 else cuboid
-    return segment_cuboid_entry_time(start, end, box) is not None
-
-
-@dataclass(frozen=True)
-class CollisionHit:
-    """A collision found while sweeping a trajectory.
-
-    ``obstacle`` names the cuboid hit; ``point`` is the first contact point
-    along the sweep; ``waypoint_index`` is the index of the trajectory
-    segment on which contact occurred; ``t`` is the within-segment parameter.
-    """
-
-    obstacle: str
-    point: Tuple[float, float, float]
-    waypoint_index: int
-    t: float
-
-    def __str__(self) -> str:
-        x, y, z = self.point
-        return (
-            f"collision with {self.obstacle!r} at "
-            f"({x:.3f}, {y:.3f}, {z:.3f}) on segment {self.waypoint_index}"
-        )
-
-
-def polyline_intersects_cuboid(
-    waypoints: Sequence[Sequence[float]], cuboid: Cuboid, margin: float = 0.0
-) -> Optional[CollisionHit]:
-    """First intersection of the polyline *waypoints* with *cuboid*, if any."""
-    box = cuboid.inflated(margin) if margin > 0 else cuboid
-    pts = [as_vec3(w) for w in waypoints]
-    for i in range(len(pts) - 1):
-        t = segment_cuboid_entry_time(pts[i], pts[i + 1], box)
-        if t is not None:
-            contact: Vec3 = pts[i] + (pts[i + 1] - pts[i]) * t
-            return CollisionHit(
-                obstacle=cuboid.name,
-                point=(float(contact[0]), float(contact[1]), float(contact[2])),
-                waypoint_index=i,
-                t=float(t),
-            )
-    return None
-
-
-def first_collision(
-    waypoints: Sequence[Sequence[float]],
-    obstacles: Iterable[Cuboid],
-    margin: float = 0.0,
-) -> Optional[CollisionHit]:
-    """Earliest collision of a polyline sweep against a set of cuboids.
-
-    "Earliest" is ordered by (segment index, within-segment parameter), i.e.
-    the first contact the physical arm would make while executing the
-    trajectory.  Returns ``None`` when the sweep is collision-free.
-    """
-    best: Optional[CollisionHit] = None
-    for cuboid in obstacles:
-        hit = polyline_intersects_cuboid(waypoints, cuboid, margin=margin)
-        if hit is None:
-            continue
-        if best is None or (hit.waypoint_index, hit.t) < (best.waypoint_index, best.t):
-            best = hit
-    return best

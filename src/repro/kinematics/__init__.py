@@ -13,7 +13,7 @@ standard Denavit-Hartenberg chains:
   missed detections).
 - :mod:`repro.kinematics.ik` -- damped-least-squares inverse kinematics.
 - :mod:`repro.kinematics.trajectory` -- joint-space trajectories and their
-  sampled Cartesian sweeps, which the Extended Simulator polls.
+  sampled postures.
 - :mod:`repro.kinematics.arm` -- the :class:`ArmKinematics` facade used by
   the device layer.
 """

@@ -1,26 +1,11 @@
 """Denavit-Hartenberg chains and forward kinematics.
 
-A :class:`DHChain` is an ordered list of revolute :class:`DHLink` entries.
-Forward kinematics returns both the end-effector pose and the positions of
-every intermediate joint, because the Extended Simulator needs the whole
-arm (not just the tool tip) to test against device cuboids.
-
-Two implementations coexist, mirroring the collision layer's layout:
-
-- The scalar methods (:meth:`DHChain.forward`,
-  :meth:`DHChain.joint_positions`, :meth:`DHChain.frames`) are the
-  *reference implementation* — one 4x4 per link per call, verbatim the
-  textbook recurrence.  The differential suite trusts them.
-- The batched methods (:meth:`DHChain.frames_batch`,
-  :meth:`DHChain.forward_batch`, :meth:`DHChain.joint_positions_batch`)
-  accept an ``(S, dof)`` joint matrix and evaluate all S samples in one
-  stacked pass: per-link constants (``cos/sin(alpha)``, ``a``, ``d``,
-  ``theta_offset``, the prismatic mask) are precomputed at construction,
-  each link contributes one ``(S, 4, 4)`` transform stack built from
-  vectorized ``cos``/``sin``, and composition is ``dof`` stacked matmuls
-  over the sample axis instead of ``S x dof`` per-sample rebuilds.  The
-  arithmetic is element-for-element the same float64 operations as the
-  scalar recurrence, so the two agree to machine precision.
+A :class:`DHChain` is an ordered list of revolute or prismatic
+:class:`DHLink` entries.  Forward kinematics is the textbook recurrence,
+one 4x4 per link per call: :meth:`DHChain.forward` gives the end-effector
+pose, :meth:`DHChain.frames` every link frame (the analytic Jacobian reads
+joint axes and origins off it), and :meth:`DHChain.joint_positions` the
+joint-origin polyline (base through end effector).
 """
 
 from __future__ import annotations
@@ -32,12 +17,6 @@ import numpy as np
 
 from repro.geometry.transforms import Transform
 from repro.geometry.vec import Vec3
-from repro.obs import OBS
-
-_OBS_FK_SAMPLES = OBS.registry.counter(
-    "kinematics_fk_samples_batched_total",
-    "Joint samples evaluated through the batched FK kernel.",
-)
 
 
 @dataclass(frozen=True)
@@ -90,20 +69,7 @@ class DHChain:
             raise ValueError("a DH chain needs at least one link")
         self._links: Tuple[DHLink, ...] = tuple(links)
         self._base = base if base is not None else Transform()
-        # Per-link constants for the batched kernels, packed once.  The
-        # trig of the (fixed) twist angles is evaluated here so a batched
-        # sweep pays only for cos/sin of the joint variables.
-        self._a = np.array([l.a for l in self._links], dtype=np.float64)
-        self._d = np.array([l.d for l in self._links], dtype=np.float64)
-        self._theta_offset = np.array(
-            [l.theta_offset for l in self._links], dtype=np.float64
-        )
-        alpha = np.array([l.alpha for l in self._links], dtype=np.float64)
-        self._cos_alpha = np.cos(alpha)
-        self._sin_alpha = np.sin(alpha)
-        self._prismatic = np.array(
-            [l.prismatic for l in self._links], dtype=bool
-        )
+        self._prismatic = np.array([l.prismatic for l in self._links], dtype=bool)
 
     @property
     def dof(self) -> int:
@@ -129,18 +95,6 @@ class DHChain:
         if arr.shape != (self.dof,):
             raise ValueError(f"expected {self.dof} joint angles, got shape {arr.shape}")
         return arr
-
-    def _check_batch(self, Q: Sequence[Sequence[float]]) -> np.ndarray:
-        arr = np.asarray(Q, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != self.dof:
-            raise ValueError(
-                f"expected an (S, {self.dof}) joint matrix, got shape {arr.shape}"
-            )
-        return arr
-
-    # ------------------------------------------------------------------
-    # Scalar reference implementation
-    # ------------------------------------------------------------------
 
     def forward(self, q: Sequence[float]) -> Transform:
         """End-effector pose (world frame) for joint vector *q*."""
@@ -184,75 +138,3 @@ class DHChain:
     def end_effector_position(self, q: Sequence[float]) -> Vec3:
         """World position of the end effector for joint vector *q*."""
         return self.forward(q).translation
-
-    # ------------------------------------------------------------------
-    # Batched kernels
-    # ------------------------------------------------------------------
-
-    def link_transforms_batch(self, Q: Sequence[Sequence[float]]) -> np.ndarray:
-        """Per-link transforms for every sample: an ``(S, dof, 4, 4)`` stack.
-
-        Row ``[s, i]`` equals ``links[i].transform(Q[s, i])`` — the same
-        float64 expressions, evaluated elementwise over the whole sample
-        axis at once.
-        """
-        arr = self._check_batch(Q)
-        s, n = arr.shape
-        th = np.where(self._prismatic, self._theta_offset, arr + self._theta_offset)
-        d = np.where(self._prismatic, self._d + arr, self._d)
-        ct, st = np.cos(th), np.sin(th)  # (S, dof)
-        ca, sa = self._cos_alpha, self._sin_alpha  # (dof,)
-        out = np.zeros((s, n, 4, 4), dtype=np.float64)
-        out[..., 0, 0] = ct
-        out[..., 0, 1] = -st * ca
-        out[..., 0, 2] = st * sa
-        out[..., 0, 3] = self._a * ct
-        out[..., 1, 0] = st
-        out[..., 1, 1] = ct * ca
-        out[..., 1, 2] = -ct * sa
-        out[..., 1, 3] = self._a * st
-        out[..., 2, 1] = sa
-        out[..., 2, 2] = ca
-        out[..., 2, 3] = d
-        out[..., 3, 3] = 1.0
-        return out
-
-    def frames_batch(self, Q: Sequence[Sequence[float]]) -> np.ndarray:
-        """All frames for all samples: an ``(S, dof + 1, 4, 4)`` stack.
-
-        ``frames_batch(Q)[s]`` equals :meth:`frames` of ``Q[s]``; the
-        composition runs as ``dof`` stacked matmuls over the sample axis,
-        so the Python-level cost is independent of S.  This is the single
-        kernel every other batched query is a view of.
-        """
-        arr = self._check_batch(Q)
-        s = arr.shape[0]
-        links = self.link_transforms_batch(arr)
-        out = np.empty((s, self.dof + 1, 4, 4), dtype=np.float64)
-        out[:, 0] = self._base.matrix
-        cur = out[:, 0]
-        for i in range(self.dof):
-            cur = cur @ links[:, i]
-            out[:, i + 1] = cur
-        if OBS.enabled:
-            _OBS_FK_SAMPLES.inc(float(s))
-        return out
-
-    def forward_batch(self, Q: Sequence[Sequence[float]]) -> np.ndarray:
-        """End-effector poses for an ``(S, dof)`` joint matrix: ``(S, 4, 4)``."""
-        return self.frames_batch(Q)[:, -1]
-
-    def joint_positions_batch(self, Q: Sequence[Sequence[float]]) -> np.ndarray:
-        """Arm polylines for all samples: an ``(S, dof + 1, 3)`` point stack.
-
-        Row ``[s]`` is exactly :meth:`joint_positions` of ``Q[s]`` packed
-        into an array — the base origin followed by every link-frame
-        origin.  This is the shape
-        :meth:`repro.geometry.batch.BatchCollisionEngine.polylines_hit_indices`
-        consumes directly.
-        """
-        return np.ascontiguousarray(self.frames_batch(Q)[:, :, :3, 3])
-
-    def end_effector_positions_batch(self, Q: Sequence[Sequence[float]]) -> np.ndarray:
-        """End-effector positions for all samples: an ``(S, 3)`` array."""
-        return np.ascontiguousarray(self.frames_batch(Q)[:, -1, :3, 3])

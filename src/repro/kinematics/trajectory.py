@@ -1,12 +1,10 @@
-"""Joint-space trajectories and their sampled Cartesian sweeps.
+"""Joint-space trajectories and their sampled postures.
 
-The Extended Simulator works "by continuously polling the robot arm's
-trajectory and comparing it with the 3D objects' coordinates" (§III).  A
-:class:`JointTrajectory` is the planned motion; :meth:`JointTrajectory.sample`
-is the polling — it produces the sequence of joint vectors the simulator
-inspects, and :meth:`JointTrajectory.end_effector_path` /
-:meth:`JointTrajectory.link_paths` turn those into the Cartesian polylines
-the collision checker sweeps against device cuboids.
+A :class:`JointTrajectory` is a planned motion between two postures, and
+:meth:`JointTrajectory.sample` polls it: the sequence of joint vectors
+the arm passes through.  The robot device samples them to freeze its
+stall posture on contact; both it and the Extended Simulator sweep the
+straight tool line for collisions.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.vec import Vec3
 from repro.kinematics.dh import DHChain
 
 
@@ -40,11 +37,8 @@ class JointTrajectory:
     def sample_array(self, resolution: int = 40) -> np.ndarray:
         """Polled joint vectors as one packed ``(resolution + 1, dof)`` array.
 
-        The packed form is what the batch collision fast path consumes:
-        one array out of the sampler, one broadcasted sweep in the checker,
-        no per-sample Python loop in between.  Element ``[i]`` is exactly
-        ``q0 + (q1 - q0) * (i / resolution)`` — the same float64 arithmetic
-        as the scalar :meth:`sample`, so the two stay bit-identical.
+        Element ``[i]`` is exactly ``q0 + (q1 - q0) * (i / resolution)``;
+        :meth:`sample` returns its rows.
         """
         if resolution < 1:
             raise ValueError("resolution must be at least 1")
@@ -56,45 +50,9 @@ class JointTrajectory:
     def sample(self, resolution: int = 40) -> List[np.ndarray]:
         """Joint vectors at *resolution* + 1 evenly spaced instants.
 
-        This plays the role of the Extended Simulator's trajectory polling:
-        each returned vector is one observation of the arm mid-motion.
+        Each returned vector is one observation of the arm mid-motion.
         """
         return list(self.sample_array(resolution))
-
-    def end_effector_path_array(self, resolution: int = 40) -> np.ndarray:
-        """Cartesian end-effector polyline as a packed ``(R + 1, 3)`` array.
-
-        Runs the packed sample matrix through the batched FK kernel — no
-        per-sample Python loop.  Element ``[i]`` is the same float64
-        arithmetic as :meth:`end_effector_path`'s scalar FK call, so the
-        two stay exactly equal (the scalar path is the differential
-        reference).
-        """
-        return self.chain.end_effector_positions_batch(self.sample_array(resolution))
-
-    def end_effector_path(self, resolution: int = 40) -> List[Vec3]:
-        """Cartesian polyline traced by the end effector (scalar reference)."""
-        return [self.chain.end_effector_position(q) for q in self.sample(resolution)]
-
-    def link_paths_array(self, resolution: int = 40) -> np.ndarray:
-        """Per-sample full-arm point sets as one ``(R + 1, dof + 1, 3)`` array.
-
-        Row ``[i]`` is the joint-origin polyline (base through end
-        effector) at polled instant *i* — exactly :meth:`link_paths`
-        element ``[i]`` packed into an array, produced by the batched FK
-        kernel in one pass.  This is the shape the Extended Simulator
-        feeds straight into the batch collision engine.
-        """
-        return self.chain.joint_positions_batch(self.sample_array(resolution))
-
-    def link_paths(self, resolution: int = 40) -> List[List[Vec3]]:
-        """Per-sample full-arm point sets (scalar reference).
-
-        Each element is the list of joint-origin positions (base through end
-        effector) at one polled instant; the simulator checks the segments
-        between consecutive joints against obstacle cuboids.
-        """
-        return [self.chain.joint_positions(q) for q in self.sample(resolution)]
 
 
 def plan_joint_trajectory(

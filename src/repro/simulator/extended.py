@@ -22,26 +22,22 @@ the paper's stated limitation about non-cuboid devices.
 Two sweep implementations coexist:
 
 - :meth:`ExtendedSimulator._sweep_scalar` is the reference: a per-sample
-  Python loop, verbatim the paper's description.
-- :meth:`ExtendedSimulator._sweep_batch` (the default) packs the deck's
-  cuboids into a cached :class:`~repro.geometry.batch.BatchCollisionEngine`
-  per ``(frame, excluded devices)`` and evaluates every polled sample
-  against every cuboid in one broadcasted pass.  Engines are invalidated
-  by the model's ``geometry_revision``, so time multiplexing swapping a
+  Python loop, verbatim the paper's description.  Only the differential
+  tests call it.
+- :meth:`ExtendedSimulator._sweep_batch`, which every guarded command
+  runs, packs the deck's cuboids into a cached
+  :class:`~repro.geometry.batch.BatchCollisionEngine` per ``(frame,
+  excluded devices)`` and probes every polled sample against every
+  cuboid in one broadcasted pass.  Engines are invalidated by the
+  model's ``geometry_revision``, so time multiplexing swapping a
   sleeping arm's cuboid in or out rebuilds them.
 
 The two produce identical verdicts and identical messages; the
 differential test suite pins that equivalence.
 
-``sweep_links=True`` additionally sweeps the **whole arm body**: the
-planned joint-space trajectory is run through the batched FK kernel
-(:meth:`~repro.kinematics.trajectory.JointTrajectory.link_paths_array`),
-and every link segment of every polled posture is slab-tested against the
-obstacle cuboids (inflated by the arm's link radius) in one
-``(S x dof) x N`` pass — full-arm coverage at batched cost, catching
-elbow/forearm strikes the tool-point sweep cannot see.  It is **off by
-default** because it extends the paper's tool-point mechanism: enabling
-it can only add verdicts, never change existing ones.
+Like the ground-truth physics, the sweep reduces the arm to its polled
+tool point, gripper tip and held-vial tip, so simulator and device model
+the same body.
 """
 
 from __future__ import annotations
@@ -90,8 +86,6 @@ class SweepJob:
     robot_model: Any
     held: Optional[str]
     samples: np.ndarray
-    plan: TrajectoryPlan
-    robot: RobotArmDevice
 
 
 def stack_probes(samples: np.ndarray, robot_model: Any, held: Optional[str]) -> np.ndarray:
@@ -221,30 +215,14 @@ class ExtendedSimulator:
     #: Trajectory polling resolution (samples per motion).
     RESOLUTION = 30
 
-    def __init__(
-        self,
-        robots: Dict[str, RobotArmDevice],
-        use_batch: bool = True,
-        sweep_links: bool = False,
-    ) -> None:
+    def __init__(self, robots: Dict[str, RobotArmDevice]) -> None:
         #: The real arm devices the simulator polls for current postures.
         self._robots = dict(robots)
-        #: Whether to sweep with the vectorized engine (the fast path) or
-        #: the scalar per-sample reference loop.
-        self.use_batch = use_batch
-        #: Whether to additionally sweep every arm-link segment of the
-        #: planned joint-space motion (batched FK; strictly additive).
-        self.sweep_links = sweep_links
         #: Packed engines per (frame, excluded devices), rebuilt whenever
         #: the model's geometry revision moves.
         self._engine_cache: Dict[
             Tuple[str, Tuple[str, ...]],
             Tuple[BatchCollisionEngine, BatchCollisionEngine, int, int],
-        ] = {}
-        #: Link-radius-inflated obstacle engines for the full-arm sweep,
-        #: keyed by (frame, excluded devices, margin).
-        self._link_engine_cache: Dict[
-            Tuple[str, Tuple[str, ...], float], BatchCollisionEngine
         ] = {}
         self._engine_revision: Optional[int] = None
 
@@ -270,25 +248,19 @@ class ExtendedSimulator:
             # controller cannot plan this motion at all (the arm will
             # skip or raise on its own).
             return None
-        frame, exclude = job.frame, list(job.exclude)
         samples = len(job.samples)
-        path = "batch" if self.use_batch else "scalar"
-        sweep = self._sweep_batch if self.use_batch else self._sweep_scalar
         with OBS.span(
             "es.validate_trajectory", robot=call.robot, label=call.label.value,
-            path=path, samples=samples,
+            path="batch", samples=samples,
         ) as span:
-            problem = sweep(
-                call, model, frame, exclude, job.robot_model, job.held, job.samples
+            problem = self._sweep_batch(
+                call, model, job.frame, list(job.exclude), job.robot_model,
+                job.held, job.samples,
             )
-            if problem is None and self.sweep_links:
-                problem = self._sweep_arm_links(
-                    call, model, frame, exclude, job.robot, job.plan
-                )
             if span is not None:
                 span.set(verdict=problem or "clear")
         if facts is not None:
-            facts.sweep = Sweep(path, samples, problem)
+            facts.sweep = Sweep("batch", samples, problem)
         return problem
 
     def prepare_sweep(
@@ -341,12 +313,10 @@ class ExtendedSimulator:
             robot_model=robot_model,
             held=held,
             samples=samples,
-            plan=plan,
-            robot=robot,
         )
 
     # ------------------------------------------------------------------
-    # Batched sweep (the fast path)
+    # Batched sweep (the one every guarded command runs)
     # ------------------------------------------------------------------
 
     def _sweep_batch(
@@ -379,53 +349,6 @@ class ExtendedSimulator:
             full_engine.names,
         )
 
-    def _sweep_arm_links(
-        self,
-        call: ActionCall,
-        model: RabitLabModel,
-        frame: str,
-        exclude: List[str],
-        robot: RobotArmDevice,
-        plan: TrajectoryPlan,
-    ) -> Optional[str]:
-        """Full-arm link sweep over the planned joint-space motion.
-
-        Every polled posture's joint-origin polyline (one batched FK pass,
-        no per-sample loop) is swept segment-by-segment against the
-        link-radius-inflated obstacle engine.  Strictly additive: runs
-        only after the tool-point probes came back clear.
-        """
-        paths = plan.trajectory.link_paths_array(self.RESOLUTION)
-        engine = self._link_engine_for(model, frame, exclude, robot.profile.link_radius)
-        if len(engine) == 0:
-            return None
-        hits = engine.polylines_hit_indices(paths)
-        bad = hits >= 0
-        if not bad.any():
-            return None
-        first = int(np.argmax(bad))
-        return (
-            f"simulated trajectory of {call.robot!r}: arm link would "
-            f"collide with {engine.names[hits[first]]!r}"
-        )
-
-    def _link_engine_for(
-        self, model: RabitLabModel, frame: str, exclude: Sequence[str], margin: float
-    ) -> BatchCollisionEngine:
-        """Link-radius-inflated obstacle engine, cached like `_engines_for`."""
-        revision = model.geometry_revision
-        if revision != self._engine_revision:
-            self._engine_cache.clear()
-            self._link_engine_cache.clear()
-            self._engine_revision = revision
-        key = (frame, tuple(sorted(exclude)), float(margin))
-        engine = self._link_engine_cache.get(key)
-        if engine is None:
-            obstacles = model.obstacles_for_frame(frame, exclude=exclude)
-            engine = BatchCollisionEngine(obstacles, margin=float(margin))
-            self._link_engine_cache[key] = engine
-        return engine
-
     def _engines_for(
         self, model: RabitLabModel, frame: str, exclude: Sequence[str]
     ) -> Tuple[BatchCollisionEngine, BatchCollisionEngine]:
@@ -434,7 +357,6 @@ class ExtendedSimulator:
         revision = model.geometry_revision
         if revision != self._engine_revision:
             self._engine_cache.clear()
-            self._link_engine_cache.clear()
             self._engine_revision = revision
         key = (frame, tuple(sorted(exclude)))
         cached = self._engine_cache.get(key)

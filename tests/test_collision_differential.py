@@ -1,14 +1,16 @@
-"""Differential suite: the batch collision engine vs the scalar reference.
+"""Differential suite: the packed containment engine and the sweeps
+built on it, against their scalar references.
 
-The scalar functions in :mod:`repro.geometry.collision` are the reference
-implementation; :class:`~repro.geometry.batch.BatchCollisionEngine` is the
-vectorized fast path that the Extended Simulator actually runs.  The fast
-path is only admissible because this suite pins **exact** agreement —
-bit-equal entry times, identical hit/miss decisions, identical first-hit
-ordering — across randomized scenes (seeded ``numpy.random`` bulk sweeps
-plus hypothesis-driven edge exploration), including the degenerate cases:
-zero-length segments, axis-parallel segments, segments grazing a face or
-ending exactly on one, and nonzero margins.
+:class:`~repro.geometry.batch.BatchCollisionEngine` is the kernel the
+Extended Simulator's sweep runs; a ``for box in cuboids: if
+box.contains(p)`` loop is its reference, and this suite pins **exact**
+agreement — identical containment and first-hit order, points on faces
+included — and that the batched trajectory sweep gives the scalar
+reference loop's verdicts.  It also pins
+:func:`~repro.geometry.collision.segment_cuboid_entry_time`, the slab
+test the sensor rule runs, on the degenerate cases: zero-length
+segments, axis-parallel segments, segments grazing a face or ending
+exactly on one.
 """
 
 import math
@@ -19,124 +21,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry.batch import BatchCollisionEngine
-from repro.geometry.collision import (
-    first_collision,
-    segment_cuboid_entry_time,
-    segment_intersects_cuboid,
-)
+from repro.geometry.collision import segment_cuboid_entry_time
 from repro.geometry.shapes import Cuboid
 from repro.geometry.vec import as_vec3
 
 
-def random_scene(rng, n_cuboids, with_margins=False):
-    """A list of random cuboids (and per-cuboid margins)."""
+def random_scene(rng, n_cuboids):
+    """A list of random cuboids."""
     cuboids = []
-    margins = []
     for i in range(n_cuboids):
         lo = rng.uniform(-1.5, 1.0, 3)
         hi = lo + rng.uniform(0.0, 1.2, 3)
         cuboids.append(Cuboid(tuple(lo), tuple(hi), name=f"box_{i}"))
-        margins.append(float(rng.uniform(0.0, 0.2)) if with_margins else 0.0)
-    return cuboids, margins
-
-
-def random_segments(rng, n_segments):
-    """Random segments with boundary-degenerate cases mixed in."""
-    starts = rng.uniform(-2.0, 2.0, (n_segments, 3))
-    ends = rng.uniform(-2.0, 2.0, (n_segments, 3))
-    for s in range(n_segments):
-        mode = s % 7
-        if mode == 1:  # zero-length segment
-            ends[s] = starts[s]
-        elif mode == 2:  # axis-parallel segment
-            axis = int(rng.integers(3))
-            ends[s][axis] = starts[s][axis]
-        elif mode == 3:  # two axes frozen (parallel to an edge direction)
-            keep = int(rng.integers(3))
-            for axis in range(3):
-                if axis != keep:
-                    ends[s][axis] = starts[s][axis]
-    return starts, ends
-
-
-class TestSegmentEntryAgreement:
-    """segment_entry_times == segment_cuboid_entry_time on every pair."""
-
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    @pytest.mark.parametrize("with_margins", [False, True])
-    def test_randomized_pairs_agree_exactly(self, seed, with_margins):
-        rng = np.random.default_rng(seed)
-        cuboids, margins = random_scene(rng, 12, with_margins=with_margins)
-        starts, ends = random_segments(rng, 24)
-        # Snap some coordinates exactly onto cuboid faces to probe the
-        # closed-boundary convention (grazing, ending on a face).
-        for s in range(0, len(starts), 5):
-            box = cuboids[int(rng.integers(len(cuboids)))]
-            axis = int(rng.integers(3))
-            starts[s][axis] = box.lo[axis]
-            ends[s + 1 if s + 1 < len(ends) else s][axis] = box.hi[axis]
-
-        engine = BatchCollisionEngine(cuboids, margin=margins)
-        times = engine.segment_entry_times(starts, ends)
-
-        disagreements = []
-        for s in range(len(starts)):
-            for n, (cuboid, margin) in enumerate(zip(cuboids, margins)):
-                box = cuboid.inflated(margin) if margin > 0 else cuboid
-                want = segment_cuboid_entry_time(starts[s], ends[s], box)
-                got = None if np.isnan(times[s, n]) else float(times[s, n])
-                if want != got:
-                    disagreements.append((s, n, want, got))
-        assert disagreements == []
-
-    def test_case_count_meets_floor(self):
-        """The acceptance criterion demands >= 1000 randomized pairs."""
-        rng = np.random.default_rng(99)
-        cuboids, margins = random_scene(rng, 25, with_margins=True)
-        starts, ends = random_segments(rng, 60)
-        engine = BatchCollisionEngine(cuboids, margin=margins)
-        times = engine.segment_entry_times(starts, ends)
-        checked = 0
-        for s in range(len(starts)):
-            for n, (cuboid, margin) in enumerate(zip(cuboids, margins)):
-                box = cuboid.inflated(margin) if margin > 0 else cuboid
-                want = segment_cuboid_entry_time(starts[s], ends[s], box)
-                got = None if np.isnan(times[s, n]) else float(times[s, n])
-                assert want == got, (s, n, want, got)
-                checked += 1
-        assert checked >= 1000
-
-    @given(
-        p0=st.tuples(*[st.floats(-2, 2, allow_nan=False) for _ in range(3)]),
-        p1=st.tuples(*[st.floats(-2, 2, allow_nan=False) for _ in range(3)]),
-        lo=st.tuples(*[st.floats(-1.5, 0.5, allow_nan=False) for _ in range(3)]),
-        size=st.tuples(*[st.floats(0, 1.5, allow_nan=False) for _ in range(3)]),
-        margin=st.floats(0, 0.3, allow_nan=False),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_hypothesis_single_pair(self, p0, p1, lo, size, margin):
-        hi = tuple(a + b for a, b in zip(lo, size))
-        cuboid = Cuboid(lo, hi, name="hyp")
-        engine = BatchCollisionEngine([cuboid], margin=margin)
-        box = cuboid.inflated(margin) if margin > 0 else cuboid
-        want = segment_cuboid_entry_time(p0, p1, box)
-        t = engine.segment_entry_times([p0], [p1])[0, 0]
-        got = None if np.isnan(t) else float(t)
-        assert want == got
-        assert segment_intersects_cuboid(p0, p1, cuboid, margin=margin) == (
-            got is not None
-        )
+    return cuboids
 
 
 class TestDegenerateGeometry:
     BOX = Cuboid((0, 0, 0), (1, 1, 1), name="unit")
 
     def check_pair(self, p0, p1):
-        engine = BatchCollisionEngine([self.BOX])
-        t = engine.segment_entry_times([p0], [p1])[0, 0]
-        got = None if np.isnan(t) else float(t)
-        assert got == segment_cuboid_entry_time(p0, p1, self.BOX)
-        return got
+        return segment_cuboid_entry_time(p0, p1, self.BOX)
 
     def test_zero_length_inside(self):
         assert self.check_pair([0.5, 0.5, 0.5], [0.5, 0.5, 0.5]) == 0.0
@@ -171,136 +75,23 @@ class TestDegenerateGeometry:
         assert got == 1.0
 
 
-class TestFirstHitAgreement:
-    """polyline_first_hit == first_collision: obstacle, segment, t, point."""
-
-    @pytest.mark.parametrize("seed", [7, 8, 9])
-    @pytest.mark.parametrize("margin", [0.0, 0.07])
-    def test_random_polylines(self, seed, margin):
-        rng = np.random.default_rng(seed)
-        cuboids, _ = random_scene(rng, 10)
-        engine = BatchCollisionEngine(cuboids, margin=margin)
-        for _ in range(40):
-            waypoints = rng.uniform(-2.0, 2.0, (int(rng.integers(2, 8)), 3))
-            want = first_collision(waypoints, cuboids, margin=margin)
-            got = engine.polyline_first_hit(waypoints)
-            if want is None:
-                assert got is None
-            else:
-                assert got is not None
-                assert (got.obstacle, got.waypoint_index, got.t) == (
-                    want.obstacle,
-                    want.waypoint_index,
-                    want.t,
-                )
-                assert got.point == want.point
-
-    def test_tie_breaks_to_first_cuboid(self):
-        # Two identical cuboids: the scalar loop keeps the first iterated.
-        twin_a = Cuboid((0, 0, 0), (1, 1, 1), name="twin_a")
-        twin_b = Cuboid((0, 0, 0), (1, 1, 1), name="twin_b")
-        waypoints = [[-1, 0.5, 0.5], [2, 0.5, 0.5]]
-        want = first_collision(waypoints, [twin_a, twin_b])
-        got = BatchCollisionEngine([twin_a, twin_b]).polyline_first_hit(waypoints)
-        assert want is not None and got is not None
-        assert got.obstacle == want.obstacle == "twin_a"
-
-    def test_empty_engine_and_short_polyline(self):
-        engine = BatchCollisionEngine([])
-        assert engine.polyline_first_hit([[0, 0, 0], [1, 1, 1]]) is None
-        engine = BatchCollisionEngine([Cuboid((0, 0, 0), (1, 1, 1))])
-        assert engine.polyline_first_hit([[0.5, 0.5, 0.5]]) is None
-
-
-class TestStackedPolylineAgreement:
-    """polylines_hit_indices row s == polyline_first_hit(paths[s]).
-
-    This is the (S, P, 3) query the Extended Simulator's full-arm link
-    sweep feeds straight from the batched FK kernel."""
-
-    @pytest.mark.parametrize("seed", [11, 12])
-    @pytest.mark.parametrize("margin", [0.0, 0.045])
-    def test_random_stacks(self, seed, margin):
-        rng = np.random.default_rng(seed)
-        cuboids, _ = random_scene(rng, 8)
-        engine = BatchCollisionEngine(cuboids, margin=margin)
-        paths = rng.uniform(-2.0, 2.0, (30, 5, 3))
-        hits = engine.polylines_hit_indices(paths)
-        assert hits.shape == (30,)
-        for s in range(30):
-            want = engine.polyline_first_hit(paths[s])
-            if want is None:
-                assert hits[s] == -1
-            else:
-                assert engine.names[hits[s]] == want.obstacle
-
-    def test_empty_cases(self):
-        engine = BatchCollisionEngine([Cuboid((0, 0, 0), (1, 1, 1))])
-        assert np.array_equal(
-            engine.polylines_hit_indices(np.zeros((3, 1, 3))), [-1, -1, -1]
-        )
-        empty = BatchCollisionEngine([])
-        assert np.array_equal(
-            empty.polylines_hit_indices(np.zeros((2, 4, 3))), [-1, -1]
-        )
-        with pytest.raises(ValueError, match=r"\(S, P, 3\)"):
-            engine.polylines_hit_indices(np.zeros((4, 3)))
-
-
-class TestIncrementalUpdates:
-    """add/update/remove keep the packed arrays in lockstep with scalar."""
-
-    def test_update_moves_a_cuboid(self):
-        rng = np.random.default_rng(42)
-        cuboids, _ = random_scene(rng, 5)
-        engine = BatchCollisionEngine(cuboids, margin=0.05)
-        # A held vial moves: replace row 2 and re-check the whole scene.
-        moved = cuboids[2].translated((0.3, -0.2, 0.1))
-        engine.update(2, moved)
-        cuboids[2] = moved
-        starts, ends = random_segments(rng, 15)
-        times = engine.segment_entry_times(starts, ends)
-        for s in range(len(starts)):
-            for n, cuboid in enumerate(cuboids):
-                want = segment_cuboid_entry_time(starts[s], ends[s], cuboid.inflated(0.05))
-                got = None if np.isnan(times[s, n]) else float(times[s, n])
-                assert want == got
-
-    def test_add_and_remove(self):
-        box_a = Cuboid((0, 0, 0), (1, 1, 1), name="a")
-        box_b = Cuboid((2, 0, 0), (3, 1, 1), name="b")
-        engine = BatchCollisionEngine([box_a])
-        idx = engine.add(box_b)
-        assert idx == 1 and len(engine) == 2
-        hit = engine.polyline_first_hit([[2.5, 0.5, -1], [2.5, 0.5, 2]])
-        assert hit is not None and hit.obstacle == "b"
-        engine.remove(engine.index_of("a"))
-        assert engine.names == ["b"]
-        assert engine.polyline_first_hit([[0.5, 0.5, -1], [0.5, 0.5, 2]]) is None
-
-    def test_update_can_change_margin(self):
-        box = Cuboid((0, 0, 0), (1, 1, 1), name="box")
-        engine = BatchCollisionEngine([box])
-        a, b = [-1, 0.5, 1.05], [2, 0.5, 1.05]
-        assert np.isnan(engine.segment_entry_times([a], [b])[0, 0])
-        engine.update(0, box, margin=0.1)
-        assert not np.isnan(engine.segment_entry_times([a], [b])[0, 0])
-
-
 class TestContainment:
     def test_contains_matches_scalar(self):
         rng = np.random.default_rng(5)
-        cuboids, margins = random_scene(rng, 8, with_margins=True)
-        engine = BatchCollisionEngine(cuboids, margin=margins)
+        cuboids = random_scene(rng, 8)
+        engine = BatchCollisionEngine(cuboids)
         points = rng.uniform(-2, 2, (50, 3))
-        # Snap some points exactly onto faces.
+        # Snap some points exactly onto faces and corners.
         points[0] = cuboids[0].lo
         points[1] = cuboids[1].hi
+        for p in range(2, 20):
+            box = cuboids[int(rng.integers(len(cuboids)))]
+            axis = int(rng.integers(3))
+            points[p][axis] = box.lo[axis] if p % 2 else box.hi[axis]
         matrix = engine.contains_points(points)
         for p in range(len(points)):
-            for n, (cuboid, margin) in enumerate(zip(cuboids, margins)):
-                box = cuboid.inflated(margin) if margin > 0 else cuboid
-                assert matrix[p, n] == box.contains(points[p])
+            for n, cuboid in enumerate(cuboids):
+                assert matrix[p, n] == cuboid.contains(points[p])
 
     def test_first_containing_matches_loop_order(self):
         overlapping = [
@@ -311,6 +102,14 @@ class TestContainment:
         idx = engine.first_containing([[1.0, 1.0, 1.0], [5, 5, 5]])
         assert idx[0] == 0  # lowest index wins, like the scalar loop
         assert idx[1] == -1
+        rng = np.random.default_rng(6)
+        cuboids = random_scene(rng, 10)
+        points = rng.uniform(-2, 2, (200, 3))
+        want = [
+            next((n for n, box in enumerate(cuboids) if box.contains(p)), -1)
+            for p in points
+        ]
+        assert BatchCollisionEngine(cuboids).first_containing(points).tolist() == want
 
 
 def _numpy_contains(box, point, tol=0.0):
@@ -395,7 +194,8 @@ class TestPointInBoxDifferential:
 
 
 class TestExtendedSimulatorDifferential:
-    """Batch and scalar trajectory sweeps return identical verdicts."""
+    """The guard's batched sweep and the scalar reference loop return
+    identical verdicts."""
 
     def test_random_moves_agree(self):
         from repro.core.actions import ActionCall, ActionLabel
@@ -405,8 +205,7 @@ class TestExtendedSimulatorDifferential:
 
         deck = build_hein_deck()
         rabit, proxies, _ = make_rabit(deck)
-        batch = ExtendedSimulator({"ur3e": deck.ur3e}, use_batch=True)
-        scalar = ExtendedSimulator({"ur3e": deck.ur3e}, use_batch=False)
+        checker = ExtendedSimulator({"ur3e": deck.ur3e})
 
         rng = np.random.default_rng(11)
         verdicts = []
@@ -423,10 +222,14 @@ class TestExtendedSimulatorDifferential:
                 rabit.state.set("robot_holding", "ur3e", "vial_1")
             else:
                 rabit.state.set("robot_holding", "ur3e", None)
-            want = scalar.validate_trajectory(
+            job = checker.prepare_sweep(
                 call, rabit.state, rabit.model, account_held_objects=True
             )
-            got = batch.validate_trajectory(
+            want = None if job is None else checker._sweep_scalar(
+                call, rabit.model, job.frame, list(job.exclude),
+                job.robot_model, job.held, job.samples,
+            )
+            got = checker.validate_trajectory(
                 call, rabit.state, rabit.model, account_held_objects=True
             )
             assert got == want, (target, want, got)
@@ -444,7 +247,7 @@ class TestExtendedSimulatorDifferential:
 
         deck = build_hein_deck()
         rabit, proxies, _ = make_rabit(deck)
-        checker = ExtendedSimulator({"ur3e": deck.ur3e}, use_batch=True)
+        checker = ExtendedSimulator({"ur3e": deck.ur3e})
         call = ActionCall(
             ActionLabel.MOVE_ROBOT, "ur3e", robot="ur3e", target=(0.3, -0.05, 0.28)
         )

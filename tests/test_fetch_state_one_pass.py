@@ -7,10 +7,11 @@ becomes ``S_current``.  The reference builds the observed snapshot first
 and compares and merges it with ``LabState.diff_observable`` and
 ``LabState.merge_observed``.  These tests pin that the pass leaves the
 same entries (the same objects), value types, reprs and tokens as the
-merge, and reports the mismatch ``diff_observable`` lists first; and
-that on real decks a jammed door raises the same alert as before and
-every adopted state reports the token of its entries written through
-``set``.
+merge, and reports the mismatch ``diff_observable`` lists first — a
+report ``float()`` refuses, or a NaN, included; and that on real decks
+a jammed door raises the same alert as before, a wrong-typed or NaN
+dosing report raises "Device malfunction!", and every adopted state
+reports the token of its entries written through ``set``.
 """
 
 from types import SimpleNamespace
@@ -169,14 +170,9 @@ class TestOnePassEqualsCompareThenMerge:
         shape_before = _shape(expected)
         merged = expected.merge_observed(observed)
         rabit, polls = _monitor(device_reports)
-        try:
-            diffs = expected.diff_observable(observed)
-        except (TypeError, ValueError):
-            # A float compared with a value float() refuses: the pass
-            # raises too, and the monitor adopts nothing.
-            with pytest.raises((TypeError, ValueError)):
-                rabit._fetch_and_adopt(expected.copy())
-            return
+        # A float compared with a value float() refuses, or with a NaN,
+        # is a mismatch: both the oracle and the pass report it.
+        diffs = expected.diff_observable(observed)
 
         state = expected.copy()
         first = rabit._fetch_and_adopt(state)
@@ -215,6 +211,22 @@ class TestOnePassEqualsCompareThenMerge:
         ]
         first = _monitor(device_reports)[0]._fetch_and_adopt(expected)
         assert first == ("action_value", "dev_a", 3.0, 4.0)
+
+    @pytest.mark.parametrize(
+        "expected_value, reported",
+        [(0.0, None), (0.0, "n/a"), (0.0, (0.0,)), (0.0, float("nan")),
+         (float("nan"), 0.0), (float("nan"), float("nan")), (None, 0.0),
+         ("open", 1.0), pytest.param(0.0, 10**400, id="0.0-int-past-float-range")],
+        ids=repr,
+    )
+    def test_wrong_typed_and_nan_reports_are_mismatches(self, expected_value, reported):
+        expected = _written([("dispensed_mg", "dev_a", expected_value)])
+        observed = _written([("dispensed_mg", "dev_a", reported)])
+        diffs = expected.diff_observable(observed)
+        assert diffs == [("dispensed_mg", "dev_a", expected_value, reported)]
+        first = _monitor([("dev_a", {"dispensed_mg": reported})])[0]._fetch_and_adopt(expected)
+        _assert_same_mismatch(first, diffs)
+        assert expected.get("dispensed_mg", "dev_a") is reported
 
     def test_volatile_and_tolerated_differences_are_adopted_not_reported(self):
         expected = _written([
@@ -283,6 +295,23 @@ class TestOnePassOnDecks:
                 state = rabit.state
                 assert state.fingerprint_token() == _rewritten(state).fingerprint_token()
         assert messages == JAMMED_DOOR_ALERTS[deck_name]
+
+    @pytest.mark.parametrize("reported", [None, "n/a", float("nan")], ids=repr)
+    def test_wrong_typed_or_nan_report_is_a_device_malfunction(self, reported):
+        deck = build_deck("hein")
+        rabit, proxies, _ = make_rabit(deck, options=default_serve_options())
+        doser = deck.devices["dosing_device"]
+        honest = doser.status
+        doser.status = lambda: {**honest(), "dispensed_mg": reported}
+        before = rabit.alert_count
+        proxies["dosing_device"].open_door()
+        assert rabit.alert_count == before + 1
+        alert = rabit.last_alert()
+        assert alert.kind is AlertKind.DEVICE_MALFUNCTION
+        assert alert.message == (
+            "after open_door: expected dispensed_mg[dosing_device] = 0.0 "
+            f"but device reports {reported!r}"
+        )
 
     @pytest.mark.parametrize(
         "workload, deck_name",

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.geometry.collision import (
-    cuboids_overlap,
-    first_collision,
-    point_in_cuboid,
-    polyline_intersects_cuboid,
-    segment_cuboid_entry_time,
-    segment_intersects_cuboid,
-)
+from repro.geometry.collision import segment_cuboid_entry_time
 from repro.geometry.shapes import Cuboid
 
 BOX = Cuboid((0, 0, 0), (1, 1, 1), name="box")
@@ -17,20 +10,8 @@ BOX = Cuboid((0, 0, 0), (1, 1, 1), name="box")
 
 class TestPointAndOverlap:
     def test_point_in_cuboid(self):
-        assert point_in_cuboid([0.5, 0.5, 0.5], BOX)
-        assert not point_in_cuboid([1.5, 0.5, 0.5], BOX)
-
-    def test_overlap_true_when_intersecting(self):
-        other = Cuboid((0.5, 0.5, 0.5), (2, 2, 2))
-        assert cuboids_overlap(BOX, other)
-        assert cuboids_overlap(other, BOX)
-
-    def test_overlap_shared_face_counts(self):
-        touching = Cuboid((1, 0, 0), (2, 1, 1))
-        assert cuboids_overlap(BOX, touching)
-
-    def test_overlap_false_when_separated(self):
-        assert not cuboids_overlap(BOX, Cuboid((2, 2, 2), (3, 3, 3)))
+        assert BOX.contains([0.5, 0.5, 0.5])
+        assert not BOX.contains([1.5, 0.5, 0.5])
 
 
 class TestSegmentEntry:
@@ -57,44 +38,7 @@ class TestSegmentEntry:
 
 class TestSegmentIntersects:
     def test_margin_widens_box(self):
-        # Passes 0.05 above the box: misses bare, hits with margin 0.1.
+        # Passes 0.05 above the box: misses bare, hits it inflated by 0.1.
         a, b = [-1, 0.5, 1.05], [2, 0.5, 1.05]
-        assert not segment_intersects_cuboid(a, b, BOX)
-        assert segment_intersects_cuboid(a, b, BOX, margin=0.1)
-
-
-class TestPolyline:
-    def test_reports_first_segment_hit(self):
-        waypoints = [[-1, 0.5, 2], [-1, 0.5, 0.5], [2, 0.5, 0.5]]
-        hit = polyline_intersects_cuboid(waypoints, BOX)
-        assert hit is not None
-        assert hit.waypoint_index == 1
-        assert hit.obstacle == "box"
-        assert hit.point[0] == pytest.approx(0.0)
-
-    def test_clean_polyline_returns_none(self):
-        waypoints = [[-1, 2, 2], [2, 2, 2], [2, -2, 2]]
-        assert polyline_intersects_cuboid(waypoints, BOX) is None
-
-
-class TestFirstCollision:
-    def test_orders_by_path_progress(self):
-        near = Cuboid((0.0, 0, 0), (0.4, 1, 1), name="near")
-        far = Cuboid((0.6, 0, 0), (1.0, 1, 1), name="far")
-        hit = first_collision([[-1, 0.5, 0.5], [2, 0.5, 0.5]], [far, near])
-        assert hit is not None and hit.obstacle == "near"
-
-    def test_orders_across_segments(self):
-        early = Cuboid((0, 0, 0), (1, 1, 1), name="early")
-        late = Cuboid((5, 0, 0), (6, 1, 1), name="late")
-        waypoints = [[-1, 0.5, 0.5], [2, 0.5, 0.5], [7, 0.5, 0.5]]
-        hit = first_collision(waypoints, [late, early])
-        assert hit is not None and hit.obstacle == "early"
-        assert hit.waypoint_index == 0
-
-    def test_none_when_clear(self):
-        assert first_collision([[-1, 5, 5], [2, 5, 5]], [BOX]) is None
-
-    def test_collision_hit_str(self):
-        hit = first_collision([[-1, 0.5, 0.5], [2, 0.5, 0.5]], [BOX])
-        assert "box" in str(hit)
+        assert segment_cuboid_entry_time(a, b, BOX) is None
+        assert segment_cuboid_entry_time(a, b, BOX.inflated(0.1)) is not None

@@ -164,11 +164,6 @@ class TestTrajectory:
         stay = plan_joint_trajectory(chain, [0] * 6, [0] * 6)
         assert stay.duration > 0
 
-    def test_end_effector_path_length(self):
-        chain = UR3E.chain()
-        traj = plan_joint_trajectory(chain, UR3E.home_q, UR3E.sleep_q)
-        assert len(traj.end_effector_path(20)) == 21
-
     def test_negative_speed_rejected(self):
         with pytest.raises(ValueError, match="positive"):
             plan_joint_trajectory(UR3E.chain(), [0] * 6, [1] * 6, speed=0.0)

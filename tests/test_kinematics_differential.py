@@ -1,11 +1,9 @@
-"""Differential suite: batched kinematics kernel vs the scalar reference.
+"""Differential suite: the kinematics fast paths vs their references.
 
-The batched FK/Jacobian paths are hot-path twins of the scalar
-textbook recurrences, exactly as the batch collision engine twins the
-scalar slab test.  This suite is the gate that makes the speedup safe:
+The analytic Jacobian, the shared-FK IK iteration and the shared plan
+cache are hot-path twins of simpler references.  This suite is the gate
+that makes them safe:
 
-- batch FK and joint-position stacks agree with the scalar loop to
-  <= 1e-12 (in practice they are bit-identical — same float64 ops);
 - the analytic position Jacobian matches central differences to <= 1e-6
   on every profile arm, prismatic joints included;
 - IK convergence verdicts are identical between the analytic and
@@ -32,7 +30,6 @@ from repro.kinematics.ik import (
     solve_position_ik,
 )
 from repro.kinematics.profiles import N9, NED2, UR3E, UR5E, VIPERX_300
-from repro.kinematics.trajectory import plan_joint_trajectory
 from repro.obs import OBS
 from repro.serve.session import default_serve_options
 from repro.workflow.presets import build_preset, preset_matrix, run_preset
@@ -57,50 +54,6 @@ def _targets(profile, count, seed):
     tgts[:, 2] = np.abs(tgts[:, 2]) + 0.05
     tgts[3 * count // 4:] *= 8.0  # far outside every arm's envelope
     return tgts
-
-
-class TestBatchForwardKinematics:
-    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
-    def test_forward_batch_matches_scalar(self, profile):
-        chain = profile.chain()
-        Q = _postures(profile, 64, seed=11)
-        poses = chain.forward_batch(Q)
-        assert poses.shape == (64, 4, 4)
-        for q, pose in zip(Q, poses):
-            assert np.allclose(pose, chain.forward(q).matrix, atol=FK_ATOL, rtol=0.0)
-
-    @pytest.mark.parametrize("profile", ALL_PROFILES, ids=lambda p: p.name)
-    def test_joint_positions_batch_matches_scalar(self, profile):
-        chain = profile.chain()
-        Q = _postures(profile, 64, seed=13)
-        stacks = chain.joint_positions_batch(Q)
-        assert stacks.shape == (64, profile.dof + 1, 3)
-        for q, stack in zip(Q, stacks):
-            assert np.allclose(
-                stack, np.array(chain.joint_positions(q)), atol=FK_ATOL, rtol=0.0
-            )
-
-    def test_batch_respects_base_transform(self):
-        base = translation([0.4, -0.2, 0.1]) @ rotation_z(0.7)
-        chain = UR3E.chain().with_base(base)
-        Q = _postures(UR3E, 16, seed=17)
-        poses = chain.forward_batch(Q)
-        for q, pose in zip(Q, poses):
-            assert np.allclose(pose, chain.forward(q).matrix, atol=FK_ATOL, rtol=0.0)
-
-    def test_frames_batch_matches_scalar_frames(self):
-        chain = N9.chain()  # exercises the prismatic branch
-        Q = _postures(N9, 32, seed=19)
-        frames = chain.frames_batch(Q)
-        for q, stack in zip(Q, frames):
-            assert np.allclose(stack, chain.frames(q), atol=FK_ATOL, rtol=0.0)
-
-    def test_batch_rejects_bad_shapes(self):
-        chain = UR3E.chain()
-        with pytest.raises(ValueError, match="joint matrix"):
-            chain.forward_batch(np.zeros((4, 5)))
-        with pytest.raises(ValueError, match="joint matrix"):
-            chain.joint_positions_batch(np.zeros(6))
 
 
 class TestAnalyticJacobian:
@@ -224,7 +177,7 @@ class TestSharedFKPass:
                 analytic_position_jacobian(chain, q),
                 _np_cross_jacobian(chain.frames(q), mask),
             )
-        frames = chain.frames_batch(postures)
+        frames = np.stack([chain.frames(q) for q in postures])
         assert np.array_equal(
             _jacobian_from_frames(frames, mask), _np_cross_jacobian(frames, mask)
         )
@@ -248,25 +201,6 @@ class TestSharedFKPass:
         finally:
             if not was_enabled:
                 OBS.disable()
-
-
-class TestTrajectoryArrays:
-    @pytest.mark.parametrize("profile", (UR3E, N9), ids=lambda p: p.name)
-    def test_link_paths_array_matches_scalar(self, profile):
-        traj = plan_joint_trajectory(profile.chain(), profile.home_q, profile.sleep_q)
-        packed = traj.link_paths_array(25)
-        scalar = traj.link_paths(25)
-        assert packed.shape == (26, profile.dof + 1, 3)
-        for row, frame in zip(packed, scalar):
-            assert np.allclose(row, np.array(frame), atol=FK_ATOL, rtol=0.0)
-
-    def test_end_effector_path_array_matches_scalar(self):
-        traj = plan_joint_trajectory(UR5E.chain(), UR5E.home_q, UR5E.sleep_q)
-        packed = traj.end_effector_path_array(30)
-        scalar = traj.end_effector_path(30)
-        assert packed.shape == (31, 3)
-        for row, point in zip(packed, scalar):
-            assert np.allclose(row, point, atol=FK_ATOL, rtol=0.0)
 
 
 def _bits(values):

@@ -8,11 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.state import LabState, OBSERVABLE_VARS
-from repro.geometry.collision import (
-    cuboids_overlap,
-    point_in_cuboid,
-    segment_cuboid_entry_time,
-)
+from repro.geometry.collision import segment_cuboid_entry_time
 from repro.geometry.shapes import Cuboid, bounding_cuboid
 from repro.geometry.transforms import (
     estimate_rigid_transform,
@@ -67,10 +63,6 @@ class TestCuboidProperties:
         for p in points:
             assert box.contains(p, tol=1e-9)
 
-    @given(boxes())
-    def test_overlap_is_reflexive(self, box):
-        assert cuboids_overlap(box, box)
-
 
 class TestSegmentProperties:
     @given(boxes(), point, point)
@@ -83,7 +75,7 @@ class TestSegmentProperties:
 
     @given(boxes(), point, point)
     def test_endpoint_inside_implies_hit(self, box, a, b):
-        if point_in_cuboid(a, box) or point_in_cuboid(b, box):
+        if box.contains(a) or box.contains(b):
             assert segment_cuboid_entry_time(a, b, box) is not None
 
 

@@ -1,4 +1,4 @@
-"""Tests for the URSim substrate and the Extended Simulator."""
+"""Tests for the Extended Simulator, its GUI latency model and renderer."""
 
 import numpy as np
 import pytest
@@ -10,37 +10,11 @@ from repro.core.state import LabState
 from repro.lab.decks import make_rabit
 from repro.lab.hein import build_hein_deck
 from repro.kinematics.arm import ArmKinematics
-from repro.kinematics.profiles import UR3E, VIPERX_300
+from repro.kinematics.profiles import UR3E
 from repro.simulator.extended import ExtendedSimulator
 from repro.simulator.gui import GuiLatencyModel
-from repro.simulator.ursim import URSimArm
 from repro.core.clock import VirtualClock
 from repro.testbed.deck import build_testbed_deck
-
-
-class TestURSim:
-    def test_plans_reachable_targets(self):
-        sim = URSimArm(UR3E)
-        plan = sim.try_plan([0.25, 0.1, 0.2])
-        assert plan is not None and not plan.skipped
-
-    def test_reports_unreachable_as_none_even_for_viperx(self):
-        # URSim is a simulator: it reports infeasibility instead of
-        # silently skipping, regardless of the vendor controller.
-        sim = URSimArm(VIPERX_300)
-        assert sim.try_plan([0, 0, 5.0]) is None
-
-    def test_simulate_returns_polled_polylines(self):
-        sim = URSimArm(UR3E)
-        plan = sim.try_plan([0.25, 0.1, 0.2])
-        frames = sim.simulate(plan, resolution=10)
-        assert len(frames) == 11
-        assert len(frames[0]) == UR3E.dof + 1
-
-    def test_posture_sync(self):
-        sim = URSimArm(UR3E)
-        sim.set_posture(UR3E.sleep_q)
-        assert np.allclose(sim.kinematics.q, UR3E.sleep_q)
 
 
 class TestExtendedSimulatorChecks:
@@ -116,90 +90,6 @@ class TestExtendedSimulatorChecks:
         assert checker.validate_trajectory(
             call, LabState(), rabit.model, account_held_objects=True
         ) is None
-
-
-class TestArmLinkSweep:
-    """The batched full-arm link sweep (``sweep_links=True``): joint-space
-    polylines from the vectorized FK kernel, swept segment-by-segment
-    against the link-radius-inflated obstacle engine."""
-
-    def _setup(self, sweep_links):
-        deck = build_hein_deck()
-        rabit, _, _ = make_rabit(deck)
-        checker = ExtendedSimulator({"ur3e": deck.ur3e}, sweep_links=sweep_links)
-        return deck, rabit, checker
-
-    def test_off_by_default_and_clear_move_stays_clear(self):
-        deck, rabit, checker = self._setup(sweep_links=True)
-        assert ExtendedSimulator({"ur3e": deck.ur3e}).sweep_links is False
-        call = ActionCall(
-            ActionLabel.MOVE_ROBOT, "ur3e", robot="ur3e", target=(0.3, -0.05, 0.28),
-            location="grid_a1_safe",
-        )
-        assert checker.validate_trajectory(
-            call, rabit.state, rabit.model, account_held_objects=True
-        ) is None
-
-    def test_catches_elbow_strike_the_tool_sweep_misses(self):
-        from repro.core.config import build_model
-        from repro.lab.hein import build_hein_deck as rebuild
-
-        deck, rabit, checker = self._setup(sweep_links=True)
-        robot = deck.ur3e
-        target = (0.3, -0.05, 0.28)
-        # Re-plan the exact motion the simulator will poll and pick a
-        # mid-motion *elbow* position well away from the straight
-        # end-effector line the tool-point sweep probes.
-        plan = robot.kinematics.plan_move(target)
-        paths = plan.trajectory.link_paths_array(ExtendedSimulator.RESOLUTION)
-        ee_start = np.asarray(robot.kinematics.current_position())
-        ee_end = paths[-1, -1]
-        steps = np.linspace(0.0, 1.0, ExtendedSimulator.RESOLUTION + 1)
-        ee_line = ee_start[None, :] + (ee_end - ee_start)[None, :] * steps[:, None]
-        best = None
-        for s in range(paths.shape[0]):
-            for j in range(2, paths.shape[1] - 1):  # elbow/wrist origins
-                p = paths[s, j]
-                clearance = np.min(np.linalg.norm(ee_line - p[None, :], axis=1))
-                if best is None or clearance > best[0]:
-                    best = (clearance, p)
-        clearance, elbow = best
-        assert clearance > 0.08, "scene unsuitable: elbow hugs the tool line"
-
-        config = rebuild().config
-        config["obstacles"].append({
-            "name": "overhead_duct",
-            "surface": False,
-            "frames": {"ur3e": {
-                "min": [float(x) - 0.02 for x in elbow],
-                "max": [float(x) + 0.02 for x in elbow],
-            }},
-        })
-        model = build_model(config)
-        call = ActionCall(ActionLabel.MOVE_ROBOT, "ur3e", robot="ur3e", target=target)
-
-        problem = checker.validate_trajectory(
-            call, rabit.state, model, account_held_objects=True
-        )
-        assert problem is not None and "arm link would collide" in problem
-        assert "overhead_duct" in problem
-
-        # The paper's tool-point mechanism (links off) misses the same strike.
-        tool_only = ExtendedSimulator({"ur3e": deck.ur3e})
-        assert tool_only.validate_trajectory(
-            call, rabit.state, model, account_held_objects=True
-        ) is None
-
-    def test_link_sweep_engine_cache_reuses_revision(self):
-        deck, rabit, checker = self._setup(sweep_links=True)
-        call = ActionCall(
-            ActionLabel.MOVE_ROBOT, "ur3e", robot="ur3e", target=(0.3, -0.05, 0.28),
-        )
-        for _ in range(2):
-            checker.validate_trajectory(
-                call, rabit.state, rabit.model, account_held_objects=True
-            )
-        assert len(checker._link_engine_cache) == 1
 
 
 class TestPlanSharing:

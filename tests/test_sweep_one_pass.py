@@ -165,7 +165,7 @@ class TestFusedProbes:
             SweepJob(
                 call=_call(), model=model, frame=FRAME, exclude=exclude,
                 robot_model=robot_model, held=s["held"],
-                samples=_samples(s["start"], s["end"]), plan=None, robot=None,
+                samples=_samples(s["start"], s["end"]),
             )
             for s in jobs
         ]
