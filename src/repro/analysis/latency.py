@@ -20,7 +20,7 @@ from typing import Dict
 
 from repro.core.clock import VirtualClock
 from repro.core.monitor import RabitOptions
-from repro.workflow import build_context, build_preset, execute_dag
+from repro.workflow import build_preset, run_dag
 
 
 @dataclass(frozen=True)
@@ -77,12 +77,9 @@ def _run_once(
         use_extended_simulator=use_es, bypass_gui=bypass_gui,
         compiled_dispatch=compiled,
     )
-    dag = build_preset("solubility")
-    ctx = build_context(
-        dag.deck, dag.deck_params, dag.prepare,
-        options=options, clock=clock, monitored=monitored,
+    ctx, result = run_dag(
+        build_preset("solubility"), options=options, clock=clock, monitored=monitored
     )
-    result = execute_dag(dag, ctx)
     if not result.completed:  # pragma: no cover - safe workflow invariant
         raise RuntimeError(f"latency workflow did not complete: {result.alert}")
 

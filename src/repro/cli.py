@@ -32,9 +32,10 @@ Operational entry points a lab would actually use:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence, Tuple
 
 
 def _int_at_least(text: str, minimum: int, kind: str) -> int:
@@ -106,6 +107,43 @@ def _workers_type(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected a positive integer or 'auto', got {text!r}"
         ) from None
+
+
+def _param_pair(text: str) -> Tuple[str, Any]:
+    """Argparse type for ``--param key=value`` (exit 2 otherwise).
+
+    Values that parse as JSON keep their type (``seed=2024`` is an int);
+    anything else stays a string (``bug_id=H1``)."""
+    key, sep, value = text.partition("=")
+    if not sep or not key:
+        raise argparse.ArgumentTypeError(f"expected key=value, got {text!r}")
+    try:
+        return key, json.loads(value)
+    except json.JSONDecodeError:
+        return key, value
+
+
+def _out_path(text: str) -> str:
+    """Argparse type for an output file: its directory must exist and the
+    path must not be a directory (exit 2 otherwise), so a bad path fails
+    before the run instead of after it."""
+    path = Path(text)
+    if not path.parent.is_dir():
+        raise argparse.ArgumentTypeError(f"no such directory: {str(path.parent)!r}")
+    if text and path.is_dir():
+        raise argparse.ArgumentTypeError(f"{text!r} is a directory")
+    return text
+
+
+def _dir_path(text: str) -> str:
+    """Argparse type for an output directory: made when missing, but no
+    part of the path may be an existing file (exit 2 otherwise), so the
+    sweep does not run to its end and then fail to make it."""
+    path = Path(text)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise argparse.ArgumentTypeError(f"{str(existing)!r} is not a directory")
+    return text
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
@@ -185,8 +223,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_montecarlo(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.metrics import montecarlo_rows
     from repro.analysis.report import format_table
     from repro.faults.montecarlo import run_monte_carlo
@@ -309,8 +345,6 @@ def _run_observed_campaign() -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    import json
-
     from repro.analysis.report import format_table
     from repro.obs import OBS
 
@@ -385,25 +419,6 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_params(pairs: Sequence[str]) -> dict:
-    """Parse repeated ``--param key=value`` workload parameters.
-
-    Values that parse as JSON keep their type (``seed=2024`` is an int);
-    anything else stays a string (``bug_id=H1``)."""
-    import json
-
-    params = {}
-    for pair in pairs:
-        key, sep, value = pair.partition("=")
-        if not sep or not key:
-            raise SystemExit(f"error: --param expects key=value, got {pair!r}")
-        try:
-            params[key] = json.loads(value)
-        except json.JSONDecodeError:
-            params[key] = value
-    return params
-
-
 def _cmd_record(args: argparse.Namespace) -> int:
     from repro.trace.workloads import WORKLOADS, record_workload
 
@@ -415,9 +430,7 @@ def _cmd_record(args: argparse.Namespace) -> int:
         )
         return 2
     try:
-        trace = record_workload(
-            args.workload, _parse_params(args.param), obs=args.obs
-        )
+        trace = record_workload(args.workload, dict(args.param), obs=args.obs)
     except (KeyError, ValueError) as exc:
         print(f"error: {exc.args[0]}", file=sys.stderr)
         return 2
@@ -572,77 +585,53 @@ def _cmd_workflow_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_workflow(args: argparse.Namespace):
-    """Build the DAG a workflow subcommand names: a preset (plus
-    ``--param`` overrides) or an exported spec file via ``--spec``."""
-    import json
+def _on_dag(
+    handler: Callable[[argparse.Namespace, Any], int]
+) -> Callable[[argparse.Namespace], int]:
+    """The one load-and-validate step of ``workflow show/run/export``:
+    *handler* gets the validated DAG the preset (plus ``--param``) or the
+    ``--spec`` file names; a DAG that does not load or validate exits 2."""
 
-    from repro.workflow import WorkflowDAG, build_preset
+    def run(args: argparse.Namespace) -> int:
+        from repro.workflow import load_dag
 
-    if getattr(args, "spec", ""):
-        if getattr(args, "preset", None):
-            raise SystemExit("error: give a preset name or --spec, not both")
-        return WorkflowDAG.from_spec(json.loads(Path(args.spec).read_text()))
-    if not getattr(args, "preset", None):
-        raise SystemExit("error: name a preset or pass --spec FILE")
-    return build_preset(args.preset, _parse_params(args.param))
+        try:
+            dag = load_dag(args.preset or None, dict(args.param), args.spec or None)
+            dag.validate()
+        except (KeyError, ValueError, OSError) as exc:
+            print(
+                f"error: {exc.args[0] if isinstance(exc, KeyError) else exc}",
+                file=sys.stderr,
+            )
+            return 2
+        return handler(args, dag)
+
+    return run
 
 
-def _cmd_workflow_show(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workflow import StepError, WorkflowError
-
-    try:
-        dag = _load_workflow(args)
-        dag.validate()
-    except (StepError, WorkflowError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+@_on_dag
+def _cmd_workflow_show(args: argparse.Namespace, dag: Any) -> int:
     print(json.dumps(dag.to_spec(), indent=2, sort_keys=True))
     return 0
 
 
-def _cmd_workflow_export(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.workflow import StepError, WorkflowError
-
-    try:
-        dag = _load_workflow(args)
-        dag.validate()
-    except (StepError, WorkflowError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+@_on_dag
+def _cmd_workflow_export(args: argparse.Namespace, dag: Any) -> int:
     payload = dag.spec_bytes() + b"\n"
     Path(args.out).write_bytes(payload)
     print(f"exported {dag.name!r} ({len(dag.nodes)} nodes) to {args.out}")
     return 0
 
 
-def _cmd_workflow_run(args: argparse.Namespace) -> int:
-    import json
-
+@_on_dag
+def _cmd_workflow_run(args: argparse.Namespace, dag: Any) -> int:
     from repro.analysis.report import format_table
-    from repro.workflow import (
-        StepError,
-        WorkflowError,
-        build_context,
-        execute_dag,
-        journal_digest,
-        run_journal,
-    )
+    from repro.trace.canon import canonical_bytes
+    from repro.workflow import journal_digest, run_dag, run_journal
 
     try:
-        dag = _load_workflow(args)
-        ctx = build_context(
-            deck=dag.deck,
-            deck_params=dag.deck_params,
-            prepare=dag.prepare,
-            monitored=not args.unmonitored,
-        )
-        result = execute_dag(dag, ctx)
-    except (StepError, WorkflowError, ValueError, OSError, json.JSONDecodeError) as exc:
+        ctx, result = run_dag(dag, monitored=not args.unmonitored)
+    except ValueError as exc:  # the deck or its vial preparation refused
         print(f"error: {exc}", file=sys.stderr)
         return 2
     journal = run_journal(
@@ -663,10 +652,7 @@ def _cmd_workflow_run(args: argparse.Namespace) -> int:
     ]
     print(format_table(["field", "value"], rows, title=f"Workflow run: {dag.name}"))
     if args.journal:
-        with Path(args.journal).open("wb") as fh:
-            from repro.trace.canon import canonical_bytes
-
-            fh.write(canonical_bytes(journal) + b"\n")
+        Path(args.journal).write_bytes(canonical_bytes(journal) + b"\n")
         print(f"wrote journal to {args.journal}")
     return 0 if result.completed else 1
 
@@ -689,6 +675,39 @@ def _cmd_render(args: argparse.Namespace) -> int:
     return 0
 
 
+def _flag_groups() -> Tuple[argparse.ArgumentParser, ...]:
+    """The flag groups several subcommands share, each declared once:
+    ``(sweep, params, source)``.
+
+    *sweep* is ``--workers``/``--trace-dir`` (``campaign``,
+    ``montecarlo``); *params* is ``--param`` (``record`` and the
+    workflow commands); *source* names a workflow: a preset (plus
+    *params*) or a ``--spec`` file, exactly one of the two
+    (``workflow show/run/export``)."""
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument(
+        "--workers", type=_workers_type, default=1, metavar="N|auto",
+        help="process-pool workers; 'auto' means one per CPU (default: 1, sequential)",
+    )
+    sweep.add_argument(
+        "--trace-dir", default="", dest="trace_dir", type=_dir_path,
+        help="dump a replayable run trace here for every case whose outcome "
+        "is wrong (a paper-mismatched bug, a misclassified mutant)",
+    )
+    params = argparse.ArgumentParser(add_help=False)
+    params.add_argument(
+        "--param", action="append", default=[], type=_param_pair, metavar="KEY=VALUE",
+        help="preset or workload parameter (repeatable); e.g. --param seed=2024",
+    )
+    source = argparse.ArgumentParser(add_help=False, parents=[params])
+    named = source.add_mutually_exclusive_group(required=True)
+    named.add_argument("preset", nargs="?", default="", help="preset name")
+    named.add_argument(
+        "--spec", default="", help="an exported spec file instead of a preset"
+    )
+    return sweep, params, source
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
     parser = argparse.ArgumentParser(
@@ -696,6 +715,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="RABIT reproduction: validation, scenarios, campaign, experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    sweep, params, source = _flag_groups()
 
     p = sub.add_parser("validate", help="validate a RABIT JSON configuration")
     p.add_argument("config", help="path to the configuration file")
@@ -705,37 +725,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", default="", help="comma-separated rule ids (default: all)")
     p.set_defaults(fn=_cmd_scenarios)
 
-    p = sub.add_parser("campaign", help="run the 16-bug campaign")
+    p = sub.add_parser("campaign", parents=[sweep], help="run the 16-bug campaign")
     p.add_argument(
         "--configs", default="", help="comma-separated configurations (default: all three)"
-    )
-    p.add_argument(
-        "--workers", type=_workers_type, default=1, metavar="N|auto",
-        help="process-pool workers; 'auto' means one per CPU (default: 1, sequential)",
-    )
-    p.add_argument(
-        "--trace-dir", default="", dest="trace_dir",
-        help="dump a replayable run trace for every paper-mismatched outcome here",
     )
     p.set_defaults(fn=_cmd_campaign)
 
     p = sub.add_parser(
         "montecarlo",
+        parents=[sweep],
         help="sample random workflow mutants; print the confusion matrix",
     )
     p.add_argument("--samples", type=_positive_int, default=40, help="mutants to sample")
     p.add_argument("--seed", type=_nonneg_int, default=2024, help="sweep base seed")
     p.add_argument(
-        "--workers", type=_workers_type, default=1, metavar="N|auto",
-        help="process-pool workers; 'auto' means one per CPU (default: 1, sequential)",
-    )
-    p.add_argument(
-        "--jsonl", default="",
+        "--jsonl", default="", type=_out_path,
         help="optional path for per-mutant outcomes as JSON lines",
-    )
-    p.add_argument(
-        "--trace-dir", default="", dest="trace_dir",
-        help="dump a replayable run trace for every misclassified mutant here",
     )
     p.add_argument(
         "--generator", default="mutant", choices=["mutant", "dag"],
@@ -745,14 +750,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_montecarlo)
 
     p = sub.add_parser("latency", help="run the latency-overhead experiment")
-    dispatch = p.add_mutually_exclusive_group()
-    dispatch.add_argument(
-        "--compiled", dest="compiled", action="store_true", default=True,
-        help="use compiled rulebase dispatch (default)",
-    )
-    dispatch.add_argument(
+    p.add_argument(
         "--interpreted", dest="compiled", action="store_false",
-        help="use the interpreted full-rulebase scan (reference path)",
+        help="use the interpreted full-rulebase scan (reference path) instead "
+        "of compiled rulebase dispatch",
     )
     p.set_defaults(fn=_cmd_latency)
 
@@ -809,43 +810,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     w.set_defaults(fn=_cmd_workflow_list)
 
-    w = wf.add_parser("show", help="print a workflow's JSON spec")
-    w.add_argument("preset", nargs="?", default="", help="preset name")
-    w.add_argument("--spec", default="", help="load an exported spec file instead")
-    w.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="preset parameter (repeatable); e.g. --param dissolution_rounds=3",
-    )
+    w = wf.add_parser("show", parents=[source], help="print a workflow's JSON spec")
     w.set_defaults(fn=_cmd_workflow_show)
 
     w = wf.add_parser(
-        "run", help="execute a workflow through the guarded pipeline"
-    )
-    w.add_argument("preset", nargs="?", default="", help="preset name")
-    w.add_argument("--spec", default="", help="run an exported spec file instead")
-    w.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="preset parameter (repeatable)",
+        "run", parents=[source], help="execute a workflow through the guarded pipeline"
     )
     w.add_argument(
         "--unmonitored", action="store_true",
         help="run without the monitor (ground-truth leg; traces only)",
     )
     w.add_argument(
-        "--journal", default="",
+        "--journal", default="", type=_out_path,
         help="optional path for the canonical run journal (JSON)",
     )
     w.set_defaults(fn=_cmd_workflow_run)
 
-    w = wf.add_parser("export", help="write a workflow's canonical spec")
-    w.add_argument("preset", nargs="?", default="", help="preset name")
-    w.add_argument("--spec", default="", help="re-export an existing spec file")
-    w.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="preset parameter (repeatable)",
+    w = wf.add_parser(
+        "export", parents=[source], help="write a workflow's canonical spec"
     )
     w.add_argument(
-        "--out", default="workflow.spec.json", help="spec output path"
+        "--out", default="workflow.spec.json", type=_out_path, help="spec output path"
     )
     w.set_defaults(fn=_cmd_workflow_export)
 
@@ -866,15 +851,15 @@ def build_parser() -> argparse.ArgumentParser:
         help="what to run under the observability layer",
     )
     p.add_argument(
-        "--trace-out", default="obs-trace.jsonl", dest="trace_out",
+        "--trace-out", default="obs-trace.jsonl", dest="trace_out", type=_out_path,
         help="JSONL span-trace output path",
     )
     p.add_argument(
-        "--prom-out", default="obs-metrics.prom", dest="prom_out",
+        "--prom-out", default="obs-metrics.prom", dest="prom_out", type=_out_path,
         help="Prometheus text-format metrics output path",
     )
     p.add_argument(
-        "--json-out", default="", dest="json_out",
+        "--json-out", default="", dest="json_out", type=_out_path,
         help="optional JSON metrics-snapshot output path",
     )
     p.add_argument("--top", type=_nonneg_int, default=8, help="span rows to print")
@@ -882,6 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "record",
+        parents=[params],
         help="run a workload with the trace recorder on; write the run trace",
     )
     p.add_argument(
@@ -890,15 +876,12 @@ def build_parser() -> argparse.ArgumentParser:
              "mutant, bug, workflow, fuzz)",
     )
     p.add_argument(
-        "--param", action="append", default=[], metavar="KEY=VALUE",
-        help="workload parameter (repeatable); e.g. --param seed=2024",
-    )
-    p.add_argument(
         "--obs", action="store_true",
         help="record with the observability layer enabled (span cross-links)",
     )
     p.add_argument(
-        "--out", default="run.trace.jsonl", help="trace output path (JSONL)"
+        "--out", default="run.trace.jsonl", type=_out_path,
+        help="trace output path (JSONL)",
     )
     p.set_defaults(fn=_cmd_record)
 
@@ -920,7 +903,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--min-support", type=_nonneg_int, default=4, dest="min_support")
     p.add_argument("--top", type=_nonneg_int, default=15, help="rules to print")
-    p.add_argument("--out", default="", help="write traces to this JSONL path")
+    p.add_argument(
+        "--out", default="", type=_out_path, help="write traces to this JSONL path"
+    )
     p.set_defaults(fn=_cmd_mine)
 
     return parser

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -349,12 +350,12 @@ class DeviceProxy:
         attr_callable = getattr(self._device, attr)
         if not callable(attr_callable):
             return attr_callable
-        resolver = _resolver_for(self._device, attr)
+        resolver = _resolver_for(type(self._device), attr)
         if resolver is None:
             return attr_callable  # unmodeled method: pass through untraced
 
         def traced(*args: Any, **kwargs: Any) -> Any:
-            call = resolver(self._device, args, kwargs)
+            call = resolver(self._device, attr, args, kwargs)
             with Interception(
                 self._rabit, self._clock, self._device, attr, args, call, self._trace
             ):
@@ -366,10 +367,10 @@ class DeviceProxy:
 
 
 # ---------------------------------------------------------------------------
-# Resolvers: (device, args, kwargs) -> ActionCall
+# Resolvers: (device, method, args, kwargs) -> ActionCall
 # ---------------------------------------------------------------------------
 
-Resolver = Callable[[Device, tuple, dict], ActionCall]
+Resolver = Callable[[Any, str, tuple, dict], ActionCall]
 
 
 def _nearest_location(robot: RobotArmDevice) -> Optional[str]:
@@ -401,8 +402,14 @@ def _nearest_location(robot: RobotArmDevice) -> Optional[str]:
     return names[best]
 
 
-def _move_call(robot: RobotArmDevice, ref: Any, method: str) -> ActionCall:
-    target, location = robot.resolve_location(ref)
+def _raw(d: Device, m: str, a: tuple) -> str:
+    """The script line of a call, as traces show it."""
+    return f"{d.name}.{m}{a!r}"
+
+
+def _move(d: RobotArmDevice, m: str, a: tuple, k: dict) -> ActionCall:
+    ref = a[0] if a else k["ref"]
+    target, location = d.resolve_location(ref)
     label = ActionLabel.MOVE_ROBOT
     loc_name = None
     if location is not None:
@@ -411,24 +418,182 @@ def _move_call(robot: RobotArmDevice, ref: Any, method: str) -> ActionCall:
             label = ActionLabel.MOVE_ROBOT_INSIDE
     return ActionCall(
         label=label,
-        device=robot.name,
-        robot=robot.name,
+        device=d.name,
+        robot=d.name,
         location=loc_name,
         target=(float(target[0]), float(target[1]), float(target[2])),
-        raw_command=f"{robot.name}.{method}({ref!r})",
+        raw_command=f"{d.name}.{m}({ref!r})",
     )
 
 
-def _pickplace_call(robot: RobotArmDevice, ref: Any, label: ActionLabel) -> ActionCall:
-    target, location = robot.resolve_location(ref)
+def _pick_place(label: ActionLabel) -> Resolver:
+    def resolve(d: RobotArmDevice, m: str, a: tuple, k: dict) -> ActionCall:
+        ref = a[0] if a else k["ref"]
+        target, location = d.resolve_location(ref)
+        return ActionCall(
+            label=label,
+            device=d.name,
+            robot=d.name,
+            location=location.name if location is not None else None,
+            target=(float(target[0]), float(target[1]), float(target[2])),
+            raw_command=f"{d.name}.{label.value}({ref!r})",
+        )
+
+    return resolve
+
+
+def _pose(label: ActionLabel) -> Resolver:
+    return lambda d, m, a, k: ActionCall(
+        label, d.name, robot=d.name, raw_command=f"{d.name}.{m}()"
+    )
+
+
+def _gripper(label: ActionLabel) -> Resolver:
+    return lambda d, m, a, k: ActionCall(
+        label, d.name, robot=d.name, location=_nearest_location(d),
+        raw_command=f"{d.name}.{m}()",
+    )
+
+
+def _bare(label: ActionLabel) -> Resolver:
+    """A call that carries only its label and device."""
+    return lambda d, m, a, k: ActionCall(label, d.name)
+
+
+def _door_label(a: tuple, k: dict) -> ActionLabel:
+    state = a[1] if len(a) > 1 else k.get("state")
+    return ActionLabel.OPEN_DOOR if state == "open" else ActionLabel.CLOSE_DOOR
+
+
+def _set_door(d: Device, m: str, a: tuple, k: dict) -> ActionCall:
+    return ActionCall(_door_label(a, k), d.name, raw_command=_raw(d, m, a))
+
+
+def _door_of(d: Device, a: tuple, k: dict) -> str:
+    """The ``device:door`` a multi-door command names."""
+    return f"{d.name}:{a[0] if a else k.get('door_name')}"
+
+
+def _set_named_door(d: Device, m: str, a: tuple, k: dict) -> ActionCall:
+    return ActionCall(_door_label(a, k), _door_of(d, a, k), raw_command=_raw(d, m, a))
+
+
+def _named_door(label: ActionLabel) -> Resolver:
+    return lambda d, m, a, k: ActionCall(
+        label, _door_of(d, a, k), raw_command=_raw(d, m, a)
+    )
+
+
+def _dose_solid(d: Device, m: str, a: tuple, k: dict) -> ActionCall:
     return ActionCall(
-        label=label,
-        device=robot.name,
-        robot=robot.name,
-        location=location.name if location is not None else None,
-        target=(float(target[0]), float(target[1]), float(target[2])),
-        raw_command=f"{robot.name}.{label.value}({ref!r})",
+        ActionLabel.START_DOSING,
+        d.name,
+        quantity=float(
+            k.get("quantity", k.get("amount_mg", a[1] if len(a) > 1 else (a[0] if a else 0.0)))
+        ),
+        raw_command=_raw(d, m, a),
     )
+
+
+def _first_number(label: ActionLabel, field: str, key: str) -> Resolver:
+    """A call whose *field* is the first argument, or keyword *key* (0.0)."""
+    return lambda d, m, a, k: ActionCall(
+        label, d.name, raw_command=_raw(d, m, a),
+        **{field: float(a[0] if a else k.get(key, 0.0))},
+    )
+
+
+def _capper(label: ActionLabel) -> Resolver:
+    def resolve(d: Decapper, m: str, a: tuple, k: dict) -> ActionCall:
+        vial = d.world.vial_inside_device(d.name)
+        return ActionCall(
+            label, vial.name if vial is not None else d.name, raw_command=f"{d.name}.{m}()"
+        )
+
+    return resolve
+
+
+def _start_action(d: Device, m: str, a: tuple, k: dict) -> ActionCall:
+    return ActionCall(
+        ActionLabel.START_ACTION,
+        d.name,
+        value=float(a[0]) if a else k.get("value", k.get("temperature", k.get("speed_rpm"))),
+        raw_command=_raw(d, m, a),
+    )
+
+
+def _rotate_rotor(d: Device, m: str, a: tuple, k: dict) -> ActionCall:
+    return ActionCall(
+        ActionLabel.ROTATE_ROTOR,
+        d.name,
+        direction=str(a[0] if a else k.get("direction")),
+        raw_command=_raw(d, m, a),
+    )
+
+
+#: The single-door commands of the dosing device and every action device.
+_DOOR: Dict[str, Resolver] = {
+    "set_door": _set_door,
+    "open_door": _bare(ActionLabel.OPEN_DOOR),
+    "close_door": _bare(ActionLabel.CLOSE_DOOR),
+}
+
+#: Device class -> method -> resolver.  A class's methods are looked up
+#: along its MRO, so a ``Decapper`` also resolves the ``ActionDeviceBase``
+#: commands; a method no table along the MRO names is unmodeled.
+_RESOLVERS: Dict[type, Dict[str, Resolver]] = {
+    RobotArmDevice: {
+        "move_to_location": _move,
+        "move_pose": _move,
+        "go_to_home_pose": _pose(ActionLabel.GO_HOME),
+        "go_to_sleep_pose": _pose(ActionLabel.GO_SLEEP),
+        "pick_up_vial": _pick_place(ActionLabel.PICK_OBJECT),
+        "place_vial": _pick_place(ActionLabel.PLACE_OBJECT),
+        "open_gripper": _gripper(ActionLabel.OPEN_GRIPPER),
+        "close_gripper": _gripper(ActionLabel.CLOSE_GRIPPER),
+    },
+    SolidDosingDevice: {
+        **_DOOR,
+        "run_action": _dose_solid,
+        "dose_solid": _dose_solid,
+        "stop_action": _bare(ActionLabel.STOP_DOSING),
+    },
+    MultiDoorDosingDevice: {
+        "set_door": _set_named_door,
+        "open_door": _named_door(ActionLabel.OPEN_DOOR),
+        "close_door": _named_door(ActionLabel.CLOSE_DOOR),
+        "dose_solid": _first_number(ActionLabel.START_DOSING, "quantity", "amount_mg"),
+        "stop_action": _bare(ActionLabel.STOP_DOSING),
+    },
+    SyringePump: {
+        "dose_initial_solvent": _first_number(ActionLabel.DOSE_LIQUID, "quantity", "volume_ml"),
+        "dose_solvent": _first_number(ActionLabel.DOSE_LIQUID, "quantity", "volume_ml"),
+        "stop": _bare(ActionLabel.STOP_DOSING),
+    },
+    Decapper: {"cap": _capper(ActionLabel.CAP), "decap": _capper(ActionLabel.DECAP)},
+    ActionDeviceBase: {
+        **_DOOR,
+        "start_action": _start_action,
+        "stir_solution": _start_action,
+        "shake": _start_action,
+        "set_action_value": _first_number(ActionLabel.SET_ACTION_VALUE, "value", "value"),
+        "stop_action": _bare(ActionLabel.STOP_ACTION),
+        "rotate_rotor": _rotate_rotor,
+    },
+    Vial: {"cap_vial": _bare(ActionLabel.CAP), "decap_vial": _bare(ActionLabel.DECAP)},
+}
+
+
+@lru_cache(maxsize=1024)
+def _resolver_for(cls: type, method: str) -> Optional[Resolver]:
+    """The resolver of *method* on device type *cls*: the first table
+    along the MRO that names it (cached per pair); ``None`` when
+    unmodeled."""
+    for klass in cls.__mro__:
+        table = _RESOLVERS.get(klass)
+        if table is not None and method in table:
+            return table[method]
+    return None
 
 
 def resolve_action(
@@ -442,174 +607,10 @@ def resolve_action(
     and in-process paths classify commands identically.  Returns ``None``
     for unmodeled methods (which the proxy passes through untraced).
     """
-    resolver = _resolver_for(device, method)
+    resolver = _resolver_for(type(device), method)
     if resolver is None:
         return None
-    return resolver(device, args, kwargs or {})
-
-
-def _resolver_for(device: Device, method: str) -> Optional[Resolver]:
-    """Resolve a (device type, method) pair to an ActionCall factory."""
-    if isinstance(device, RobotArmDevice):
-        if method in ("move_to_location", "move_pose"):
-            return lambda d, a, k: _move_call(d, a[0] if a else k["ref"], method)
-        if method == "go_to_home_pose":
-            return lambda d, a, k: ActionCall(
-                ActionLabel.GO_HOME, d.name, robot=d.name, raw_command=f"{d.name}.go_to_home_pose()"
-            )
-        if method == "go_to_sleep_pose":
-            return lambda d, a, k: ActionCall(
-                ActionLabel.GO_SLEEP, d.name, robot=d.name, raw_command=f"{d.name}.go_to_sleep_pose()"
-            )
-        if method == "pick_up_vial":
-            return lambda d, a, k: _pickplace_call(
-                d, a[0] if a else k["ref"], ActionLabel.PICK_OBJECT
-            )
-        if method == "place_vial":
-            return lambda d, a, k: _pickplace_call(
-                d, a[0] if a else k["ref"], ActionLabel.PLACE_OBJECT
-            )
-        if method == "open_gripper":
-            return lambda d, a, k: ActionCall(
-                ActionLabel.OPEN_GRIPPER,
-                d.name,
-                robot=d.name,
-                location=_nearest_location(d),
-                raw_command=f"{d.name}.open_gripper()",
-            )
-        if method == "close_gripper":
-            return lambda d, a, k: ActionCall(
-                ActionLabel.CLOSE_GRIPPER,
-                d.name,
-                robot=d.name,
-                location=_nearest_location(d),
-                raw_command=f"{d.name}.close_gripper()",
-            )
-        return None
-
-    if isinstance(device, SolidDosingDevice):
-        if method == "set_door":
-            return lambda d, a, k: ActionCall(
-                ActionLabel.OPEN_DOOR
-                if (a[1] if len(a) > 1 else k.get("state")) == "open"
-                else ActionLabel.CLOSE_DOOR,
-                d.name,
-                raw_command=f"{d.name}.set_door{a!r}",
-            )
-        if method == "open_door":
-            return lambda d, a, k: ActionCall(ActionLabel.OPEN_DOOR, d.name)
-        if method == "close_door":
-            return lambda d, a, k: ActionCall(ActionLabel.CLOSE_DOOR, d.name)
-        if method in ("run_action", "dose_solid"):
-            return lambda d, a, k: ActionCall(
-                ActionLabel.START_DOSING,
-                d.name,
-                quantity=float(
-                    k.get("quantity", k.get("amount_mg", a[1] if len(a) > 1 else (a[0] if a else 0.0)))
-                ),
-                raw_command=f"{d.name}.{method}{a!r}",
-            )
-        if method == "stop_action":
-            return lambda d, a, k: ActionCall(ActionLabel.STOP_DOSING, d.name)
-        return None
-
-    if isinstance(device, MultiDoorDosingDevice):
-        if method == "set_door":
-            return lambda d, a, k: ActionCall(
-                ActionLabel.OPEN_DOOR
-                if (a[1] if len(a) > 1 else k.get("state")) == "open"
-                else ActionLabel.CLOSE_DOOR,
-                f"{d.name}:{a[0] if a else k.get('door_name')}",
-                raw_command=f"{d.name}.set_door{a!r}",
-            )
-        if method in ("open_door", "close_door"):
-            label = ActionLabel.OPEN_DOOR if method == "open_door" else ActionLabel.CLOSE_DOOR
-            return lambda d, a, k, label=label: ActionCall(
-                label,
-                f"{d.name}:{a[0] if a else k.get('door_name')}",
-                raw_command=f"{d.name}.{method}{a!r}",
-            )
-        if method == "dose_solid":
-            return lambda d, a, k: ActionCall(
-                ActionLabel.START_DOSING,
-                d.name,
-                quantity=float(a[0] if a else k.get("amount_mg", 0.0)),
-                raw_command=f"{d.name}.dose_solid{a!r}",
-            )
-        if method == "stop_action":
-            return lambda d, a, k: ActionCall(ActionLabel.STOP_DOSING, d.name)
-        return None
-
-    if isinstance(device, SyringePump):
-        if method in ("dose_initial_solvent", "dose_solvent"):
-            return lambda d, a, k: ActionCall(
-                ActionLabel.DOSE_LIQUID,
-                d.name,
-                quantity=float(a[0] if a else k.get("volume_ml", 0.0)),
-                raw_command=f"{d.name}.{method}{a!r}",
-            )
-        if method == "stop":
-            return lambda d, a, k: ActionCall(ActionLabel.STOP_DOSING, d.name)
-        return None
-
-    if isinstance(device, Decapper):
-        if method in ("cap", "decap"):
-            label = ActionLabel.CAP if method == "cap" else ActionLabel.DECAP
-            def resolve(d: Decapper, a: tuple, k: dict, label=label) -> ActionCall:
-                vial = d.world.vial_inside_device(d.name)
-                return ActionCall(
-                    label,
-                    vial.name if vial is not None else d.name,
-                    raw_command=f"{d.name}.{method}()",
-                )
-            return resolve
-
-    if isinstance(device, ActionDeviceBase):
-        if method == "set_door":
-            return lambda d, a, k: ActionCall(
-                ActionLabel.OPEN_DOOR
-                if (a[1] if len(a) > 1 else k.get("state")) == "open"
-                else ActionLabel.CLOSE_DOOR,
-                d.name,
-                raw_command=f"{d.name}.set_door{a!r}",
-            )
-        if method == "open_door":
-            return lambda d, a, k: ActionCall(ActionLabel.OPEN_DOOR, d.name)
-        if method == "close_door":
-            return lambda d, a, k: ActionCall(ActionLabel.CLOSE_DOOR, d.name)
-        if method in ("start_action", "stir_solution", "shake"):
-            return lambda d, a, k: ActionCall(
-                ActionLabel.START_ACTION,
-                d.name,
-                value=float(a[0]) if a else k.get("value", k.get("temperature", k.get("speed_rpm"))),
-                raw_command=f"{d.name}.{method}{a!r}",
-            )
-        if method == "set_action_value":
-            return lambda d, a, k: ActionCall(
-                ActionLabel.SET_ACTION_VALUE,
-                d.name,
-                value=float(a[0] if a else k.get("value", 0.0)),
-                raw_command=f"{d.name}.set_action_value{a!r}",
-            )
-        if method == "stop_action":
-            return lambda d, a, k: ActionCall(ActionLabel.STOP_ACTION, d.name)
-        if method == "rotate_rotor":
-            return lambda d, a, k: ActionCall(
-                ActionLabel.ROTATE_ROTOR,
-                d.name,
-                direction=str(a[0] if a else k.get("direction")),
-                raw_command=f"{d.name}.rotate_rotor{a!r}",
-            )
-        return None
-
-    if isinstance(device, Vial):
-        if method == "cap_vial":
-            return lambda d, a, k: ActionCall(ActionLabel.CAP, d.name)
-        if method == "decap_vial":
-            return lambda d, a, k: ActionCall(ActionLabel.DECAP, d.name)
-        return None
-
-    return None
+    return resolver(device, method, args, kwargs or {})
 
 
 def instrument(

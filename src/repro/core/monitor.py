@@ -51,6 +51,14 @@ _OBS_STATUS_REQUESTS = OBS.registry.counter(
     labels=("device",),
 )
 
+#: Virtual seconds of RABIT bookkeeping per intercepted command.
+BOOKKEEPING_LATENCY = 0.004
+
+#: Virtual seconds per Extended Simulator invocation when its GUI is in
+#: the loop (§II-C measured ~2 s; "we plan to bypass the GUI"), charged
+#: unless ``RabitOptions.bypass_gui`` is set.
+GUI_LATENCY = 2.0
+
 #: Action labels that move a robot arm (Fig. 2's ``isRobotCommand``).
 ROBOT_MOVE_LABELS = frozenset(
     {
@@ -128,11 +136,6 @@ class RabitOptions:
     #: Stop the experiment on an alert (the Hein Lab's recommendation);
     #: False logs the alert and lets execution continue (fail-safe mode).
     preemptive_stop: bool = True
-    #: Virtual seconds of RABIT bookkeeping per intercepted command.
-    bookkeeping_latency: float = 0.004
-    #: Virtual seconds per Extended Simulator invocation when its GUI is
-    #: in the loop (§II-C measured ~2 s; "we plan to bypass the GUI").
-    gui_latency: float = 2.0
     #: Whether the Extended Simulator's GUI is bypassed (deployment plan).
     bypass_gui: bool = False
     #: Max entries of the rule-verdict cache; 0 disables it (every command
@@ -307,7 +310,7 @@ class Rabit:
         self.facts = GuardFacts()
         if not self._initialized:
             self.initialize()
-        self.clock.advance(self.options.bookkeeping_latency, "rabit_bookkeeping")
+        self.clock.advance(BOOKKEEPING_LATENCY, "rabit_bookkeeping")
         # With the Extended Simulator attached, its GUI (in a VM) mirrors
         # every command so the deck view stays in sync — this render loop
         # is the dominant §II-C cost ("invoked each time RABIT checks"),
@@ -317,7 +320,7 @@ class Rabit:
             and self.trajectory_checker is not None
             and not self.options.bypass_gui
         ):
-            self.clock.advance(self.options.gui_latency, "rabit_simulator_gui")
+            self.clock.advance(GUI_LATENCY, "rabit_simulator_gui")
 
         # Lines 6-7: precondition validation.
         with OBS.span("rabit.validate", label=call.label.value):

@@ -17,9 +17,11 @@ reproduces that campaign deterministically:
   "large bug dataset" study of §IV), with per-mutant RNG derived from
   ``(seed, index)``.
 
-Both runners accept ``workers=`` to shard their independent runs over a
-:mod:`repro.parallel` process pool with results identical to the
-sequential path.
+Both runners, and the ablation fan-out
+:func:`~repro.faults.campaign.run_bug_matrix`, run their independent
+cases through :func:`repro.parallel.engine.run_sharded`, in process for
+one worker; ``workers=`` shards them over a process pool with identical
+results.
 """
 
 from repro.faults.mutation import (
@@ -43,6 +45,7 @@ from repro.faults.campaign import (
     CAMPAIGN_BUGS,
     RABIT_CONFIGS,
     run_bug,
+    run_bug_matrix,
     run_campaign,
 )
 
@@ -60,6 +63,7 @@ __all__ = [
     "CAMPAIGN_BUGS",
     "RABIT_CONFIGS",
     "run_bug",
+    "run_bug_matrix",
     "run_campaign",
     "MonteCarloReport",
     "MutantOutcome",

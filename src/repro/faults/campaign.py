@@ -40,7 +40,7 @@ from repro.faults.mutation import (
     SwapLines,
     apply_mutations,
 )
-from repro.workflow import WorkflowNode, build_context, build_preset, execute_dag
+from repro.workflow import WorkflowNode, build_preset, run_dag
 
 #: The three RABIT configurations the paper evaluates, in order.
 RABIT_CONFIGS: Dict[str, Callable[[], RabitOptions]] = {
@@ -440,15 +440,12 @@ def run_bug_traced(
         raise KeyError(f"unknown config {config!r}; known: {sorted(RABIT_CONFIGS)}") from None
 
     dag = build_preset(bug.workflow)
-    ctx = build_context(
-        dag.deck,
-        dag.deck_params,
-        dag.prepare,
+    ctx, result = run_dag(
+        dag,
         options=replace(options_factory(), compiled_dispatch=compiled_dispatch),
         exclude_rules=exclude_rules,
+        before_run=lambda ctx: apply_mutations(dag, ctx.world, bug.mutations),
     )
-    apply_mutations(dag, ctx.world, bug.mutations)
-    result = execute_dag(dag, ctx)
     outcome = BugOutcome(
         bug=bug,
         config=config,
@@ -461,6 +458,26 @@ def run_bug_traced(
     return outcome, ctx.trace
 
 
+def _bug_task(task: Tuple[InjectedBug, str, Tuple[str, ...]]) -> BugOutcome:
+    """One ``(bug, config, exclude_rules)`` run: the sharded unit of the
+    campaign and of :func:`run_bug_matrix` (an :class:`InjectedBug` is
+    plain data — its mutations are DAG edits — so it pickles as is)."""
+    bug, config, exclude_rules = task
+    return run_bug(bug, config, exclude_rules=exclude_rules)
+
+
+def run_bug_matrix(
+    specs: Sequence[Tuple[InjectedBug, str, Tuple[str, ...]]],
+    workers: Optional[int] = 1,
+) -> List[BugOutcome]:
+    """Run arbitrary ``(bug, config, exclude_rules)`` triples, results in
+    spec order — the ablation sweeps' fan-out point (e.g. the
+    rule-knockout sweep)."""
+    from repro.parallel.engine import run_sharded
+
+    return run_sharded(list(specs), _bug_task, workers=workers, kind="knockout")
+
+
 def run_campaign(
     configs: Sequence[str] = ("initial", "modified", "modified_es"),
     bugs: Sequence[InjectedBug] = CAMPAIGN_BUGS,
@@ -469,26 +486,30 @@ def run_campaign(
 ) -> CampaignResult:
     """Run every bug under every configuration.
 
-    ``workers > 1`` shards the (config, bug) grid over a process pool
-    (``None`` means one worker per CPU); every bug run is independent and
-    deterministic, so the merged result is identical to the sequential
-    one in canonical configuration-major order.
+    The (config, bug) grid runs through
+    :func:`~repro.parallel.engine.run_sharded`: in process for one
+    worker, sharded over a process pool for ``workers > 1`` (``None``
+    means one worker per CPU).  Every bug run is independent and
+    deterministic, so the merged result is identical for every
+    *workers* value, in canonical configuration-major order.
 
     With *trace_dir* set, every outcome that deviates from the paper's
     reported detection auto-dumps a replayable run trace of the bug run
     there (recorded parent-side; bug runs are deterministic functions of
     ``(bug_id, config)``)."""
-    from repro.parallel.engine import resolve_workers
+    # Imported on use: the engine registers its metric families when it
+    # is imported, and importing this module (``repro.analysis`` does)
+    # must not add them to every metrics dump.
+    from repro.parallel.engine import run_sharded
 
-    if resolve_workers(workers, len(configs) * len(bugs)) > 1:
-        from repro.parallel.runners import run_campaign_sharded
-
-        result = run_campaign_sharded(configs=configs, bugs=bugs, workers=workers)
-    else:
-        result = CampaignResult()
-        for config in configs:
-            for bug in bugs:
-                result.outcomes.append(run_bug(bug, config))
+    result = CampaignResult(
+        outcomes=run_sharded(
+            [(bug, config, ()) for config in configs for bug in bugs],
+            _bug_task,
+            workers=workers,
+            kind="campaign",
+        )
+    )
     if trace_dir is not None:
         from repro.trace.workloads import dump_traces
 

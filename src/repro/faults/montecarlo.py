@@ -23,13 +23,15 @@ Determinism contract: mutant *i* of a sweep seeded with *s* is a pure
 function of ``(s, i)`` — each sample owns an RNG derived via
 ``SeedSequence(s, spawn_key=(i,))`` rather than drawing from one shared
 sequential stream.  Growing the sample count, reordering execution, or
-sharding the sweep across a process pool (``workers > 1`` delegates to
-:mod:`repro.parallel`) therefore never changes an earlier outcome.
+sharding the sweep across a process pool (every sweep runs through
+:func:`repro.parallel.engine.run_sharded`, in process for one worker)
+therefore never changes an earlier outcome.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,12 +46,7 @@ from repro.faults.mutation import (
     apply_mutations,
 )
 from repro.testbed.deck import LOCATIONS
-from repro.workflow import (
-    WorkflowRunResult,
-    build_context,
-    build_preset,
-    execute_dag,
-)
+from repro.workflow import WorkflowRunResult, build_preset, run_dag
 
 #: The safe workflow every mutant edits.
 _PRESET = "testbed_fig5"
@@ -195,10 +192,12 @@ def _run_mutant(
     """Run one mutant of the Fig. 5 preset; returns (result, damage
     kinds, command records)."""
     dag = build_preset(_PRESET)
-    ctx = build_context(
-        dag.deck, dag.deck_params, dag.prepare, options=options, monitored=monitored
+    ctx, result = run_dag(
+        dag,
+        options=options,
+        monitored=monitored,
+        before_run=lambda ctx: apply_mutations(dag, ctx.world, mutations),
     )
-    result = execute_dag(apply_mutations(dag, ctx.world, mutations), ctx)
     return result, tuple(sorted({d.kind for d in ctx.world.damage_log})), ctx.trace
 
 
@@ -223,10 +222,10 @@ def run_mutant_monitored(seed: int, index: int, options=None):
 def score_mutant(index: int, base_seed: int, line_ids: Sequence[str]) -> MutantOutcome:
     """Sample and score mutant *index* of the sweep seeded *base_seed*.
 
-    The single unit of work both the sequential loop and the parallel
-    shards execute — a pure function of ``(base_seed, index)`` (plus the
-    deterministic *line_ids*), which is what makes the sharded sweep
-    mergeable in any order."""
+    The unit of work of the sweep, in process or in a pool worker — a
+    pure function of ``(base_seed, index)`` (plus the deterministic
+    *line_ids*), which is what makes the sharded sweep mergeable in any
+    order."""
     description, mutations = _sample_mutation(
         _rng_for_sample(base_seed, index), line_ids
     )
@@ -271,9 +270,10 @@ def run_monte_carlo(
 
     Each case runs twice: once unmonitored (ground truth — is it
     actually harmful?) and once under modified RABIT (the verdict).
-    Deterministic under *seed* for every *workers* value: ``workers > 1``
-    shards the sweep over a process pool (``None`` means one worker per
-    CPU), and the merged report is identical to the sequential one.
+    The cases run through :func:`~repro.parallel.engine.run_sharded`:
+    in process for one worker, sharded over a process pool for
+    ``workers > 1`` (``None`` means one worker per CPU), and the merged
+    report is identical for every *workers* value.
 
     With *trace_dir* set, every *failed* case — a false negative or a
     false positive — auto-dumps a replayable run trace of its monitored
@@ -281,33 +281,21 @@ def run_monte_carlo(
     pure functions of ``(seed, index)``, so the re-recorded trace is
     exactly what the sweep executed).
     """
-    from repro.parallel.engine import resolve_workers
+    from repro.parallel.engine import run_sharded  # on use: see run_campaign
 
     if generator not in ("mutant", "dag"):
         raise ValueError(
             f"unknown generator {generator!r}; use 'mutant' or 'dag'"
         )
-    sharded = resolve_workers(workers, samples) > 1
     if generator == "dag":
-        if sharded:
-            from repro.parallel.runners import run_dag_fuzz_sharded
+        from repro.workflow.fuzz import score_dag
 
-            report = run_dag_fuzz_sharded(samples=samples, seed=seed, workers=workers)
-        else:
-            from repro.workflow.fuzz import score_dag
-
-            report = MonteCarloReport()
-            for index in range(samples):
-                report.outcomes.append(score_dag(index, seed))
-    elif sharded:
-        from repro.parallel.runners import run_monte_carlo_sharded
-
-        report = run_monte_carlo_sharded(samples=samples, seed=seed, workers=workers)
+        score = partial(score_dag, base_seed=seed)
     else:
-        line_ids = reference_line_ids()
-        report = MonteCarloReport()
-        for index in range(samples):
-            report.outcomes.append(score_mutant(index, seed, line_ids))
+        score = partial(score_mutant, base_seed=seed, line_ids=reference_line_ids())
+    report = MonteCarloReport(
+        outcomes=run_sharded(range(samples), score, workers=workers, kind="montecarlo")
+    )
     if trace_dir is not None:
         from repro.trace.workloads import dump_traces
 

@@ -20,12 +20,12 @@ stage's damage cost) that early detection avoided.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.core.monitor import RabitOptions
 from repro.lab.hein import HeinDeck
 from repro.lab.stage import STAGE_PROFILES, Stage
-from repro.workflow import WorkflowDAG, WorkflowRunResult, build_context, execute_dag
+from repro.workflow import WorkflowDAG, WorkflowRunResult, run_dag
 
 #: How each stage is realized on the Hein layout: actuation noise from the
 #: stage profile, and whether the Extended Simulator assists (it is the
@@ -130,13 +130,13 @@ class ThreeStageValidator:
         options = self._options
         if _STAGE_SETUP[stage]["use_es"]:
             options = replace(options, use_extended_simulator=True)
-        ctx = build_context(
-            dag.deck, dag.deck_params, dag.prepare, options=options
-        )
-        ctx.deck.ur3e._noise_sigma = profile.position_noise_sigma  # noqa: SLF001
-        if mutate_deck is not None:
-            mutate_deck(ctx.deck)
-        result = execute_dag(dag, ctx)
+
+        def stage_deck(ctx: Any) -> None:
+            ctx.deck.ur3e._noise_sigma = profile.position_noise_sigma  # noqa: SLF001
+            if mutate_deck is not None:
+                mutate_deck(ctx.deck)
+
+        ctx, result = run_dag(dag, options=options, before_run=stage_deck)
         damage = len(ctx.world.damage_log)
         passed = result.completed and ctx.rabit.alert_count == 0 and damage == 0
         return StageOutcome(

@@ -13,18 +13,19 @@ Monte Carlo runner guarantees this by deriving each mutant's RNG from
 
 Mechanics:
 
-- workers are forked **once** per run (``initializer`` warms per-process
-  state such as the reference workflow's line ids) and tasks are handed
-  out in chunks, so the per-task dispatch cost is a queue hop, not a
-  process start;
+- workers are forked **once** per run (an optional ``initializer`` warms
+  per-process state) and tasks are handed out in chunks, so the
+  per-task dispatch cost is a queue hop, not a process start;
 - results come back in task order (``ProcessPoolExecutor.map``); a task
   that raises re-raises in the caller, and leaving the ``with`` block
   cancels the tasks not yet started and joins the workers;
-- the engine falls back to an in-process sequential loop when the
-  effective worker count is 1, the task list is trivial, or the platform
-  lacks a ``fork`` start method (Windows / some macOS configurations —
-  task functions close over module state that ``spawn`` would re-import
-  cold, and correctness beats a cold-start pool);
+- the engine runs the tasks in process, in order, when the effective
+  worker count is 1, the task list is trivial, or the platform lacks a
+  ``fork`` start method (Windows / some macOS configurations — task
+  functions close over module state that ``spawn`` would re-import
+  cold, and correctness beats a cold-start pool); every sweep calls the
+  engine, so this in-process path is the sequential reference the pool
+  is compared against;
 - progress and timing flow through the existing :mod:`repro.obs`
   registry — counters for tasks dispatched/completed (completion labeled
   per worker pid) and a histogram of per-task wall seconds — recorded in
@@ -115,8 +116,9 @@ def run_sharded(
 ) -> List[Any]:
     """Map *task_fn* over *tasks*, results in task order.
 
-    *task_fn* (and *initializer*) must be module-level callables and each
-    task value picklable — they cross the process boundary.  *kind* labels
+    *task_fn* (and *initializer*) must be picklable — module-level
+    functions, or :func:`functools.partial` objects over them — and so
+    must each task value: they cross the process boundary.  *kind* labels
     the obs metrics.  *chunk_size* overrides the dispatch granularity
     (default: enough chunks for ~4 hand-outs per worker, balancing queue
     overhead against tail latency on uneven tasks).

@@ -10,13 +10,10 @@ coordinates".  The arm's own kinematics live in :mod:`repro.kinematics`.
   plus trajectory sweeps; implements the
   :class:`~repro.core.monitor.TrajectoryChecker` protocol RABIT consults
   on Fig. 2 line 9.
-- :mod:`repro.simulator.gui` -- the deterministic stand-in for the GUI
-  that made each simulator invocation cost ~2 s in the paper.
 - :mod:`repro.simulator.render` -- top-down deck renderings.
 """
 
 from repro.simulator.extended import ExtendedSimulator
-from repro.simulator.gui import GuiLatencyModel
 from repro.simulator.render import render_topdown
 
-__all__ = ["ExtendedSimulator", "GuiLatencyModel", "render_topdown"]
+__all__ = ["ExtendedSimulator", "render_topdown"]

@@ -72,14 +72,14 @@ def _compiled(params: Dict[str, Any]) -> bool:
     return dispatch == "compiled"
 
 
-def _bind_obs(rabit: Any) -> None:
+def _bind_obs(ctx: Any) -> None:
     """Stamp spans with the run's virtual clock when observability is on
     (the recorded ``obs_span_id`` cross-links depend on span ids, which
     are deterministic because :func:`record_workload` resets OBS)."""
     from repro.obs import OBS
 
     if OBS.enabled:
-        OBS.bind_clock(rabit.clock)
+        OBS.bind_clock(ctx.rabit.clock)
 
 
 def _result_outcome(result: Any, commands: int) -> Dict[str, Any]:
@@ -106,18 +106,15 @@ PRESET_WORKLOADS: Dict[str, Tuple[str, Dict[str, Any]]] = {
 def run_preset_workload(name: str, params: Dict[str, Any]) -> WorkloadResult:
     """Run preset-backed workload *name*; returns its outcome and records."""
     from repro.core.monitor import RabitOptions
-    from repro.workflow import build_context, build_preset, execute_dag
+    from repro.workflow import build_preset, run_dag
 
     preset, overrides = PRESET_WORKLOADS[name]
-    dag = build_preset(preset)
-    ctx = build_context(
-        dag.deck,
-        dag.deck_params,
-        dag.prepare,
+    ctx, result = run_dag(
+        build_preset(preset),
         options=RabitOptions.modified(compiled_dispatch=_compiled(params), **overrides),
+        before_run=_bind_obs,
     )
-    _bind_obs(ctx.rabit)
-    return _result_outcome(execute_dag(dag, ctx), len(ctx.trace)), ctx.trace
+    return _result_outcome(result, len(ctx.trace)), ctx.trace
 
 
 for _name in PRESET_WORKLOADS:
@@ -169,45 +166,23 @@ def _run_bug(params: Dict[str, Any]) -> WorkloadResult:
 @_workload("workflow")
 def _workflow_workload(params: Dict[str, Any]) -> WorkloadResult:
     """A declarative workflow run: a named preset (plus preset
-    parameters), or ``spec`` = path to an exported spec file.  The
-    footer carries the canonical journal digest, so replay equality
-    covers the full command stream end to end."""
-    import json
-
+    parameters; ``solubility`` when neither is named), or ``spec`` =
+    path to an exported spec file.  The footer carries the canonical
+    journal digest, so replay equality covers the full command stream
+    end to end."""
     from repro.core.monitor import RabitOptions
-    from repro.workflow import (
-        WorkflowDAG,
-        build_context,
-        execute_dag,
-        journal_digest,
-        run_journal,
-    )
+    from repro.workflow import journal_digest, load_dag, run_dag, run_journal
 
-    remaining = dict(params)
-    remaining.pop("dispatch", None)
-    options = RabitOptions.modified(compiled_dispatch=_compiled(params))
-    spec_path = remaining.pop("spec", None)
-    if spec_path is not None:
-        if remaining.pop("preset", None) is not None:
-            raise KeyError("workflow workload takes 'preset' or 'spec', not both")
-        dag = WorkflowDAG.from_spec(json.loads(Path(spec_path).read_text()))
-        if remaining:
-            raise KeyError(
-                f"spec runs take no extra parameters, got {sorted(remaining)}"
-            )
-    else:
-        from repro.workflow import build_preset
-
-        name = str(remaining.pop("preset", "solubility"))
-        dag = build_preset(name, remaining)
-    ctx = build_context(
-        deck=dag.deck,
-        deck_params=dag.deck_params,
-        prepare=dag.prepare,
-        options=options,
+    source = dict(params)
+    source.pop("dispatch", None)
+    spec = source.pop("spec", None)
+    preset = source.pop("preset", None if spec is not None else "solubility")
+    dag = load_dag(None if preset is None else str(preset), source, spec)
+    ctx, result = run_dag(
+        dag,
+        options=RabitOptions.modified(compiled_dispatch=_compiled(params)),
+        before_run=_bind_obs,
     )
-    _bind_obs(ctx.rabit)
-    result = execute_dag(dag, ctx)
     journal = run_journal(
         ctx.trace,
         result.executed_nodes,
@@ -228,16 +203,15 @@ def _run_fuzz(params: Dict[str, Any]) -> WorkloadResult:
     """The monitored leg of random-DAG fuzz case ``(seed, index)`` —
     pure in the pair, like the ``mutant`` workload."""
     from repro.core.monitor import RabitOptions
-    from repro.workflow import build_context, execute_dag, random_dag
+    from repro.workflow import random_dag, run_dag
 
     seed, index = int(params["seed"]), int(params["index"])
     dag = random_dag(seed, index)
-    ctx = build_context(
-        deck=dag.deck,
+    ctx, result = run_dag(
+        dag,
         options=RabitOptions.modified(compiled_dispatch=_compiled(params)),
+        before_run=_bind_obs,
     )
-    _bind_obs(ctx.rabit)
-    result = execute_dag(dag, ctx)
     outcome = _result_outcome(result, len(ctx.trace))
     outcome["workflow"] = dag.name
     outcome["detected"] = result.stopped_by_rabit

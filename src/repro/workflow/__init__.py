@@ -11,12 +11,14 @@ run presets from here:
   its canonical ``repro.workflow/v1`` spec serialization;
 - :mod:`repro.workflow.context` — declarative deck wiring;
 - :mod:`repro.workflow.executor` — the deterministic DAG walk through
-  the interceptor/monitor pipeline;
+  the interceptor/monitor pipeline, and :func:`run_dag`, the one runner
+  of a DAG on its own deck;
 - :mod:`repro.workflow.journal` — the canonical run journal (the
   byte-equality witness of the differential tests);
 - :mod:`repro.workflow.presets` — the named, parameterized workflows
   (Fig. 1(b) solubility, Fig. 5 testbed, ...) plus the Bug A/B/C
-  variants and the scenario matrix;
+  variants and the scenario matrix, and :func:`load_dag`, the one
+  loader of a DAG from a preset or a spec file;
 - :mod:`repro.workflow.fuzz` — seeded random-DAG generation feeding
   ``faults.montecarlo``.
 
@@ -42,7 +44,7 @@ from repro.workflow.dag import (  # noqa: F401
     WorkflowError,
     WorkflowNode,
 )
-from repro.workflow.executor import WorkflowRunResult, execute_dag  # noqa: F401
+from repro.workflow.executor import WorkflowRunResult, execute_dag, run_dag  # noqa: F401
 from repro.workflow.journal import (  # noqa: F401
     JOURNAL_SCHEMA,
     command_entry,
@@ -55,6 +57,7 @@ from repro.workflow.presets import (  # noqa: F401
     Preset,
     build_preset,
     list_presets,
+    load_dag,
     preset,
     preset_matrix,
     run_preset,
@@ -77,6 +80,7 @@ __all__ = [
     "WorkflowNode",
     "WorkflowRunResult",
     "execute_dag",
+    "run_dag",
     "JOURNAL_SCHEMA",
     "command_entry",
     "journal_bytes",
@@ -86,6 +90,7 @@ __all__ = [
     "Preset",
     "build_preset",
     "list_presets",
+    "load_dag",
     "preset",
     "preset_matrix",
     "run_preset",

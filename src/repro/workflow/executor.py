@@ -14,21 +14,27 @@ given the same DAG, registry, and context wiring it issues the identical
 command sequence under the virtual clock, which is what makes workflow
 runs trace-recordable and replayable.  Each node executes inside an
 ``workflow.node`` obs span when observability is enabled.
+
+:func:`run_dag` is the one way to run a DAG on its own deck: it wires
+the deck the DAG names (with its deck parameters and vial preparation)
+and executes the DAG there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
+from repro.core.clock import VirtualClock
 from repro.core.errors import Alert, SafetyViolation
+from repro.core.monitor import RabitOptions
 from repro.kinematics.arm import UnreachableTargetError
 from repro.obs import OBS
-from repro.workflow.context import WorkflowContext
+from repro.workflow.context import WorkflowContext, build_context
 from repro.workflow.dag import WorkflowDAG, WorkflowError
 from repro.workflow.registry import REGISTRY, StepRegistry
 
-__all__ = ["WorkflowRunResult", "execute_dag"]
+__all__ = ["WorkflowRunResult", "execute_dag", "run_dag"]
 
 
 @dataclass
@@ -115,3 +121,37 @@ def execute_dag(
         device_error=device_error,
         recovered=recovered,
     )
+
+
+def run_dag(
+    dag: WorkflowDAG,
+    *,
+    options: Optional[RabitOptions] = None,
+    monitored: bool = True,
+    clock: Optional[VirtualClock] = None,
+    exclude_rules: Sequence[str] = (),
+    before_run: Optional[Callable[[WorkflowContext], Any]] = None,
+    registry: StepRegistry = REGISTRY,
+) -> Tuple[WorkflowContext, WorkflowRunResult]:
+    """Wire *dag*'s own deck and execute *dag* on it.
+
+    The deck is the one the DAG names, built with the DAG's deck
+    parameters and vial preparation; *options*, *monitored*, *clock* and
+    *exclude_rules* go to :func:`~repro.workflow.context.build_context`.
+    *before_run*, when given, receives the wired context before the
+    first node runs: the fault injector applies its mutations to the
+    wired world there, and the trace workloads bind observability to the
+    run's clock.  Returns ``(context, result)``.
+    """
+    ctx = build_context(
+        dag.deck,
+        dag.deck_params,
+        dag.prepare,
+        options=options,
+        clock=clock,
+        monitored=monitored,
+        exclude_rules=exclude_rules,
+    )
+    if before_run is not None:
+        before_run(ctx)
+    return ctx, execute_dag(dag, ctx, registry)

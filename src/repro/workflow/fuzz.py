@@ -21,9 +21,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.workflow.context import build_context
 from repro.workflow.dag import WorkflowDAG
-from repro.workflow.executor import execute_dag
+from repro.workflow.executor import run_dag
 
 __all__ = ["random_dag", "score_dag", "fuzz_descriptions"]
 
@@ -163,13 +162,11 @@ def score_dag(index: int, base_seed: int) -> "MutantOutcome":
     dag = random_dag(base_seed, index)
     description = f"dag {dag.name}: {len(dag.nodes)} nodes"
     try:
-        truth_ctx = build_context("testbed", monitored=False)
-        truth = execute_dag(dag, truth_ctx)
+        truth_ctx, truth = run_dag(dag, monitored=False)
         damage = tuple(sorted({d.kind for d in truth_ctx.world.damage_log}))
         if truth.stopped_by_device:
             damage = damage + ("device_fault_halt",)
-        guarded_ctx = build_context("testbed", options=RabitOptions.modified())
-        guarded = execute_dag(dag, guarded_ctx)
+        _, guarded = run_dag(dag, options=RabitOptions.modified())
     except Exception as exc:  # noqa: BLE001 - classify, don't crash the sweep
         return MutantOutcome(
             seed=index,

@@ -17,19 +17,21 @@ injects — and are pinned the same way.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.workflow.context import WorkflowContext, build_context
+from repro.workflow.context import WorkflowContext
 from repro.workflow.dag import WorkflowDAG
-from repro.workflow.executor import WorkflowRunResult, execute_dag
+from repro.workflow.executor import WorkflowRunResult, run_dag
 from repro.workflow.registry import (
     REGISTRY,
     StepError,
     StepParam,
     StepRegistry,
-    _coerce,
     _introspect_params,
+    bind_params,
 )
 
 __all__ = [
@@ -38,6 +40,7 @@ __all__ = [
     "preset",
     "build_preset",
     "list_presets",
+    "load_dag",
     "run_preset",
     "preset_matrix",
 ]
@@ -54,30 +57,7 @@ class Preset:
 
     def build(self, params: Optional[Mapping[str, Any]] = None) -> WorkflowDAG:
         """Validate *params* against the table and build the DAG."""
-        given = dict(params or {})
-        known = {p.name: p for p in self.params}
-        for name in given:
-            if name not in known:
-                raise StepError(
-                    f"preset {self.name!r} has no parameter {name!r}; "
-                    f"parameters: {sorted(known)}"
-                )
-        bound: Dict[str, Any] = {}
-        for param in self.params:
-            if param.name in given:
-                try:
-                    bound[param.name] = _coerce(param.kind, given[param.name])
-                except StepError as exc:
-                    raise StepError(
-                        f"preset {self.name!r}, parameter {param.name!r}: {exc}"
-                    ) from None
-            elif param.required:
-                raise StepError(
-                    f"preset {self.name!r} requires parameter {param.name!r}"
-                )
-            else:
-                bound[param.name] = param.default
-        return self.builder(**bound)
+        return self.builder(**bind_params("preset", self.name, self.params, params or {}))
 
     def signature(self) -> str:
         """``name(param: kind = default, ...)`` for the catalog."""
@@ -126,6 +106,31 @@ def list_presets() -> List[str]:
     return sorted(PRESETS)
 
 
+def load_dag(
+    preset: Optional[str] = None,
+    params: Optional[Mapping[str, Any]] = None,
+    spec: Optional[str] = None,
+) -> WorkflowDAG:
+    """The DAG a workflow run names: preset *preset* built with *params*,
+    or the exported spec file at path *spec* — never both.
+
+    Raises :class:`KeyError` when both or neither are named, or when
+    *params* come with a spec file; :class:`StepError` for an unknown
+    preset or a bad parameter; :class:`~repro.workflow.dag.WorkflowError`
+    for a malformed spec; :class:`OSError` or
+    :class:`json.JSONDecodeError` for an unreadable spec file.
+    """
+    if spec is None:
+        if preset is None:
+            raise KeyError("name a preset or a spec file")
+        return build_preset(preset, params)
+    if preset is not None:
+        raise KeyError("give a preset or a spec file, not both")
+    if params:
+        raise KeyError(f"spec runs take no extra parameters, got {sorted(params)}")
+    return WorkflowDAG.from_spec(json.loads(Path(spec).read_text()))
+
+
 def run_preset(
     name: str,
     params: Optional[Mapping[str, Any]] = None,
@@ -135,14 +140,7 @@ def run_preset(
 ) -> Tuple[WorkflowDAG, WorkflowContext, WorkflowRunResult]:
     """Build, wire, and execute preset *name* end to end."""
     dag = build_preset(name, params)
-    ctx = build_context(
-        deck=dag.deck,
-        deck_params=dag.deck_params,
-        prepare=dag.prepare,
-        options=options,
-        monitored=monitored,
-    )
-    result = execute_dag(dag, ctx, registry)
+    ctx, result = run_dag(dag, options=options, monitored=monitored, registry=registry)
     return dag, ctx, result
 
 

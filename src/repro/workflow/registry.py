@@ -31,6 +31,7 @@ __all__ = [
     "StepSpec",
     "StepRegistry",
     "REGISTRY",
+    "bind_params",
     "step",
 ]
 
@@ -122,6 +123,38 @@ class StepParam:
         return f"{self.name}: {self.kind} = {self.default!r}"
 
 
+def bind_params(
+    kind: str, name: str, table: Tuple[StepParam, ...], given: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """Validate and normalize *given* against parameter *table*.
+
+    Returns the complete keyword dict (defaults filled in).  Raises
+    :class:`StepError` naming the *kind* (``step`` or ``preset``), its
+    *name* and the parameter on any unknown, missing, or mistyped entry.
+    """
+    known = {p.name: p for p in table}
+    for param_name in given:
+        if param_name not in known:
+            raise StepError(
+                f"{kind} {name!r} has no parameter {param_name!r}; "
+                f"parameters: {sorted(known)}"
+            )
+    bound: Dict[str, Any] = {}
+    for param in table:
+        if param.name in given:
+            try:
+                bound[param.name] = _coerce(param.kind, given[param.name])
+            except StepError as exc:
+                raise StepError(
+                    f"{kind} {name!r}, parameter {param.name!r}: {exc}"
+                ) from None
+        elif param.required:
+            raise StepError(f"{kind} {name!r} requires parameter {param.name!r}")
+        else:
+            bound[param.name] = param.default
+    return bound
+
+
 @dataclass(frozen=True)
 class StepSpec:
     """A registered step: callable + typed parameter table."""
@@ -138,29 +171,7 @@ class StepSpec:
         pass to the step function.  Raises :class:`StepError` naming the
         parameter on any unknown, missing, or mistyped entry.
         """
-        known = {p.name: p for p in self.params}
-        for name in params:
-            if name not in known:
-                raise StepError(
-                    f"step {self.name!r} has no parameter {name!r}; "
-                    f"parameters: {sorted(known)}"
-                )
-        bound: Dict[str, Any] = {}
-        for param in self.params:
-            if param.name in params:
-                try:
-                    bound[param.name] = _coerce(param.kind, params[param.name])
-                except StepError as exc:
-                    raise StepError(
-                        f"step {self.name!r}, parameter {param.name!r}: {exc}"
-                    ) from None
-            elif param.required:
-                raise StepError(
-                    f"step {self.name!r} requires parameter {param.name!r}"
-                )
-            else:
-                bound[param.name] = param.default
-        return bound
+        return bind_params("step", self.name, self.params, params)
 
     def signature(self) -> str:
         """``name(param: kind, ...)`` — the catalog rendering."""

@@ -1,4 +1,4 @@
-"""Tests for the Extended Simulator, its GUI latency model and renderer."""
+"""Tests for the Extended Simulator and its renderer."""
 
 import numpy as np
 import pytest
@@ -12,8 +12,6 @@ from repro.lab.hein import build_hein_deck
 from repro.kinematics.arm import ArmKinematics
 from repro.kinematics.profiles import UR3E
 from repro.simulator.extended import ExtendedSimulator
-from repro.simulator.gui import GuiLatencyModel
-from repro.core.clock import VirtualClock
 from repro.testbed.deck import build_testbed_deck
 
 
@@ -206,16 +204,6 @@ class TestSilentSkipScenario:
         viperx.move_to_location([0.37, -0.46, 0.10])
         assert rabit.alert_count == 0
         assert any(d.kind == "arm_collision" for d in deck.world.damage_log)
-
-
-class TestGuiLatency:
-    def test_render_vs_headless_cost(self):
-        clock = VirtualClock()
-        gui = GuiLatencyModel(render_latency=2.0, headless_latency=0.01)
-        assert gui.charge(clock) == 2.0
-        gui.bypass_gui = True
-        assert gui.charge(clock) == 0.01
-        assert clock.spent("rabit_simulator_gui") == pytest.approx(2.01)
 
 
 class TestTopdownRenderer:

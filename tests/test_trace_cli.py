@@ -1,9 +1,14 @@
-"""CLI coverage for ``python -m repro record`` / ``replay``.
+"""CLI coverage for ``python -m repro record`` / ``replay``, and for
+the input errors every subcommand refuses before it runs.
 
 Exit-code contract: 0 when every trace replays byte-identically, 1 on a
 divergence (with ``--diff`` printing the first one field-by-field), 2
 when a trace file is corrupt, truncated, of an unknown schema version,
-or the record request itself is invalid.
+or the record request itself is invalid.  Bad input — a malformed
+``--param``, a workflow named by neither or both of a preset and
+``--spec``, an output path in a missing directory, a ``--trace-dir``
+that names a file — exits 2 with ``error: …`` before any work, never 1
+(the code ``workflow run`` uses for "did not complete").
 """
 
 import json
@@ -81,11 +86,73 @@ class TestRecord:
         assert not (tmp_path / "x.jsonl").exists()
 
     def test_malformed_param_exits_two(self, tmp_path):
-        with pytest.raises(SystemExit):
+        with pytest.raises(SystemExit) as excinfo:
             main([
                 "record", "--workload", "mutant", "--param", "seed",
                 "--out", str(tmp_path / "x.jsonl"),
             ])
+        assert excinfo.value.code == 2
+
+
+class TestInputErrors:
+    """Each refused before the run: exit 2, ``error:``, no stdout.
+
+    ``{tmp}`` is the test's temporary directory, ``{missing}`` a
+    directory in it that does not exist and ``{file}`` a file in it."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["record", "--param", "seed"], "expected key=value"),
+            (["workflow", "show", "solubility", "--param", "foo"], "expected key=value"),
+            (["workflow", "show"], "one of the arguments preset --spec is required"),
+            (["workflow", "run", "two_door", "--spec", "x.json"], "not allowed with"),
+            (["workflow", "export", "two_door", "--out", "{missing}/x.json"], "--out"),
+            (["workflow", "run", "two_door", "--journal", "{missing}/j.json"], "--journal"),
+            (["record", "--out", "{missing}/r.trace.jsonl"], "--out"),
+            (["montecarlo", "--samples", "1", "--jsonl", "{missing}/m.jsonl"], "--jsonl"),
+            (["metrics", "--trace-out", "{missing}/t.jsonl"], "--trace-out"),
+            (["metrics", "--prom-out", "{missing}/m.prom"], "--prom-out"),
+            (["metrics", "--json-out", "{missing}/m.json"], "--json-out"),
+            (["mine", "--out", "{missing}/traces.jsonl"], "--out"),
+            (["record", "--out", "{tmp}"], "is a directory"),
+            (["montecarlo", "--samples", "1", "--trace-dir", "{file}"], "is not a directory"),
+            (["campaign", "--trace-dir", "{file}/traces"], "is not a directory"),
+        ],
+        ids=[
+            "record-param", "workflow-param", "neither-preset-nor-spec",
+            "preset-and-spec", "export-out", "run-journal", "record-out",
+            "montecarlo-jsonl", "metrics-trace-out", "metrics-prom-out",
+            "metrics-json-out", "mine-out", "out-is-a-directory",
+            "trace-dir-is-a-file", "trace-dir-under-a-file",
+        ],
+    )
+    def test_exits_two_before_running(self, argv, message, tmp_path, capsys):
+        missing = tmp_path / "no_such_dir"
+        a_file = tmp_path / "a_file"
+        a_file.write_text("")
+        argv = [
+            arg.replace("{missing}", str(missing))
+            .replace("{file}", str(a_file))
+            .replace("{tmp}", str(tmp_path))
+            for arg in argv
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err and message in captured.err
+        assert not missing.exists()
+
+    def test_spec_with_params_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "two_door.spec.json"
+        assert main(["workflow", "export", "two_door", "--out", str(spec)]) == 0
+        capsys.readouterr()
+        assert main(["workflow", "show", "--spec", str(spec), "--param", "a=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: spec runs take no extra parameters" in captured.err
 
 
 class TestReplay:
